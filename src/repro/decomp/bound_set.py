@@ -24,6 +24,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 from repro.bdd.manager import BDD
 from repro.boolfunc.spec import ISF
 from repro.decomp.compat import classes_for, min_r
+from repro.kernel import MISS_MISMATCH
 from repro.kernel import STATS as KERNEL_STATS
 
 try:
@@ -179,8 +180,7 @@ def greedy_bound_set(bdd: BDD, outputs: Sequence[ISF],
         outputs = list(outputs)[:8]
     cache = None
     if PartitionCache is not None:
-        cache = PartitionCache.for_call(bdd, outputs, variables,
-                                        "classes_for")
+        cache = PartitionCache.for_call(bdd, outputs, "classes_for")
     current: List[int] = []
     for _ in range(p):
         best_var = None
@@ -195,7 +195,7 @@ def greedy_bound_set(bdd: BDD, outputs: Sequence[ISF],
                 except TableMismatchError:
                     # Stale/shrunk ordering behind the cache: degrade to
                     # the BDD route for the rest of the growth.
-                    KERNEL_STATS.record_miss("classes_for")
+                    KERNEL_STATS.record_miss("classes_for", MISS_MISMATCH)
                     cache = None
             if cache is None:
                 KERNEL_STATS.record_scratch()
@@ -239,8 +239,7 @@ def rank_bound_sets(bdd: BDD, outputs: Sequence[ISF],
     need_scores = score_memo is None or any(
         (memo_key, cand) not in score_memo for cand in candidates)
     if PartitionCache is not None and need_scores:
-        cache = PartitionCache.for_call(bdd, outputs, variables,
-                                        "reduction_score")
+        cache = PartitionCache.for_call(bdd, outputs, "reduction_score")
     ranked = []
     for cand in candidates:
         full_key = (memo_key, cand)
@@ -252,7 +251,8 @@ def rank_bound_sets(bdd: BDD, outputs: Sequence[ISF],
                 try:
                     score = cache.score_for(cand)
                 except TableMismatchError:
-                    KERNEL_STATS.record_miss("reduction_score")
+                    KERNEL_STATS.record_miss("reduction_score",
+                                             MISS_MISMATCH)
                     cache = None
             if score is None:
                 if cache is None:

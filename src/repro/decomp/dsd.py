@@ -272,7 +272,8 @@ def shatter(bdd: BDD, isf: ISF, n_lut: int,
         ops, handle = domain
         start = perf_counter()
         plan = _probe(ops, handle, n_lut, counters)
-        KERNEL_STATS.record_hit("dsd_probe", perf_counter() - start)
+        KERNEL_STATS.record_hit("dsd_probe", perf_counter() - start,
+                                ops.tier)
         return plan
     return _probe(BddDsdOps(bdd), isf, n_lut, counters)
 

@@ -27,6 +27,10 @@ Dispatch is transparent and *tiered*: the call sites in
 :mod:`repro.symmetry.groups` route through the kernel when the live
 support fits :func:`kernel_max_vars` (default 24, override with
 ``REPRO_KERNEL_MAX_VARS``) and fall back to the BDD path otherwise.
+The compatible-class ops measure that support *per output*: each output
+gets its own table domain (its live support plus the bound set), so a
+multi-output bundle is served whenever its widest single output fits,
+however wide the union of the outputs' supports.
 Within the kernel, supports up to :func:`kernel_tier1_max_vars`
 (default 16) use Python bignum masks (tier 1 — CPython's C bignum ops
 beat numpy call overhead on small tables) and wider supports use
@@ -42,8 +46,9 @@ is faster (the table<->BDD conversion at the wrapper boundary dominates
 the predicate algebra), so dispatch declines without counting a miss.
 
 Every dispatch decision is counted in a module-level
-:class:`KernelStats` (reset per engine run); the snapshot lands in the
-versioned metrics document under ``"kernel"``.
+:class:`KernelStats` (reset per engine run): hits by tier, misses by
+cause.  The snapshot lands in the versioned metrics document under
+``"kernel"``.
 """
 
 from __future__ import annotations
@@ -93,6 +98,16 @@ DEFAULT_SYMMETRY_DENSITY_FACTOR = 3
 #: parallel.  64 approximates the measured per-node/per-word cost ratio
 #: (~0.24 ms/knode BDD vs ~5.5 us/kword numpy on 20-var scoring).
 DEFAULT_COST_FACTOR = 64
+
+#: Why a dispatch fell back to the BDD path (``KernelStats`` miss
+#: causes): the widest table is past :func:`kernel_max_vars`; the tier-2
+#: cost model predicted the BDD path cheaper; or a
+#: :class:`repro.kernel.convert.TableMismatchError` (stale ordering)
+#: degraded the call.
+MISS_TOO_WIDE = "too_wide"
+MISS_COST_MODEL = "cost_model"
+MISS_MISMATCH = "mismatch"
+MISS_CAUSES = (MISS_TOO_WIDE, MISS_COST_MODEL, MISS_MISMATCH)
 
 _OFF_VALUES = {"off", "0", "false", "no"}
 
@@ -194,10 +209,13 @@ class KernelStats:
     """Dispatch counters and per-operation kernel time.
 
     ``hits`` counts calls served by the kernel, ``misses`` calls that
-    fell back to the BDD path while the kernel was enabled (support too
-    wide).  ``ops`` breaks hits and wall time down by operation
-    (``classes_for``, ``reduction_score``, ``assign_by_classes``,
-    ``symmetry_assign``, ``symmetry_groups``).
+    fell back to the BDD path while the kernel was enabled.  ``ops``
+    breaks hits and wall time down by operation (``classes_for``,
+    ``reduction_score``, ``assign_by_classes``, ``symmetry_assign``,
+    ``symmetry_groups``); ``tier_hits`` splits the hits by the tier that
+    served them (1 = bignum masks, 2 = ``Words``) and ``miss_causes``
+    the misses by :data:`MISS_CAUSES`.  Every dispatch site passes its
+    tier and cause explicitly.
     """
 
     hits: int = 0
@@ -208,15 +226,19 @@ class KernelStats:
     op_time: Dict[str, float] = field(default_factory=dict)
     op_hits: Dict[str, int] = field(default_factory=dict)
     op_misses: Dict[str, int] = field(default_factory=dict)
+    tier_hits: Dict[int, int] = field(default_factory=dict)
+    miss_causes: Dict[str, int] = field(default_factory=dict)
 
-    def record_hit(self, op: str, seconds: float) -> None:
+    def record_hit(self, op: str, seconds: float, tier: int = 1) -> None:
         self.hits += 1
         self.op_hits[op] = self.op_hits.get(op, 0) + 1
         self.op_time[op] = self.op_time.get(op, 0.0) + seconds
+        self.tier_hits[tier] = self.tier_hits.get(tier, 0) + 1
 
-    def record_miss(self, op: str) -> None:
+    def record_miss(self, op: str, cause: str = MISS_TOO_WIDE) -> None:
         self.misses += 1
         self.op_misses[op] = self.op_misses.get(op, 0) + 1
+        self.miss_causes[cause] = self.miss_causes.get(cause, 0) + 1
 
     def record_scratch(self) -> None:
         self.scratch += 1
@@ -238,6 +260,11 @@ class KernelStats:
             "cost_model": kernel_cost_model(),
             "kernel_hits": self.hits,
             "kernel_misses": self.misses,
+            "kernel_hits_by_tier": {
+                str(tier): self.tier_hits.get(tier, 0) for tier in (1, 2)},
+            "kernel_misses_by_cause": {
+                cause: self.miss_causes.get(cause, 0)
+                for cause in MISS_CAUSES},
             "kernel_refine": self.op_hits.get("kernel_refine", 0),
             "classes_from_scratch": self.scratch,
             "ops": ops,
@@ -257,6 +284,8 @@ def reset_kernel_stats() -> None:
     STATS.op_time.clear()
     STATS.op_hits.clear()
     STATS.op_misses.clear()
+    STATS.tier_hits.clear()
+    STATS.miss_causes.clear()
 
 
 def kernel_metrics() -> Dict[str, Any]:
@@ -272,6 +301,10 @@ __all__ = [
     "DEFAULT_SYMMETRY_MIN_VARS",
     "DEFAULT_TIER1_MAX_VARS",
     "KernelStats",
+    "MISS_CAUSES",
+    "MISS_COST_MODEL",
+    "MISS_MISMATCH",
+    "MISS_TOO_WIDE",
     "STATS",
     "kernel_cost_model",
     "kernel_enabled",

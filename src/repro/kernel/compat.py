@@ -14,9 +14,16 @@ instead of BDD nodes:
   :func:`repro.kernel.convert.bools_to_bdd`, so the resulting
   ``Classes`` carries exactly the node ids the BDD path would produce.
 
+Each output gets its own table domain — its live support plus the
+bound set — since compatibility is decided output by output (two
+vertices are jointly compatible iff compatible for every output) and
+the cover only ever compares an output's masks with masks of the same
+output.  A wide multi-output bundle whose union support is far past
+the cap is therefore served as long as every single output fits.
+
 Every entry point returns ``None`` when the kernel is disabled or the
-live support exceeds :func:`repro.kernel.kernel_max_vars`; callers then
-take the BDD path (and the miss is counted).
+widest output's domain exceeds :func:`repro.kernel.kernel_max_vars`;
+callers then take the BDD path (and the miss is counted).
 """
 
 from __future__ import annotations
@@ -29,6 +36,9 @@ from repro.faults import fault_point
 from repro.kernel import (
     AVAILABLE,
     DEFAULT_COST_FACTOR,
+    MISS_COST_MODEL,
+    MISS_MISMATCH,
+    MISS_TOO_WIDE,
     STATS,
     kernel_cost_model,
     kernel_enabled,
@@ -57,8 +67,13 @@ MaskVector = List[Tuple[int, int]]
 #: Deferred mask->ISF conversion of the merged class intervals.
 MergedThunk = Callable[[], List[List[ISF]]]
 
+#: Per-output table domains: ``domains[k]`` is the sorted variable
+#: tuple output ``k``'s tables range over.
+Domains = Tuple[Tuple[int, ...], ...]
 
-def tier2_profitable(bdd, outputs: Sequence[ISF], num_live: int) -> bool:
+
+def tier2_profitable(bdd, outputs: Sequence[ISF], num_live: int,
+                     widths: Optional[Sequence[int]] = None) -> bool:
     """Should a tier-2-wide call actually go word-parallel?
 
     BDD-path cost scales with the operands' node counts; table cost
@@ -66,6 +81,8 @@ def tier2_profitable(bdd, outputs: Sequence[ISF], num_live: int) -> bool:
     functions (small BDDs) therefore stay on the BDD path — serving them
     densely would be orders of magnitude *slower* — while wide dense
     functions (the 16-var cliff the benchmarks show) go tier 2.
+    ``widths[i]``, when given, is the table width of ``outputs[i]``
+    (per-output domains); by default every table spans ``num_live``.
     ``REPRO_KERNEL_COST_MODEL=off`` always serves (test lever).
     """
     if not kernel_cost_model():
@@ -80,29 +97,56 @@ def tier2_profitable(bdd, outputs: Sequence[ISF], num_live: int) -> bool:
     if nodes is None:
         nodes = bdd.node_count(*roots)
         cache_put(cache, key, nodes)
-    words = 1 << max(0, num_live - 6)
-    return nodes * DEFAULT_COST_FACTOR >= words * max(1, len(outputs))
+    if widths is None:
+        widths = [num_live] * max(1, len(outputs))
+    words = sum(1 << max(0, width - 6) for width in widths)
+    return nodes * DEFAULT_COST_FACTOR >= words
+
+
+def _isf_support(bdd, isf: ISF) -> set:
+    live = bdd.support(isf.lo)
+    if isf.hi != isf.lo:
+        live |= bdd.support(isf.hi)
+    return live
 
 
 def _fit_variables(bdd, outputs: Sequence[ISF], bound: Sequence[int],
-                   op: str) -> Optional[Tuple[Tuple[int, ...], int]]:
-    """``(table_vars, tier)`` for the call, or ``None`` (miss counted)
-    when the kernel is off, the live support is too wide, or a tier-2
-    width is predicted cheaper on the BDD path."""
+                   op: str,
+                   columns: Optional[Sequence[Sequence[ISF]]] = None
+                   ) -> Optional[Tuple[Domains, int]]:
+    """``(domains, tier)`` for the call, or ``None`` (miss counted)
+    when the kernel is off, the widest domain is too wide, or a tier-2
+    width is predicted cheaper on the BDD path.
+
+    ``domains[k]`` is output ``k``'s own table domain: the sorted live
+    support of the output (and of ``columns[k]``, ISFs the call builds
+    over the same table) plus ``bound``, which :func:`_vertex_masks`
+    slices.  The tier comes from the widest domain and the cost model
+    from the tables actually built, one per ISF at its domain's width.
+    """
     if not kernel_enabled():
         return None
-    live = set(bound)
-    for isf in outputs:
-        live |= bdd.support(isf.lo)
-        if isf.hi != isf.lo:
-            live |= bdd.support(isf.hi)
-    tier = tier_for(len(live))
-    if tier == 0 or (tier == 2
-                     and not tier2_profitable(bdd, outputs, len(live))):
-        STATS.record_miss(op)
+    domains = []
+    isfs: List[ISF] = []
+    widths: List[int] = []
+    for k, isf in enumerate(outputs):
+        group = [isf] if columns is None else [isf, *columns[k]]
+        live = set(bound)
+        for member in group:
+            live |= _isf_support(bdd, member)
+        domains.append(tuple(sorted(live)))
+        isfs.extend(group)
+        widths.extend([len(live)] * len(group))
+    widest = max(widths, default=len(bound))
+    tier = tier_for(widest)
+    if tier == 0:
+        STATS.record_miss(op, MISS_TOO_WIDE)
+        return None
+    if tier == 2 and not tier2_profitable(bdd, isfs, widest, widths):
+        STATS.record_miss(op, MISS_COST_MODEL)
         return None
     fault_point("kernel.dispatch")  # chaos site: armed kernel hand-off
-    return tuple(sorted(live)), tier
+    return tuple(domains), tier
 
 
 def _as_bools(mask, nbits: int):
@@ -113,28 +157,28 @@ def _as_bools(mask, nbits: int):
 
 
 def _vertex_masks(bdd, outputs: Sequence[ISF], bound: Sequence[int],
-                  table_vars: Tuple[int, ...], tier: int
-                  ) -> List[MaskVector]:
+                  domains: Domains, tier: int) -> List[MaskVector]:
     """Per-vertex cofactor mask vectors, vertex order = ``vertex_bits``.
 
-    Row ``v`` of each output's sliced table is the cofactor of bound-set
-    vertex ``v`` over the free variables (MSB-first on both sides, with
-    ``bound[0]`` the most significant vertex bit — the same convention
-    as :func:`repro.decomp.compat.vertex_cofactors`).
+    Row ``v`` of output ``k``'s table over ``domains[k]``, sliced at the
+    bound, is the cofactor of bound-set vertex ``v`` over that output's
+    free variables (MSB-first on both sides, with ``bound[0]`` the most
+    significant vertex bit — the same convention as
+    :func:`repro.decomp.compat.vertex_cofactors`).
     """
-    nvars = len(table_vars)
     p = len(bound)
-    positions = [table_vars.index(b) for b in bound]
     bound_t = tuple(bound)
     cache = _conversion_cache(bdd)
 
-    def rows(node: int) -> list:
+    def rows(node: int, table_vars: Tuple[int, ...]) -> list:
         # Keyed alongside the bdd_to_bools entries (5-tuples vs their
         # 2-tuples); re-scored bound sets reuse the packed rows.
         key = ("rows", node, table_vars, bound_t, tier)
         hit = cache.get(key)
         if hit is not None:
             return hit
+        nvars = len(table_vars)
+        positions = [table_vars.index(b) for b in bound_t]
         arr = bdd_to_bools(bdd, node, table_vars).reshape((2,) * nvars)
         flat = np.moveaxis(arr, positions, range(p)).reshape(1 << p, -1)
         if tier == 1:
@@ -148,9 +192,9 @@ def _vertex_masks(bdd, outputs: Sequence[ISF], bound: Sequence[int],
         return packed
 
     per_output: List[Tuple[List[int], List[int]]] = []
-    for isf in outputs:
-        lo_rows = rows(isf.lo)
-        hi_rows = lo_rows if isf.hi == isf.lo else rows(isf.hi)
+    for isf, table_vars in zip(outputs, domains):
+        lo_rows = rows(isf.lo, table_vars)
+        hi_rows = lo_rows if isf.hi == isf.lo else rows(isf.hi, table_vars)
         per_output.append((lo_rows, hi_rows))
     return [[(lo[v], hi[v]) for lo, hi in per_output]
             for v in range(1 << p)]
@@ -298,37 +342,40 @@ def kernel_classes_for(bdd, outputs: Sequence[ISF], bound: Sequence[int]
     fit = _fit_variables(bdd, outputs, bound, "classes_for")
     if fit is None:
         return None
-    table_vars, tier = fit
+    domains, tier = fit
     start = perf_counter()
     try:
         with profile_phase("cofactors"):
-            vectors = _vertex_masks(bdd, outputs, bound, table_vars, tier)
+            vectors = _vertex_masks(bdd, outputs, bound, domains, tier)
         with profile_phase("clique_cover"):
             classes, class_of, merged_masks = _cover(vectors)
     except TableMismatchError:
         # Stale/shrunk ordering from the caller: degrade to the BDD
         # route instead of crashing the run.
-        STATS.record_miss("classes_for")
+        STATS.record_miss("classes_for", MISS_MISMATCH)
         return None
-    STATS.record_hit("classes_for", perf_counter() - start)
+    STATS.record_hit("classes_for", perf_counter() - start, tier)
     bound_set = set(bound)
-    free = [v for v in table_vars if v not in bound_set]
+    frees = [[v for v in domain if v not in bound_set]
+             for domain in domains]
 
     def materialise() -> List[List[ISF]]:
+        # Each output's intervals convert over its own free variables;
+        # bools_to_bdd is canonical, so the node ids do not depend on
+        # which covering variable tuple the table used.
         begin = perf_counter()
-        nfree_bits = 1 << len(free)
         with profile_phase("clique_cover"):
             merged: List[List[ISF]] = []
             for vec in merged_masks:
                 row = []
-                for lo_mask, hi_mask in vec:
-                    lo = bools_to_bdd(
-                        bdd, _as_bools(lo_mask, nfree_bits), free)
+                for (lo_mask, hi_mask), free in zip(vec, frees):
+                    nbits = 1 << len(free)
+                    lo = bools_to_bdd(bdd, _as_bools(lo_mask, nbits), free)
                     hi = lo if hi_mask == lo_mask else bools_to_bdd(
-                        bdd, _as_bools(hi_mask, nfree_bits), free)
+                        bdd, _as_bools(hi_mask, nbits), free)
                     row.append(ISF(lo, hi))
                 merged.append(row)
-        STATS.record_hit("merged_convert", perf_counter() - begin)
+        STATS.record_hit("merged_convert", perf_counter() - begin, tier)
         return merged
 
     return tuple(bound), classes, class_of, materialise
@@ -342,13 +389,13 @@ def kernel_reduction_score(bdd, outputs: Sequence[ISF],
     fit = _fit_variables(bdd, outputs, bound, "reduction_score")
     if fit is None:
         return None
-    table_vars, tier = fit
+    domains, tier = fit
     start = perf_counter()
     try:
         with profile_phase("cofactors"):
-            vectors = _vertex_masks(bdd, outputs, bound, table_vars, tier)
+            vectors = _vertex_masks(bdd, outputs, bound, domains, tier)
     except TableMismatchError:
-        STATS.record_miss("reduction_score")
+        STATS.record_miss("reduction_score", MISS_MISMATCH)
         return None
     with profile_phase("clique_cover"):
         bound_set = set(bound)
@@ -363,7 +410,7 @@ def kernel_reduction_score(bdd, outputs: Sequence[ISF],
         joint_classes, _, _ = _cover(vectors)
         joint_ncc = len(joint_classes)
         score = (-reduction, _min_r(joint_ncc), joint_ncc)
-    STATS.record_hit("reduction_score", perf_counter() - start)
+    STATS.record_hit("reduction_score", perf_counter() - start, tier)
     return score
 
 
@@ -378,41 +425,43 @@ def kernel_assign_by_classes(bdd, outputs: Sequence[ISF],
     every vertex's cofactor is replaced by its class's merged interval.
 
     ``classes`` is a :class:`repro.decomp.compat.Classes` (duck-typed).
-    The caller handles the all-complete early return.
+    The caller handles the all-complete early return.  Each output is
+    rebuilt over its own domain: its support, its merged column's and
+    the bound.
     """
-    merged_isfs = [isf for row in classes.merged for isf in row]
-    fit = _fit_variables(bdd, list(outputs) + merged_isfs,
-                         classes.bound, "assign_by_classes")
+    columns = [[row[k] for row in classes.merged]
+               for k in range(len(outputs))]
+    fit = _fit_variables(bdd, outputs, classes.bound, "assign_by_classes",
+                         columns)
     if fit is None:
         return None
-    table_vars, _ = fit
-    nvars = len(table_vars)
+    domains, tier = fit
     p = len(classes.bound)
     bound_set = set(classes.bound)
-    positions = [table_vars.index(b) for b in classes.bound]
-    free = [v for v in table_vars if v not in bound_set]
-    free_set = set(free)
     # Merged intervals normally live over the free variables only; a
     # hand-built Classes violating that goes down the BDD path instead.
-    for isf in merged_isfs:
-        if (bdd.support(isf.lo) | bdd.support(isf.hi)) - free_set:
-            STATS.record_miss("assign_by_classes")
-            return None
+    for column in columns:
+        for isf in column:
+            if _isf_support(bdd, isf) & bound_set:
+                STATS.record_miss("assign_by_classes", MISS_MISMATCH)
+                return None
     start = perf_counter()
-    nfree_bits = 1 << (nvars - p)
 
     new_outputs = []
-    for k in range(len(outputs)):
+    for table_vars, column in zip(domains, columns):
+        nvars = len(table_vars)
+        positions = [table_vars.index(b) for b in classes.bound]
+        free = [v for v in table_vars if v not in bound_set]
+        nfree_bits = 1 << len(free)
         lo_rows = np.empty((1 << p, nfree_bits), dtype=bool)
         hi_rows = np.empty((1 << p, nfree_bits), dtype=bool)
-        for c, vertices in enumerate(classes.classes):
-            merged = classes.merged[c][k]
+        for merged, vertices in zip(column, classes.classes):
             try:
                 lo_tab = bdd_to_bools(bdd, merged.lo, free)
                 hi_tab = lo_tab if merged.hi == merged.lo else \
                     bdd_to_bools(bdd, merged.hi, free)
             except TableMismatchError:
-                STATS.record_miss("assign_by_classes")
+                STATS.record_miss("assign_by_classes", MISS_MISMATCH)
                 return None
             idx = np.asarray(vertices)
             lo_rows[idx] = lo_tab
@@ -426,5 +475,5 @@ def kernel_assign_by_classes(bdd, outputs: Sequence[ISF],
         hi = lo if np.array_equal(lo_arr, hi_arr) else \
             bools_to_bdd(bdd, hi_arr, table_vars)
         new_outputs.append(ISF.create(bdd, lo, hi))
-    STATS.record_hit("assign_by_classes", perf_counter() - start)
+    STATS.record_hit("assign_by_classes", perf_counter() - start, tier)
     return new_outputs

@@ -31,7 +31,15 @@ from __future__ import annotations
 from typing import Optional, Sequence, Tuple
 
 from repro.boolfunc.spec import ISF
-from repro.kernel import AVAILABLE, STATS, kernel_enabled, tier_for
+from repro.kernel import (
+    AVAILABLE,
+    MISS_COST_MODEL,
+    MISS_MISMATCH,
+    MISS_TOO_WIDE,
+    STATS,
+    kernel_enabled,
+    tier_for,
+)
 
 if AVAILABLE:
     from repro.kernel.bitset import mask_rows, mask_to_bools, pack_bools
@@ -224,15 +232,17 @@ def dsd_mask_domain(bdd, isf: ISF, op: str = "dsd_probe"
     if isf.hi != isf.lo:
         live = live | bdd.support(isf.hi)
     tier = tier_for(len(live))
-    if tier == 0 or (tier == 2 and not tier2_profitable(bdd, [isf],
-                                                        len(live))):
-        STATS.record_miss(op)
+    if tier == 0:
+        STATS.record_miss(op, MISS_TOO_WIDE)
+        return None
+    if tier == 2 and not tier2_profitable(bdd, [isf], len(live)):
+        STATS.record_miss(op, MISS_COST_MODEL)
         return None
     ops = MaskDsdOps(bdd, tier)
     try:
         return ops, ops.lift(isf, tuple(sorted(live)))
     except TableMismatchError:
-        STATS.record_miss(op)
+        STATS.record_miss(op, MISS_MISMATCH)
         return None
 
 

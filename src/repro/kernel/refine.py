@@ -16,6 +16,13 @@ the packed mask at ``v``'s bit stride, never touching the full table.
 Equal-cofactor groups of ``B ∪ {v}`` are re-deduplicated among the (at
 most ``2·u``) split group vectors, ``u`` the parent's group count.
 
+Each output keeps its own table domain (its live support, see
+:func:`repro.kernel.compat._fit_variables`): an output that does not
+depend on ``v`` has equal cofactors at ``v = 0`` and ``v = 1``, so its
+masks pass through the split unchanged — exactly the masks a
+from-scratch extraction over that output's ``support ∪ B ∪ {v}``
+produces.
+
 Bit-identicality: ordering the refined groups by minimum member index
 reproduces the first-occurrence order of a from-scratch dedup exactly
 (a group's first occurrence *is* its minimum member), members map
@@ -35,12 +42,14 @@ candidate variable instead of full ``classes_for`` calls.
 
 from __future__ import annotations
 
+from functools import partial
 from time import perf_counter
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.boolfunc.spec import ISF
 from repro.kernel import AVAILABLE, STATS
 from repro.kernel.compat import (
+    Domains,
     MaskVector,
     _cover_from_partition,
     _dedup,
@@ -65,13 +74,14 @@ class Partition:
     ``unique_vectors[i]`` is the cofactor mask vector shared by the
     vertices in ``members[i]`` (ascending); groups are ordered by their
     minimum member — exactly the state after the dedup stage of
-    :func:`repro.kernel.compat._cover`.
+    :func:`repro.kernel.compat._cover`.  ``free[k]`` is the variable
+    tuple output ``k``'s masks range over.
     """
 
     __slots__ = ("bound", "free", "unique_vectors", "members",
                  "all_complete")
 
-    def __init__(self, bound: Tuple[int, ...], free: Tuple[int, ...],
+    def __init__(self, bound: Tuple[int, ...], free: Domains,
                  unique_vectors: List[MaskVector],
                  members: List[List[int]], all_complete: bool) -> None:
         self.bound = bound
@@ -86,13 +96,13 @@ class Partition:
 
     def nbytes(self) -> int:
         """Rough retained-mask footprint (for the cache byte budget)."""
-        per_mask = max(1, (1 << len(self.free)) >> 3)
-        width = len(self.unique_vectors[0]) if self.unique_vectors else 0
-        return len(self.unique_vectors) * width * 2 * per_mask
+        per_vector = sum(max(1, (1 << len(free)) >> 3)
+                         for free in self.free)
+        return len(self.unique_vectors) * 2 * per_vector
 
 
 class PartitionCache:
-    """Refinement chains over one ``(outputs, table)`` context.
+    """Refinement chains over one ``(outputs, domains)`` context.
 
     Keys are bound *tuples* (order matters: it fixes the vertex
     numbering and hence the greedy cover's processing order, which must
@@ -100,28 +110,36 @@ class PartitionCache:
     use).  ``partition_for`` extends the longest cached prefix of the
     requested tuple, so sorted sliding-window candidates and greedy
     growth rounds pay one refinement per new variable.
+
+    ``domains[k]`` is output ``k``'s live support — the free variables
+    of the root (empty-bound) partition.  Refining on a variable outside
+    it passes that output's masks through unsplit.
     """
 
-    def __init__(self, bdd, outputs: Sequence[ISF],
-                 table_vars: Tuple[int, ...], tier: int) -> None:
+    def __init__(self, bdd, outputs: Sequence[ISF], domains: Domains,
+                 tier: int) -> None:
         self.bdd = bdd
         self.outputs = list(outputs)
-        self.table_vars = table_vars
+        self.domains = domains
         self.tier = tier
         self._chains: Dict[Tuple[int, ...], Partition] = {}
         self._bytes = 0
 
     @classmethod
-    def for_call(cls, bdd, outputs: Sequence[ISF],
-                 variables: Sequence[int], op: str
+    def for_call(cls, bdd, outputs: Sequence[ISF], op: str
                  ) -> Optional["PartitionCache"]:
-        """A cache for scoring subsets of ``variables``, or ``None``
-        (miss counted under ``op``) when the kernel cannot serve."""
-        fit = _fit_variables(bdd, outputs, variables, op)
+        """A cache for scoring bound sets of ``outputs``, or ``None``
+        (miss counted under ``op``) when the kernel cannot serve.
+
+        Only the outputs' own supports size the tables: refinement
+        narrows every domain, so the root partition holds the widest
+        table the cache ever builds, whichever variables it splits on.
+        """
+        fit = _fit_variables(bdd, outputs, (), op)
         if fit is None:
             return None
-        table_vars, tier = fit
-        return cls(bdd, outputs, table_vars, tier)
+        domains, tier = fit
+        return cls(bdd, outputs, domains, tier)
 
     # -- chain management -------------------------------------------------
 
@@ -138,9 +156,9 @@ class PartitionCache:
         if part is None:
             with profile_phase("cofactors"):
                 vectors = _vertex_masks(self.bdd, self.outputs, (),
-                                        self.table_vars, self.tier)
+                                        self.domains, self.tier)
             uniq, mem, complete = _dedup(vectors)
-            part = Partition((), self.table_vars, uniq, mem, complete)
+            part = Partition((), self.domains, uniq, mem, complete)
             self._remember(part)
         return part
 
@@ -165,17 +183,24 @@ class PartitionCache:
 
     def refine(self, part: Partition, var: int) -> Partition:
         """Partition of ``part.bound + (var,)`` by splitting each group
-        at ``var``'s cofactor axis."""
+        at ``var``'s cofactor axis (outputs whose domain lacks ``var``
+        keep their masks)."""
         start = perf_counter()
-        fidx = part.free.index(var)
-        stride = 1 << (len(part.free) - 1 - fidx)
-        nbits = 1 << len(part.free)
-        if self.tier == 1:
-            def split(mask):
-                return split_int(mask, nbits, stride)
-        else:
-            def split(mask):
-                return split_words(mask, stride)
+        splits: List[Optional[Callable]] = []
+        free: List[Tuple[int, ...]] = []
+        for domain in part.free:
+            if var not in domain:
+                splits.append(None)
+                free.append(domain)
+                continue
+            fidx = domain.index(var)
+            stride = 1 << (len(domain) - 1 - fidx)
+            if self.tier == 1:
+                splits.append(partial(split_int, nbits=1 << len(domain),
+                                      stride=stride))
+            else:
+                splits.append(partial(split_words, stride=stride))
+            free.append(domain[:fidx] + domain[fidx + 1:])
 
         rep: dict = {}
         uniq: List[MaskVector] = []
@@ -183,7 +208,12 @@ class PartitionCache:
         for vec, members in zip(part.unique_vectors, part.members):
             halves0: MaskVector = []
             halves1: MaskVector = []
-            for lo, hi in vec:
+            for pair, split in zip(vec, splits):
+                if split is None:
+                    halves0.append(pair)
+                    halves1.append(pair)
+                    continue
+                lo, hi = pair
                 lo0, lo1 = split(lo)
                 if hi is lo or hi == lo:
                     hi0, hi1 = lo0, lo1
@@ -203,11 +233,11 @@ class PartitionCache:
         for members in mem:
             members.sort()
         order = sorted(range(len(uniq)), key=lambda i: mem[i][0])
-        new = Partition(part.bound + (var,),
-                        part.free[:fidx] + part.free[fidx + 1:],
+        new = Partition(part.bound + (var,), tuple(free),
                         [uniq[i] for i in order], [mem[i] for i in order],
                         part.all_complete)
-        STATS.record_hit("kernel_refine", perf_counter() - start)
+        STATS.record_hit("kernel_refine", perf_counter() - start,
+                         self.tier)
         return new
 
     # -- scoring ----------------------------------------------------------
@@ -245,7 +275,8 @@ class PartitionCache:
                 part.num_vertices)
             ncc = len(joint_classes)
             score = (-reduction, _min_r(ncc), ncc)
-        STATS.record_hit("reduction_score", perf_counter() - start)
+        STATS.record_hit("reduction_score", perf_counter() - start,
+                         self.tier)
         return score
 
 

@@ -45,6 +45,9 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 from repro.boolfunc.spec import ISF
 from repro.kernel import (
     AVAILABLE,
+    MISS_COST_MODEL,
+    MISS_MISMATCH,
+    MISS_TOO_WIDE,
     STATS,
     kernel_enabled,
     kernel_symmetry_density_factor,
@@ -326,9 +329,11 @@ def bits_domain(bdd, isfs: Sequence[ISF], variables: Sequence[int],
             and not _dense_enough(bdd, isfs, len(live)):
         return None
     tier = tier_for(len(live))
-    if tier == 0 or (tier == 2
-                     and not tier2_profitable(bdd, isfs, len(live))):
-        STATS.record_miss(op)
+    if tier == 0:
+        STATS.record_miss(op, MISS_TOO_WIDE)
+        return None
+    if tier == 2 and not tier2_profitable(bdd, isfs, len(live)):
+        STATS.record_miss(op, MISS_COST_MODEL)
         return None
     ops = BitsIsfOps(bdd, sorted(live), tier)
     try:
@@ -336,5 +341,5 @@ def bits_domain(bdd, isfs: Sequence[ISF], variables: Sequence[int],
     except TableMismatchError:
         # A caller-supplied `variables` narrower than the raw supports
         # (stale/DC-shrunk ordering): degrade to the BDD route.
-        STATS.record_miss(op)
+        STATS.record_miss(op, MISS_MISMATCH)
         return None

@@ -216,6 +216,17 @@ def profile_report(stats: Any,
         lines.append(f"kernel (word-parallel, {state}, {tiers}):")
         lines.append(f"  dispatch            : {kernel['kernel_hits']} hits"
                      f" / {kernel['kernel_misses']} misses")
+        by_tier = kernel.get("kernel_hits_by_tier")
+        if by_tier:
+            lines.append(f"  hits by tier        : "
+                         f"{by_tier['1']} tier-1 (bignum) / "
+                         f"{by_tier['2']} tier-2 (Words)")
+        causes = kernel.get("kernel_misses_by_cause")
+        if causes:
+            lines.append(f"  misses by cause     : "
+                         f"{causes['too_wide']} too wide / "
+                         f"{causes['cost_model']} cost model / "
+                         f"{causes['mismatch']} table mismatch")
         refines = kernel.get("kernel_refine", 0)
         scratch = kernel.get("classes_from_scratch", 0)
         if refines or scratch:

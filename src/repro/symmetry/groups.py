@@ -80,7 +80,8 @@ def isf_symmetry_groups(bdd: BDD, isf: ISF,
     start = perf_counter()
     groups = _symmetry_groups(ops, handles[0], variables, kind)
     if ops.domain == "kernel":
-        KERNEL_STATS.record_hit("symmetry_groups", perf_counter() - start)
+        KERNEL_STATS.record_hit("symmetry_groups", perf_counter() - start,
+                                ops.tier)
     return groups
 
 
@@ -236,7 +237,8 @@ def assign_for_symmetry(bdd: BDD, isf: ISF, variables: Sequence[int],
                                      max_pair_checks, protected_groups)
     result = ops.lower(f)
     if ops.domain == "kernel":
-        KERNEL_STATS.record_hit("symmetry_assign", perf_counter() - start)
+        KERNEL_STATS.record_hit("symmetry_assign", perf_counter() - start,
+                                ops.tier)
     return result, groups
 
 
@@ -339,7 +341,8 @@ def assign_for_symmetry_multi(bdd: BDD, outputs: Sequence[ISF],
                                                  kinds, max_pair_checks)
     result = [ops.lower(f) for f in refined]
     if ops.domain == "kernel":
-        KERNEL_STATS.record_hit("symmetry_assign", perf_counter() - start)
+        KERNEL_STATS.record_hit("symmetry_assign", perf_counter() - start,
+                                ops.tier)
     return result, groups
 
 

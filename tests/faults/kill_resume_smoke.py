@@ -27,10 +27,22 @@ from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
-#: Small circuits first (so completions land fast), a multi-second one
-#: last (so the kill reliably lands mid-batch).
+#: Small circuits first (so completions land fast), the slower ones last
+#: (so the kill reliably lands mid-batch).
 MANIFEST = ("xor5", "rd53", "majority", "misex1",
             "rd73", "rd84", "5xp1", "duke2")
+
+#: ``sleep`` test hooks on the tail: each holds its job open for a
+#: fixed wall time, so the kill lands mid-batch however fast the
+#: compiler maps the circuits themselves.
+TAIL_HOOKS = {"5xp1": "sleep=1", "duke2": "sleep=2"}
+
+
+def manifest_text():
+    """The manifest: one circuit per line, tail jobs with their hook."""
+    return "".join(f"{name}!{TAIL_HOOKS[name]}\n" if name in TAIL_HOOKS
+                   else f"{name}\n" for name in MANIFEST)
+
 
 #: Row fields that legitimately differ between runs.
 TIMING_FIELDS = ("queue_wait_s", "exec_s", "retries", "beats")
@@ -87,7 +99,7 @@ def normalize(path):
 def main():
     tmp = Path(tempfile.mkdtemp(prefix="repro-kill-resume-"))
     manifest = tmp / "suite.txt"
-    manifest.write_text("\n".join(MANIFEST) + "\n")
+    manifest.write_text(manifest_text())
     journal = tmp / "batch.journal.jsonl"
     resumed_out = tmp / "resumed.jsonl"
     clean_out = tmp / "clean.jsonl"

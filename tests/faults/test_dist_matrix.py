@@ -52,9 +52,12 @@ pytestmark = pytest.mark.filterwarnings(
     "ignore::DeprecationWarning")  # fork-in-multithreaded on 3.12
 
 CIRCUITS = ("xor5", "rd53", "majority", "misex1", "rd73", "rd84")
-#: The joiner-vs-drain races need real runway: 5xp1 keeps the batch
-#: alive well past any injected registration delay or rejoin backoff.
 LONG_CIRCUITS = CIRCUITS + ("5xp1",)
+#: The joiner-vs-drain races need real runway.  A ``sleep`` test hook
+#: on every job keeps the batch alive for a fixed wall time — past any
+#: injected registration delay, rejoin backoff or joiner start-up —
+#: however fast the compiler maps the circuits themselves.
+RUNWAY_HOOK = "sleep:0.3"
 
 
 def test_new_sites_registered():
@@ -62,8 +65,9 @@ def test_new_sites_registered():
         assert site in faults.SITES
 
 
-def make_jobs(names=CIRCUITS):
-    return [make_job(source_from_name(name)) for name in names]
+def make_jobs(names=CIRCUITS, hook=None):
+    return [make_job(source_from_name(name), test_hook=hook)
+            for name in names]
 
 
 def start_static_node():
@@ -237,7 +241,8 @@ class TestNodeJoinSite:
             coordinator = DistCoordinator(
                 [(static.host, static.port)],
                 on_listen=lambda h, p: addresses.put((h, p)))
-            rows = coordinator.run(make_jobs(LONG_CIRCUITS))
+            rows = coordinator.run(make_jobs(LONG_CIRCUITS,
+                                             hook=RUNWAY_HOOK))
             # Snapshot before delenv: the counters live on the plan
             # armed from the environment.
             fired = faults.counters()
@@ -310,7 +315,8 @@ class TestNodeReconnectSite:
             coordinator = DistCoordinator(
                 [static_addr],
                 on_listen=lambda h, p: addresses.put((h, p)))
-            rows = coordinator.run(make_jobs(LONG_CIRCUITS))
+            rows = coordinator.run(make_jobs(LONG_CIRCUITS,
+                                             hook=RUNWAY_HOOK))
             fired = faults.counters()
         finally:
             monkeypatch.delenv(faults.ENV_VAR)
@@ -328,7 +334,9 @@ class TestNodeReconnectSite:
         # Pre-pick the join port so the subprocess joiner can start
         # dialing before the batch does (its interpreter start-up is
         # the slow part); it registers, loses its session to node.loss,
-        # then os._exits inside the rejoin.
+        # then os._exits inside the rejoin.  The sleep hook keeps jobs
+        # queued for ~2 s on the static node, long enough for the
+        # joiner to register and be handed one.
         probe = socket.socket()
         probe.bind(("127.0.0.1", 0))
         join_port = probe.getsockname()[1]
@@ -344,7 +352,7 @@ class TestNodeReconnectSite:
                 [(static.host, static.port)], join_port=join_port)
             rows = coordinator.run(make_jobs(
                 ("xor5", "rd53", "majority", "misex1",
-                 "rd73", "rd84", "5xp1", "duke2")))
+                 "rd73", "rd84", "5xp1", "duke2"), hook="sleep:0.5"))
             assert proc.wait(timeout=60.0) == faults.CRASH_EXIT_CODE
         finally:
             proc.kill()

@@ -228,3 +228,41 @@ def test_escape_hatch_disables_kernel(monkeypatch):
     assert not isinstance(cls, LazyClasses)
     # Disabled (as opposed to too-wide) dispatch is not counted a miss.
     assert STATS.hits == 0 and STATS.misses == 0
+
+
+def test_disjoint_wide_bundle_served_per_output(monkeypatch):
+    """Three outputs over disjoint 12/13/14-variable supports: the
+    union (39 variables) is far past the cap, yet every output's own
+    domain plus the bound fits tier 1, so all three compatible-class
+    ops are served without a miss — and node for node equal to the BDD
+    path."""
+    monkeypatch.setenv("REPRO_KERNEL", "on")
+    monkeypatch.delenv("REPRO_KERNEL_MAX_VARS", raising=False)
+    monkeypatch.delenv("REPRO_KERNEL_TIER1_MAX_VARS", raising=False)
+    rng = random.Random(83)
+    bdd = BDD(39)
+    supports = [list(range(0, 12)), list(range(12, 25)),
+                list(range(25, 39))]
+    outputs = [random_isf(bdd, rng, support, 0.3) for support in supports]
+    assert all(isf.support(bdd) == set(support)
+               for isf, support in zip(outputs, supports))
+    for bound in ((0, 12, 25), (13, 1, 26), (25, 26)):
+        monkeypatch.setenv("REPRO_KERNEL", "off")
+        ref = classes_for(bdd, outputs, bound)
+        ref_score = reduction_score(bdd, outputs, bound)
+        ref_narrowed = assign_by_classes(bdd, outputs, ref)
+        monkeypatch.setenv("REPRO_KERNEL", "on")
+        reset_kernel_stats()
+        hit = classes_for(bdd, outputs, bound)
+        score = reduction_score(bdd, outputs, bound)
+        narrowed = assign_by_classes(bdd, outputs, hit)
+        assert STATS.misses == 0
+        for op in ("classes_for", "reduction_score", "assign_by_classes"):
+            assert STATS.op_hits.get(op, 0) == 1, op
+        assert isinstance(hit, LazyClasses)
+        assert hit.classes == ref.classes
+        assert hit.class_of == ref.class_of
+        assert isf_pairs(hit) == isf_pairs(ref)
+        assert score == ref_score
+        assert [(i.lo, i.hi) for i in narrowed] == \
+            [(i.lo, i.hi) for i in ref_narrowed]

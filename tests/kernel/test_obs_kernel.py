@@ -11,6 +11,8 @@ from repro.boolfunc.spec import ISF
 from repro.core.api import map_to_xc3000
 from repro.decomp import cover
 from repro.kernel import (
+    MISS_COST_MODEL,
+    MISS_MISMATCH,
     STATS,
     KernelStats,
     kernel_enabled,
@@ -37,6 +39,20 @@ class TestKernelStats:
         assert snap["ops"]["classes_for"]["hits"] == 2
         assert snap["ops"]["classes_for"]["time_s"] == 0.5
         assert snap["ops"]["symmetry_assign"]["misses"] == 1
+
+    def test_tier_and_cause_split(self):
+        stats = KernelStats()
+        stats.record_hit("classes_for", 0.1, 1)
+        stats.record_hit("kernel_refine", 0.1, 2)
+        stats.record_hit("kernel_refine", 0.1, 2)
+        stats.record_miss("classes_for", MISS_COST_MODEL)
+        stats.record_miss("dsd_probe", MISS_MISMATCH)
+        snap = stats.snapshot()
+        assert snap["kernel_hits_by_tier"] == {"1": 1, "2": 2}
+        assert snap["kernel_misses_by_cause"] == {
+            "too_wide": 0, "cost_model": 1, "mismatch": 1}
+        reset_kernel_stats()
+        assert not STATS.tier_hits and not STATS.miss_causes
 
     def test_reset(self):
         STATS.record_hit("x", 1.0)
@@ -72,6 +88,22 @@ class TestMetricsDocument:
         report = profile_report(result.stats)
         assert "kernel (word-parallel, on" in report
         assert "classes_for" in report
+
+    @pytest.mark.parametrize("tier1_max,tier", [("16", "1"), ("0", "2")])
+    def test_hits_attributed_to_serving_tier(self, monkeypatch, tier1_max,
+                                             tier):
+        monkeypatch.setenv("REPRO_KERNEL", "on")
+        monkeypatch.setenv("REPRO_KERNEL_TIER1_MAX_VARS", tier1_max)
+        monkeypatch.setenv("REPRO_KERNEL_COST_MODEL", "off")
+        result = map_to_xc3000(benchmark("rd73"))
+        kernel = result.stats.kernel_metrics
+        by_tier = kernel["kernel_hits_by_tier"]
+        assert by_tier[tier] == kernel["kernel_hits"] > 0
+        assert sum(kernel["kernel_misses_by_cause"].values()) == \
+            kernel["kernel_misses"]
+        report = profile_report(result.stats)
+        assert f"hits by tier        : {by_tier['1']} tier-1" in report
+        assert "misses by cause     : 0 too wide" in report
 
     def test_duck_typed_stats_tolerated(self):
         class Stats:

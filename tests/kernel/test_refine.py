@@ -40,13 +40,21 @@ def random_isf(bdd, rng, variables, dc_density):
                       bdd.from_truth_table(hi_bits, variables))
 
 
-def scratch_partition(bdd, outputs, bound, variables):
-    """From-scratch dedup over the same table the cache refines."""
-    fit = _fit_variables(bdd, outputs, variables, "test")
+def scratch_partition(bdd, outputs, bound):
+    """From-scratch dedup of ``bound``'s vertices, over the per-output
+    domains a ``classes_for`` of ``bound`` would slice."""
+    fit = _fit_variables(bdd, outputs, bound, "test")
     assert fit is not None
-    table_vars, tier = fit
-    vectors = _vertex_masks(bdd, outputs, tuple(bound), table_vars, tier)
+    domains, tier = fit
+    vectors = _vertex_masks(bdd, outputs, tuple(bound), domains, tier)
     return _dedup(vectors)
+
+
+#: Output supports of the refinement property: all outputs over every
+#: variable, then overlapping and disjoint subsets, so the cache also
+#: refines on variables outside some outputs' domains.
+SUPPORTS = ([range(7), range(7)],
+            [range(0, 4), range(3, 7), (1, 5), (6,)])
 
 
 @pytest.mark.parametrize("density", [0.0, 0.3, 0.7])
@@ -58,19 +66,20 @@ def test_refined_partition_equals_scratch(density, tier1_max, monkeypatch):
     rng = random.Random(int(density * 100) + int(tier1_max))
     bdd = BDD(7)
     variables = list(range(7))
-    for _ in range(3):
-        outputs = [random_isf(bdd, rng, variables, density)
-                   for _ in range(2)]
-        cache = PartitionCache.for_call(bdd, outputs, variables, "test")
-        assert cache is not None
-        for p in (1, 2, 3, 4):
-            bound = tuple(rng.sample(variables, p))
-            part = cache.partition_for(bound)
-            uniq, mem, complete = scratch_partition(
-                bdd, outputs, bound, variables)
-            assert part.members == mem
-            assert part.unique_vectors == uniq
-            assert part.all_complete == complete
+    for supports in SUPPORTS:
+        for _ in range(3):
+            outputs = [random_isf(bdd, rng, list(support), density)
+                       for support in supports]
+            cache = PartitionCache.for_call(bdd, outputs, "test")
+            assert cache is not None
+            for p in (1, 2, 3, 4):
+                bound = tuple(rng.sample(variables, p))
+                part = cache.partition_for(bound)
+                uniq, mem, complete = scratch_partition(bdd, outputs,
+                                                        bound)
+                assert part.members == mem
+                assert part.unique_vectors == uniq
+                assert part.all_complete == complete
 
 
 @pytest.mark.parametrize("density", [0.0, 0.3, 0.7])
@@ -80,7 +89,7 @@ def test_refined_scores_equal_reduction_score(density, monkeypatch):
     bdd = BDD(6)
     variables = list(range(6))
     outputs = [random_isf(bdd, rng, variables, density) for _ in range(2)]
-    cache = PartitionCache.for_call(bdd, outputs, variables, "test")
+    cache = PartitionCache.for_call(bdd, outputs, "test")
     monkeypatch.setenv("REPRO_KERNEL", "off")
     for _ in range(6):
         bound = tuple(rng.sample(variables, rng.randint(2, 4)))
