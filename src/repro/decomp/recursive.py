@@ -435,8 +435,8 @@ class DecompositionEngine:
         if self._submemo_active:
             self.stats.submemo = dict(self._submemo_counters)
             if self._submemo_store is not None:
-                # One-shot workers exit right after the payload ships;
-                # write-behind remote entries must be flushed first.
+                # A worker may be stopped right after the payload
+                # ships; write-behind remote entries must land first.
                 self._submemo_store.flush()
         return net
 

@@ -352,9 +352,9 @@ class SubMemoStore:
     # -- lifecycle / observability -------------------------------------
 
     def flush(self) -> None:
-        """Block until write-behind remote puts have shipped (one-shot
-        workers call this before exiting; otherwise queued writes die
-        with the process)."""
+        """Block until write-behind remote puts have landed (the engine
+        calls this at the end of every run; otherwise queued writes
+        could die with a worker)."""
         if self.remote is not None:
             self.remote.flush()
 

@@ -2,8 +2,9 @@
 
 The single-host runtime already has the primitives a distributed tier
 needs — jobs are JSON-able dicts keyed by a content sha256
-(:func:`repro.runtime.cache.cache_key`), the scheduler's failure ladder
-is deterministic, and progress flows through one
+(:func:`repro.runtime.cache.cache_key`), the failure ladder
+(:func:`repro.runtime.scheduler.run_ladder`) is deterministic, and
+progress flows through one
 :class:`~repro.runtime.pool.ProgressEvent` callback API.  This package
 scales that runtime across machines without changing any of it:
 
@@ -15,9 +16,10 @@ scales that runtime across machines without changing any of it:
   (:class:`~repro.dist.cachenet.RemoteCache`) — any node's hit is every
   node's hit;
 * :mod:`repro.dist.node` — ``repro dist serve-node``: a worker node
-  that executes shipped jobs through a local
-  :class:`~repro.runtime.scheduler.BatchScheduler` (same ladder, same
-  row shape) and streams events/results back;
+  that runs shipped jobs on one :class:`~repro.runtime.pool.WorkerPool`
+  per coordinator session through the batch per-job path,
+  :meth:`~repro.runtime.scheduler.BatchScheduler.run_job` (same ladder,
+  same row shape), and streams events/results back;
 * :mod:`repro.dist.coordinator` — shards a manifest across nodes by
   cache-key hash, refills windows as results land, steals from
   straggler shards for idle nodes, reassigns a dead node's jobs, and

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import socket
 import threading
+import time
 from collections import deque
 from typing import Any, Dict, Optional
 
@@ -218,8 +219,9 @@ class RemoteCache(ResultCache):
     of a node therefore measure what a *remote* hit costs, which is the
     number the remote-vs-local satellite exists to surface.  Writes are
     queued to a background thread and never block a job; ``flush``
-    drains the queue (the node calls it before reporting a result so a
-    stolen duplicate on another node sees the entry).
+    waits until every queued write has been answered by the server (the
+    node calls it before reporting a result so a stolen duplicate on
+    another node sees the entry).
     """
 
     def __init__(self, host: str, port: int,
@@ -245,6 +247,9 @@ class RemoteCache(ResultCache):
         self._get_lock = threading.Lock()
         self._get_sock: Optional[socket.socket] = None
         self._queue: "deque" = deque()
+        #: Writes popped off the queue and not yet answered by the
+        #: server — an empty queue alone does not mean they landed.
+        self._sending = 0
         self._wakeup = threading.Condition()
         self._closing = False
         self._writer = threading.Thread(target=self._write_behind,
@@ -331,6 +336,7 @@ class RemoteCache(ResultCache):
                 if self._closing and not self._queue:
                     break
                 key, payload = self._queue.popleft()
+                self._sending += 1
             try:
                 if sock is None:
                     sock = connect(self.host, self.port,
@@ -351,6 +357,7 @@ class RemoteCache(ResultCache):
                     sock = None
                 self.write_errors += 1
             with self._wakeup:
+                self._sending -= 1
                 self._wakeup.notify_all()  # flush() waiters re-check
         if sock is not None:
             try:
@@ -359,11 +366,11 @@ class RemoteCache(ResultCache):
                 pass
 
     def flush(self, timeout: float = CLIENT_TIMEOUT_S) -> bool:
-        """Wait until the write-behind queue drains (or ``timeout``)."""
-        import time
+        """Wait until every queued write has been answered (or
+        ``timeout``)."""
         deadline = time.monotonic() + timeout
         with self._wakeup:
-            while self._queue:
+            while self._queue or self._sending:
                 remaining = deadline - time.monotonic()
                 if remaining <= 0:
                     return False
@@ -384,7 +391,7 @@ class RemoteCache(ResultCache):
         data.update(remote_hits=self.remote_hits,
                     remote_misses=self.remote_misses,
                     fetch_errors=self.fetch_errors,
-                    pending_writes=len(self._queue))
+                    pending_writes=len(self._queue) + self._sending)
         return data
 
 

@@ -29,8 +29,8 @@ owns — the manifest, the cache, the journal — and delegates only
 5. **Node loss** — a dead connection past its redial budget moves the
    node's unfinished window and remaining shard to the surviving nodes;
    with no survivors the coordinator runs the remainder through a local
-   :class:`~repro.runtime.scheduler.BatchScheduler`.  The batch always
-   completes.
+   :class:`~repro.runtime.scheduler.BatchScheduler` — the same ladder
+   on a local pool.  The batch always completes.
 6. **Dynamic membership** — a registration listener accepts late
    joiners mid-batch (``repro dist serve-node --join host:port``): a
    fresh ``node_id`` becomes a new link and an immediate steal target,
@@ -50,7 +50,9 @@ owns — the manifest, the cache, the journal — and delegates only
    degrades to journal-less, exactly like the single-host tier.
 
 Rows are exactly :meth:`~repro.runtime.scheduler.JobResult.as_dict`
-(the nodes run the same scheduler), merged in submission order —
+(every node runs each job through the batch per-job path,
+:meth:`~repro.runtime.scheduler.BatchScheduler.run_job`, on one worker
+pool per session), merged in submission order —
 byte-identical to a single-host run up to the volatile timing fields
 (``repro batch --stable-rows`` zeroes those for comparison).  One
 caveat: if a node dies *after* finishing a job but before its row

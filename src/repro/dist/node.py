@@ -1,14 +1,15 @@
 """``repro dist serve-node``: one worker node of a distributed batch.
 
-A node is deliberately thin: it accepts a coordinator session, receives
-jobs one frame at a time, and runs **each job through a local
-:class:`~repro.runtime.scheduler.BatchScheduler`** (``workers=1``, one
-scheduler per job, up to ``workers`` concurrently via a thread pool).
-That reuse is the whole point — the node inherits the exact
-timeout/hang/crash/degrade failure ladder and produces the exact
-:meth:`~repro.runtime.scheduler.JobResult.as_dict` row shape of a
-single-host run, so the coordinator's merged output is byte-identical
-by construction, not by reimplementation.
+A node is deliberately thin: it accepts a coordinator session, opens
+**one** :class:`~repro.runtime.pool.WorkerPool` for it (``workers``
+processes, forked on the session's first job and reused for every job
+after), receives jobs one frame at a time and runs each through the
+batch per-job path, :meth:`~repro.runtime.scheduler.BatchScheduler
+.run_job`, up to ``workers`` at once.  That reuse is the whole point —
+the node runs the exact timeout/hang/crash/degrade failure ladder and
+produces the exact :meth:`~repro.runtime.scheduler.JobResult.as_dict`
+row shape of a single-host run, so the coordinator's merged output is
+byte-identical by construction, not by reimplementation.
 
 Session protocol (all frames :mod:`repro.dist.wire`)::
 
@@ -38,10 +39,12 @@ deduped by the coordinator's first-claim-wins index map.  An explicit
 it.
 
 With a ``cache`` advertised, the node attaches a
-:class:`~repro.dist.cachenet.RemoteCache` to every job's scheduler:
+:class:`~repro.dist.cachenet.RemoteCache` to the session's scheduler:
 hits skip execution exactly as locally, and results write behind to the
 shared store (flushed before the result frame ships, so a stolen
-duplicate landing on another node dedupes on its cache key).
+duplicate landing on another node dedupes on its cache key).  The same
+address becomes the session pool's ``REPRO_SUBMEMO_REMOTE`` — the
+remote layer of the workers' sub-ISF memo — for the session only.
 
 Chaos sites: ``node.loss`` fires on every job receipt — its ``crash``
 kind is ``os._exit``, a *real* node death the coordinator must survive;
@@ -55,14 +58,16 @@ coordinator.  Either way the distributed run completes.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import socket
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Iterator, Optional
 
 from repro import faults
+from repro.decomp.submemo import SUBMEMO_REMOTE_ENV
 from repro.dist.cachenet import RemoteCache
 from repro.dist.wire import (
     WireError,
@@ -121,6 +126,9 @@ class NodeServer:
         self.join_tries = max(1, join_tries)
         self.join_backoff_s = join_backoff_s
         self.backoff_seed = backoff_seed
+        #: A sub-ISF memo remote the operator chose; it beats the
+        #: coordinator's cache server.
+        self._operator_remote = os.environ.get(SUBMEMO_REMOTE_ENV)
         self._sock: Optional[socket.socket] = None
         self._closing = False
 
@@ -265,105 +273,121 @@ class NodeServer:
         alive = threading.Event()
         alive.set()
 
+        def hang_up() -> None:
+            # Close the link so the coordinator's reader sees EOF and
+            # reassigns (a mute node with an open connection would
+            # stall the batch forever).
+            alive.clear()
+            try:
+                conn.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
+
         def send(message: Dict[str, Any]) -> None:
             # shard.rpc wraps every node->coordinator frame; any
             # injected or real failure here means the coordinator can
-            # no longer hear us, which *is* node loss from its side —
-            # stop sending, and close the link so the coordinator's
-            # reader sees EOF and reassigns (a mute node with an open
-            # connection would stall the batch forever).
+            # no longer hear us, which *is* node loss from its side.
             if not alive.is_set():
                 return
             try:
                 with send_lock:
                     send_frame(conn, message, site="shard.rpc")
             except (OSError, WireError, faults.FaultInjected):
-                alive.clear()
-                try:
-                    conn.shutdown(socket.SHUT_RDWR)
-                except OSError:
-                    pass
+                hang_up()
 
-        cache = self._make_cache(hello.get("cache"))
-        scheduler_cfg = hello.get("scheduler") or {}
-        if greet:
-            send({"op": "hello", "ok": True, "workers": self.workers})
-        pool = ThreadPoolExecutor(max_workers=self.workers,
-                                  thread_name_prefix="repro-dist-job")
-        saw_bye = False
-        try:
-            while alive.is_set():
-                try:
-                    frame = recv_frame(conn)
-                except (WireError, OSError):
-                    break
-                if frame is None:
-                    break
-                if frame.get("op") == "bye":
-                    saw_bye = True
-                    break
-                if frame.get("op") != "job":
-                    continue
-                # The whole-node death site: a crash kind here is
-                # os._exit — the process vanishes mid-shard, which is
-                # exactly the loss the coordinator must tolerate.
-                faults.fault_point("node.loss")
-                pool.submit(self._run_job, int(frame["index"]),
-                            dict(frame["job"]), scheduler_cfg, cache,
-                            send)
-        finally:
-            pool.shutdown(wait=True)
-            if cache is not None:
-                cache.close()
-        return saw_bye
-
-    def _make_cache(self,
-                    spec: Optional[Dict[str, Any]]) -> Optional[RemoteCache]:
-        if not spec:
-            return None
-        # Job workers forked by the per-job scheduler read this env to
-        # attach the shared store as their sub-ISF memo's remote layer
-        # (:mod:`repro.decomp.submemo`): one node's decomposition of a
-        # subfunction becomes every node's splice.  Rows stay identical
-        # either way — splices replay the recorded stats deltas.
-        os.environ.setdefault(
-            "REPRO_SUBMEMO_REMOTE", f"{spec['host']}:{spec['port']}")
-        return RemoteCache(str(spec["host"]), int(spec["port"]))
-
-    def _run_job(self, index: int, job: Dict[str, Any],
-                 cfg: Dict[str, Any], cache: Optional[RemoteCache],
-                 send) -> None:
-        """One job through the full local failure ladder."""
+        spec = hello.get("cache")
+        cache = (RemoteCache(str(spec["host"]), int(spec["port"]))
+                 if spec else None)
+        cfg = hello.get("scheduler") or {}
         scheduler = BatchScheduler(
-            workers=1,
+            workers=self.workers,
             timeout=cfg.get("timeout", self.timeout),
             retries=int(cfg.get("retries", self.retries)),
-            cache=cache,
-            degrade=bool(cfg.get("degrade", True)),
+            cache=cache, degrade=bool(cfg.get("degrade", True)),
             heartbeat_s=cfg.get("heartbeat_s", self.heartbeat_s),
             hang_grace_s=cfg.get("hang_grace_s", self.hang_grace_s))
+        if greet:
+            send({"op": "hello", "ok": True, "workers": self.workers})
+        saw_bye = False
+        with self._submemo_remote(spec):
+            pool = scheduler.open_pool()
+            jobs = ThreadPoolExecutor(max_workers=self.workers,
+                                      thread_name_prefix="repro-dist-job")
+            try:
+                while alive.is_set():
+                    try:
+                        frame = recv_frame(conn)
+                    except (WireError, OSError):
+                        break
+                    if frame is None:
+                        break
+                    if frame.get("op") == "bye":
+                        saw_bye = True
+                        break
+                    if frame.get("op") != "job":
+                        continue
+                    # The whole-node death site: a crash kind here is
+                    # os._exit — the process vanishes mid-shard, which
+                    # is exactly the loss the coordinator must tolerate.
+                    faults.fault_point("node.loss")
+                    jobs.submit(self._run_job, scheduler, pool,
+                                int(frame["index"]), dict(frame["job"]),
+                                send, hang_up)
+            finally:
+                # Jobs in flight finish (their results still reach the
+                # shared cache) before the pool stops.
+                jobs.shutdown(wait=True)
+                pool.shutdown()
+                if cache is not None:
+                    cache.close()
+        return saw_bye
 
+    @contextlib.contextmanager
+    def _submemo_remote(self, spec: Optional[Dict[str, Any]]
+                        ) -> Iterator[None]:
+        """Point the session's job workers at its cache server as their
+        sub-ISF memo's remote layer (:mod:`repro.decomp.submemo`): one
+        node's decomposition of a subfunction becomes every node's
+        splice, and rows stay identical either way.
+
+        Pool workers copy the environment when they fork, and the
+        session pool forks inside this block; the value is removed when
+        the session ends, so no later pool attaches to a closed port.
+        A value the operator set before the node started wins.
+        """
+        if not spec or self._operator_remote is not None:
+            yield
+            return
+        address = f"{spec['host']}:{spec['port']}"
+        os.environ[SUBMEMO_REMOTE_ENV] = address
+        try:
+            yield
+        finally:
+            # A concurrent in-process session may have re-pointed it.
+            if os.environ.get(SUBMEMO_REMOTE_ENV) == address:
+                del os.environ[SUBMEMO_REMOTE_ENV]
+
+    @staticmethod
+    def _run_job(scheduler: BatchScheduler, pool, index: int,
+                 job: Dict[str, Any], send, hang_up) -> None:
+        """One job frame through the batch per-job path."""
         def relay(event: ProgressEvent) -> None:
-            data = event.as_dict()
-            data["index"] = index  # the manifest index, not the local 0
-            send({"op": "event", "index": index, "event": data})
+            send({"op": "event", "index": index,
+                  "event": event.as_dict()})
 
         try:
-            results = scheduler.run([wire_source(job)], on_event=relay)
-            row = results[0].as_dict()
-        except Exception as exc:  # noqa: BLE001 — a node never dies on a job
-            row = {"job_id": job.get("job_id", "?"), "source": "?",
-                   "flow": job.get("flow", "map"), "status": "failed",
-                   "cache_hit": False, "degraded": False, "index": index,
-                   "queue_wait_s": 0.0, "exec_s": 0.0, "retries": 0,
-                   "beats": 0, "hung": False, "result": None,
-                   "error": f"node execution error: "
-                            f"{type(exc).__name__}: {exc}"}
-        row["index"] = index
-        if cache is not None:
+            row = scheduler.run_job(pool, wire_source(job), index,
+                                    on_event=relay).as_dict()
+        except Exception:  # noqa: BLE001 — never leave a claim hanging
+            # The ladder settles every job; an error escaping it is a
+            # broken node, and dropping the link gets the claim
+            # reassigned instead of waited on forever.
+            hang_up()
+            return
+        if scheduler.cache is not None:
             # The write-behind entry must be visible before the claim
             # settles, so a stolen duplicate dedupes on its cache key.
-            cache.flush()
+            scheduler.cache.flush()
         send({"op": "result", "index": index, "row": row})
 
 

@@ -27,6 +27,7 @@ import zlib
 from typing import Any, Callable, Dict, Optional
 
 from repro.faults import FaultInjected, fault_point
+from repro.runtime.scheduler import retry_backoff
 
 #: Frames above this are protocol errors, not payloads (a corrupted
 #: length prefix reads as gibberish; don't allocate gibibytes for it).
@@ -115,19 +116,13 @@ def backoff_rng(seed: int, label: str) -> random.Random:
     """A deterministic per-peer jitter stream.
 
     Every retry loop in the dist tier (coordinator redial, node rejoin)
-    draws its backoff jitter from a stream seeded by ``(seed, label)``
-    via crc32 — the same idiom as :mod:`repro.faults` — so a given
-    topology + seed reproduces the exact retry schedule, and two peers
-    with the same seed still jitter differently.
+    draws its :func:`~repro.runtime.scheduler.retry_backoff` jitter from
+    a stream seeded by ``(seed, label)`` via crc32 — the same idiom as
+    :mod:`repro.faults` — so a given topology + seed reproduces the
+    exact retry schedule, and two peers with the same seed still jitter
+    differently.
     """
     return random.Random(zlib.crc32(f"{seed}:{label}".encode()))
-
-
-def retry_backoff(attempt: int, base_s: float,
-                  rng: random.Random) -> float:
-    """Jittered linear backoff: ``base * attempt * uniform(0.5, 1.5)``
-    — the scheduler's crash-retry curve, reused for RPC retries."""
-    return base_s * max(1, attempt) * rng.uniform(0.5, 1.5)
 
 
 def connect_with_retry(host: str, port: int, tries: int = 3,

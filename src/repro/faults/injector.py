@@ -39,17 +39,21 @@ the result and guard with an ``is not None`` test — this is what the hot
 ``bdd.ite`` path does), and :func:`fault_point` is a dict lookup plus an
 identity comparison.  Arrival counting happens only on armed sites.
 
-:func:`suppressed` masks all sites for a dynamic extent.  The scheduler
-wraps its parent-side *fallback* paths (cache probe, degraded rerun) in
-it: the degradation path is the guaranteed-correct path of the failure
-contract, so faults never target it — a chaos run can degrade results
-but can never crash the batch parent through its own recovery code.
+:func:`suppressed` masks all sites for a dynamic extent on the calling
+thread.  The runtime wraps its parent-side *fallback* paths (cache
+probe, degraded rerun) in it: the degradation path is the
+guaranteed-correct path of the failure contract, so faults never target
+it — a chaos run can degrade results but can never crash the parent
+through its own recovery code.  The mask is per thread so a fallback on
+one thread never hides the storage sites (``cache.write``,
+``journal.append``) another thread of the same parent passes.
 """
 
 from __future__ import annotations
 
 import os
 import random
+import threading
 import time
 import zlib
 from dataclasses import dataclass, field
@@ -191,7 +195,7 @@ class FaultPlan:
 
     def fire(self, site: str, payload: Any = None) -> Any:
         specs = self.by_site.get(site)
-        if not specs or _SUPPRESS[0]:
+        if not specs or getattr(_SUPPRESS, "depth", 0):
             return payload
         n = self.arrivals.get(site, 0) + 1
         self.arrivals[site] = n
@@ -272,8 +276,8 @@ def _corrupt(payload: Any, rng: random.Random) -> Any:
 #: (spec text, seed text) snapshot the current plan was parsed from.
 _env_snapshot: Optional[tuple] = ("<never>",)
 _plan: Optional[FaultPlan] = None
-#: Suppression depth (list so closures share the cell).
-_SUPPRESS = [0]
+#: Suppression depth of each thread (``depth`` attribute).
+_SUPPRESS = threading.local()
 
 
 def _current_plan() -> Optional[FaultPlan]:
@@ -335,12 +339,13 @@ def hook(site: str) -> Optional[Callable[[], None]]:
 
 @contextmanager
 def suppressed() -> Iterator[None]:
-    """Mask every fault site for the dynamic extent (recovery paths)."""
-    _SUPPRESS[0] += 1
+    """Mask every fault site for the dynamic extent (recovery paths) on
+    the calling thread."""
+    _SUPPRESS.depth = getattr(_SUPPRESS, "depth", 0) + 1
     try:
         yield
     finally:
-        _SUPPRESS[0] -= 1
+        _SUPPRESS.depth -= 1
 
 
 def counters() -> Dict[str, int]:

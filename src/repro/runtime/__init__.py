@@ -1,23 +1,24 @@
-"""Batch-execution runtime: parallel scheduling with a persistent cache.
+"""Batch-execution runtime: one executor, one failure ladder, a cache.
 
-Three pillars (see ``docs/RUNTIME.md`` for the design discussion):
+The pillars (see ``docs/RUNTIME.md`` for the design discussion):
 
-* :mod:`repro.runtime.scheduler` — a :class:`BatchScheduler` that fans
-  decomposition jobs out over worker processes with per-job wall-clock
-  timeouts, bounded crash retries and graceful degradation to the
-  trivial Shannon/MUX mapping;
+* :mod:`repro.runtime.pool` — the :class:`WorkerPool`, the only code
+  that starts, watches, kills and reaps job processes (typed
+  crash/timeout/hang futures, heartbeats, :class:`ProgressEvent`
+  callbacks); batch, ``repro serve`` and dist nodes all run jobs on it;
+* :mod:`repro.runtime.scheduler` — :func:`run_ladder`, the failure
+  policy over the pool's futures (crash retried with seeded backoff,
+  timeout/hang/exception degraded to the trivial Shannon/MUX mapping),
+  and :class:`BatchScheduler`, the thin batch driver over it;
 * :mod:`repro.runtime.cache` — a content-addressed on-disk
   :class:`ResultCache` (``canonical_key`` + flow + engine config + code
   version) with an in-memory LRU front, behind ``repro cache
   {stats,clear}``;
 * :mod:`repro.runtime.jobspec` — the JSON-able job wire format, manifest
-  parsing and the worker entry point (with its heartbeat thread);
+  parsing and the worker-side job execution (with its heartbeat
+  thread);
 * :mod:`repro.runtime.journal` — the crash-safe write-ahead
-  :class:`BatchJournal` behind ``repro batch --journal/--resume``;
-* :mod:`repro.runtime.pool` — the shared worker-process primitives
-  (pipe drain/heartbeats, process hygiene, :class:`ProgressEvent`
-  callbacks) plus the persistent :class:`WorkerPool` with warm
-  per-worker function memos that ``repro serve`` multiplexes onto.
+  :class:`BatchJournal` behind ``repro batch --journal/--resume``.
 
 Quickstart::
 
@@ -64,6 +65,7 @@ from repro.runtime.scheduler import (
     BatchScheduler,
     JobResult,
     degraded_record,
+    run_ladder,
     summarize,
     summarize_rows,
 )
@@ -96,6 +98,7 @@ __all__ = [
     "source_from_name",
     "source_label",
     "degraded_record",
+    "run_ladder",
     "summarize",
     "summarize_rows",
 ]

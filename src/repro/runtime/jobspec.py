@@ -1,19 +1,20 @@
-"""Job specifications and worker-side execution for the batch runtime.
+"""Job specifications and worker-side execution for the runtime.
 
 A *job* is a plain JSON-able dict — that is the wire format between the
-scheduler (parent) and its worker processes, and the unit a batch
-manifest describes::
+parent and its pool workers (:mod:`repro.runtime.pool`), and the unit a
+batch manifest describes::
 
     {"job_id": "rd84", "source": {"kind": "benchmark", "name": "rd84"},
      "flow": "map", "config": {"use_dontcares": True}, ...}
 
-Workers never share BDD managers with the parent: each attempt rebuilds
+Workers never share BDD managers with the parent: each job rebuilds
 the function from the job's ``wire`` payload (a
 :meth:`~repro.boolfunc.spec.MultiFunction.to_wire` dump, preferred) or
-from its source descriptor, runs the flow, verifies the mapped network
-and ships a JSON-able result back.  Rebuilding from scratch is what
-makes parallel results bit-identical to serial runs — same code path,
-same fresh manager, no shared mutable state.
+from its source descriptor (:func:`execute_job`), runs the flow,
+verifies the mapped network and ships a JSON-able result back.
+Rebuilding per job is what makes parallel results bit-identical to
+serial runs — same code path, same fresh manager, no shared mutable
+state.
 
 Source descriptor kinds
 -----------------------
@@ -26,8 +27,8 @@ Source descriptor kinds
 
 Test hooks (``hang:<seconds>``, ``sleep:<seconds>``, ``crash`` /
 ``crash:<n>``) fire inside the worker before any real work; they exist
-so the scheduler's timeout, retry and degradation paths are testable
-end to end (``sleep`` continues afterwards — it makes a job wall-clock
+so the failure ladder's timeout, retry and degradation paths are
+testable end to end (``sleep`` continues afterwards — it makes a job wall-clock
 bound, which is what the distributed benchmarks scale against).
 """
 
@@ -238,15 +239,15 @@ def execute_job(job: Dict[str, Any], attempt: int = 1,
     """Run one job to completion in the current process.
 
     Returns ``{"status": "ok", "result": <record>}``; any exception is
-    the caller's to handle (the worker entry point converts it into a
-    ``failed`` payload, the scheduler into a retry/degrade decision).
+    the caller's to handle (the pool worker converts it into a
+    ``failed`` payload, the failure ladder into a degrade decision).
 
     ``build`` overrides how the :class:`MultiFunction` is obtained —
-    persistent pool workers pass a memoising builder so repeat sources
+    pool workers pass a builder that can memoise, so repeat sources
     reuse an already-built function (and its warm BDD manager) instead
     of rebuilding from the wire dump.  It runs *after* the
-    ``worker.start`` fault site and test hooks, preserving the
-    per-attempt chaos ordering of one-shot workers.
+    ``worker.start`` fault site and test hooks, so every attempt meets
+    its chaos in the same order.
     """
     faults.fault_point("worker.start")
     _apply_test_hook(job.get("test_hook"), attempt)
@@ -291,7 +292,7 @@ def execute_job(job: Dict[str, Any], attempt: int = 1,
             record["verified"] = _verify_record(func, result)
     if record.get("verified") is False:
         # A mapped network that fails verification must never be cached
-        # or reported as a success; the scheduler degrades the job to
+        # or reported as a success; the failure ladder degrades it to
         # the (independently verified) trivial mapping instead.
         return {"status": "failed", "result": record,
                 "error": "verification mismatch"}
@@ -311,8 +312,8 @@ def start_beat_thread(conn, send_lock: threading.Lock,
     A beat is only sent when the process-global pulse (bumped on every
     profiler phase transition and at coarse runtime checkpoints) has
     advanced since the last check — a main thread stuck in a sleep or a
-    dead loop stops pulsing, the beats stop, and the scheduler's hang
-    grace fires.  The thread itself staying alive is deliberately *not*
+    dead loop stops pulsing, the beats stop, and the pool's hang grace
+    fires.  The thread itself staying alive is deliberately *not*
     enough to count as liveness.
     """
     stop = threading.Event()
@@ -335,32 +336,3 @@ def start_beat_thread(conn, send_lock: threading.Lock,
                               daemon=True)
     thread.start()
     return stop
-
-
-def worker_entry(conn, job: Dict[str, Any], attempt: int,
-                 heartbeat_s: Optional[float] = None) -> None:
-    """Process entry point: execute and ship the payload over ``conn``.
-
-    With ``heartbeat_s`` set, a daemon thread reports liveness beats
-    alongside the final payload (same pipe, send-lock serialized).
-    """
-    # Forked workers inherit the parent's fault-arrival counters; each
-    # attempt must count its own arrivals for nth-firing determinism.
-    faults.reset_in_worker()
-    send_lock = threading.Lock()
-    stop = None
-    if heartbeat_s is not None and heartbeat_s > 0:
-        stop = start_beat_thread(conn, send_lock, heartbeat_s)
-    try:
-        payload = execute_job(job, attempt)
-    except BaseException as exc:  # noqa: BLE001 — report, don't die silently
-        payload = {"status": "failed",
-                   "error": f"{type(exc).__name__}: {exc}"}
-    if stop is not None:
-        stop.set()
-    try:
-        with send_lock:
-            conn.send(payload)
-        conn.close()
-    except (BrokenPipeError, OSError):
-        pass

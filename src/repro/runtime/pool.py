@@ -1,38 +1,35 @@
-"""Worker-pool primitives shared by the batch scheduler and `repro serve`.
+"""The job executor: the only code that starts, watches, kills and reaps
+job processes.
 
-This module is the extraction layer between the two execution tiers:
+:class:`WorkerPool` keeps up to N long-lived worker processes fed over
+duplex pipes, one job at a time each.  Workers fork lazily, on the
+first job that finds no idle worker, so anything the caller sets
+before that (environment variables, armed faults) reaches them.  Every
+tier runs its jobs here: a batch run (one pool per
+:meth:`~repro.runtime.scheduler.BatchScheduler.run`), a dist node (one
+pool per coordinator session) and ``repro serve`` (one pool for the
+daemon's life).  The failure policy on top of the pool's futures —
+retry, degrade, fail — is :func:`repro.runtime.scheduler.run_ladder`.
 
-* the **batch tier** (:class:`~repro.runtime.scheduler.BatchScheduler`)
-  keeps its one-process-per-attempt model — a crash or timeout is
-  contained by construction — and consumes the low-level pieces here:
-  pipe draining with heartbeat bookkeeping (:func:`drain_messages`),
-  process hygiene (:func:`kill_process` / :func:`reap_process`), worker
-  count clamping (:func:`resolve_workers`) and the
-  :class:`ProgressEvent` callback API;
-* the **service tier** (:mod:`repro.serve`) needs warm workers — paying
-  interpreter startup and module import per request would dominate
-  small decompositions — so :class:`WorkerPool` keeps N long-lived
-  worker processes fed over duplex pipes, one job at a time each, with
-  the same heartbeat/hang/timeout story as the batch tier.
-
-Persistent workers stay **bit-identical** to the batch tier because the
-unit of determinism is the job, not the process: every job rebuilds (or
-reuses a memoised copy of) its :class:`MultiFunction` and runs a fresh
-engine whose per-run memos are cleared on reset.  What persists across
-jobs is the *warm* state that is semantically inert but expensive to
-recreate: the imported modules, and a small per-worker LRU of built
-functions whose BDD managers (unique/computed tables) stay hot for
-repeat sources.  Fault-arrival counters are re-armed per job
+Persistent workers stay **bit-identical** to a fresh process per job
+because the unit of determinism is the job, not the process: every job
+rebuilds (or reuses a memoised copy of) its :class:`MultiFunction` and
+runs a fresh engine whose per-run memos are cleared on reset.  What
+persists across jobs is the *warm* state that is semantically inert
+but expensive to recreate: the imported modules, and — in the serve
+pool only — a small per-worker LRU of built functions whose BDD
+managers (unique/computed tables) stay hot for repeat sources.
+Fault-arrival counters are re-armed per job
 (:func:`repro.faults.reset_in_worker`) so ``nth`` chaos schedules stay
-deterministic per attempt, exactly as with one-shot workers.
+deterministic per attempt.
 
-Failure containment mirrors the scheduler: a worker that crashes,
-times out or goes heartbeat-silent is killed and reaped *inside the
-pool*; the submitter's future fails with a typed :class:`PoolError`
-(:class:`WorkerCrash` / :class:`JobTimeout` / :class:`JobHung`) and the
-pool respawns capacity on demand.  No worker failure can escape as an
-unhandled exception in the dispatcher thread, and ``shutdown`` leaves
-no live worker behind.
+Containment: a worker that crashes, times out or goes heartbeat-silent
+is killed (SIGKILL) and reaped *inside the pool*; the submitter's
+future fails with a typed :class:`PoolError` (:class:`WorkerCrash` /
+:class:`JobTimeout` / :class:`JobHung`) and the pool respawns capacity
+on demand.  No worker failure can escape as an unhandled exception in
+the dispatcher thread, ``shutdown`` leaves no live worker behind, and
+a worker whose parent was killed outright exits on its own.
 """
 
 from __future__ import annotations
@@ -52,7 +49,7 @@ from typing import Any, Callable, Dict, List, Optional
 
 from repro import faults
 
-#: Hard floor for poll intervals (seconds) — shared with the scheduler.
+#: Hard floor for the dispatcher's poll interval (seconds).
 POLL_S = 0.05
 
 #: Default cap applied to auto-detected worker counts.
@@ -60,6 +57,9 @@ AUTO_WORKER_CAP = 8
 
 #: Default per-worker warm-function LRU depth (env-overridable).
 WARM_LIMIT_ENV = "REPRO_SERVE_WARM_FUNCS"
+
+#: How often a worker checks that its parent is still alive (seconds).
+_ORPHAN_CHECK_S = 0.5
 
 
 def resolve_workers(requested: Optional[int],
@@ -80,17 +80,17 @@ def resolve_workers(requested: Optional[int],
 
 
 # ---------------------------------------------------------------------
-# Progress events (the callback API shared by batch and serve)
+# Progress events (the callback API shared by batch, serve and dist)
 # ---------------------------------------------------------------------
 
 @dataclass
 class ProgressEvent:
     """One observable step in a job's life, for streaming consumers.
 
-    Kinds: ``dispatch`` (a worker process/slot starts the attempt),
-    ``beat`` (worker liveness, with the engine phase piggybacked),
-    ``retry`` (a crashed attempt is being requeued), ``result`` (the
-    job settled; ``status`` carries ok/degraded/failed).
+    Kinds: ``dispatch`` (a worker starts the attempt), ``beat`` (worker
+    liveness, with the engine phase piggybacked), ``retry`` (a crashed
+    attempt is being retried), ``result`` (the job settled; ``status``
+    carries ok/degraded/failed).
     """
 
     kind: str
@@ -147,7 +147,7 @@ def emit_event(sink: Optional[EventSink], event: ProgressEvent) -> None:
 
 
 # ---------------------------------------------------------------------
-# Shared pipe/process plumbing
+# Pipe/process plumbing
 # ---------------------------------------------------------------------
 
 def drain_messages(entry: Any) -> int:
@@ -156,9 +156,8 @@ def drain_messages(entry: Any) -> int:
     Heartbeat messages update the liveness bookkeeping
     (``last_beat``/``beats``/``phase`` attributes); the first
     non-heartbeat message sticks to ``entry.payload``.  Returns the
-    number of new beats seen (callers turn those into ``beat``
-    progress events).  Used by both the batch scheduler's ``_drain``
-    and the persistent pool's dispatcher.
+    number of new beats seen (the dispatcher turns those into ``beat``
+    progress events).
     """
     new_beats = 0
     try:
@@ -277,19 +276,39 @@ def warm_key(job: Dict[str, Any]) -> Optional[str]:
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
+def _exit_with_parent() -> None:
+    """End this worker process once its parent is gone.
+
+    A killed parent cannot stop its workers, and each worker holds
+    copies of its siblings' pipe ends, so the parent's death never
+    reads as EOF; a watchdog thread notices the new parent pid instead
+    (mid-job too, where a send to the dead parent could block).
+    """
+    parent = os.getppid()
+
+    def watch() -> None:
+        while os.getppid() == parent:
+            time.sleep(_ORPHAN_CHECK_S)
+        os._exit(0)
+
+    threading.Thread(target=watch, name="repro-orphan-watch",
+                     daemon=True).start()
+
+
 def pool_worker_entry(conn: Any, heartbeat_s: Optional[float] = 1.0,
                       warm_limit: Optional[int] = None) -> None:
     """Long-lived worker loop: receive a job, run it, ship the payload.
 
     Each job re-arms fault counters (``nth`` determinism per attempt)
-    and runs through :func:`repro.runtime.jobspec.execute_job` exactly
-    like a one-shot batch worker; what persists is the process (imports)
-    and a bounded LRU of built functions whose BDD managers stay warm
-    for repeat sources.  A ``{"stop": True}`` message (or a closed pipe)
-    ends the loop.
+    and runs through :func:`repro.runtime.jobspec.execute_job`, with
+    liveness beats on the same pipe while it runs; what persists is the
+    process (imports) and, with ``warm_limit`` > 0, a bounded LRU of
+    built functions whose BDD managers stay warm for repeat sources.  A
+    ``{"stop": True}`` message (or a closed pipe) ends the loop.
     """
     from repro.runtime import jobspec
 
+    _exit_with_parent()
     faults.reset_in_worker()
     if warm_limit is None:
         warm_limit = default_warm_limit()
@@ -361,6 +380,7 @@ class _Ticket:
     job: Dict[str, Any]
     future: Future
     timeout: Optional[float]
+    attempt: int = 1
     on_event: Optional[EventSink] = None
     seq: int = 0
 
@@ -394,29 +414,27 @@ class WorkerPool:
     ``submit`` is safe from any thread (including an asyncio loop via
     ``run_in_executor``-free call — it never blocks).
 
-    Parameters mirror the batch scheduler where they overlap:
     ``heartbeat_s`` / ``hang_grace_s`` drive hang detection,
     ``default_timeout`` bounds jobs that do not carry their own.
-    ``warm_limit`` is the per-worker built-function LRU depth
-    (0 disables warm reuse).
+    ``warm_limit`` is the per-worker built-function LRU depth (0
+    disables warm reuse; None reads ``$REPRO_SERVE_WARM_FUNCS``).
+    Workers fork where the platform can, else spawn.
     """
 
     def __init__(self, workers: Optional[int] = None, *,
                  heartbeat_s: Optional[float] = 1.0,
                  hang_grace_s: Optional[float] = None,
                  default_timeout: Optional[float] = None,
-                 warm_limit: Optional[int] = None,
-                 mp_context: Optional[str] = None) -> None:
+                 warm_limit: Optional[int] = None) -> None:
         self.workers, _ = resolve_workers(workers)
         self.heartbeat_s = heartbeat_s
         self.hang_grace_s = hang_grace_s
         self.default_timeout = default_timeout
         self.warm_limit = (default_warm_limit() if warm_limit is None
                            else max(0, warm_limit))
-        if mp_context is None:
-            methods = multiprocessing.get_all_start_methods()
-            mp_context = "fork" if "fork" in methods else "spawn"
-        self._ctx = multiprocessing.get_context(mp_context)
+        methods = multiprocessing.get_all_start_methods()
+        self._ctx = multiprocessing.get_context(
+            "fork" if "fork" in methods else "spawn")
         self._lock = threading.Lock()
         self._queue: "deque[_Ticket]" = deque()
         self._pool: List[_Worker] = []
@@ -441,10 +459,13 @@ class WorkerPool:
 
     # -- public API -----------------------------------------------------
 
-    def submit(self, job: Dict[str, Any], *,
+    def submit(self, job: Dict[str, Any], *, attempt: int = 1,
                timeout: Optional[float] = None,
                on_event: Optional[EventSink] = None) -> Future:
-        """Queue ``job`` for the next idle worker; never blocks."""
+        """Queue ``job`` for the next idle worker; never blocks.
+
+        ``attempt`` (1-based) reaches the worker, where ``crash:<n>``
+        test hooks count it."""
         future: Future = Future()
         with self._lock:
             if self._closed:
@@ -452,7 +473,7 @@ class WorkerPool:
             ticket = _Ticket(job=job, future=future,
                              timeout=(self.default_timeout
                                       if timeout is None else timeout),
-                             on_event=on_event)
+                             attempt=attempt, on_event=on_event)
             self._queue.append(ticket)
         self._wake()
         return future
@@ -563,8 +584,8 @@ class WorkerPool:
             idle.deadline = (now + ticket.timeout
                              if ticket.timeout is not None else None)
             try:
-                idle.conn.send({"job": ticket.job, "attempt":
-                                ticket.job.get("attempt", 1),
+                idle.conn.send({"job": ticket.job,
+                                "attempt": ticket.attempt,
                                 "seq": ticket.seq})
             except (BrokenPipeError, OSError):
                 # Worker died between jobs: replace it and retry the
@@ -578,7 +599,7 @@ class WorkerPool:
             self.dispatched += 1
             emit_event(ticket.on_event, ProgressEvent(
                 kind="dispatch", job_id=ticket.job.get("job_id", "?"),
-                attempt=ticket.job.get("attempt", 1)))
+                attempt=ticket.attempt))
 
     def _fail(self, worker: _Worker, error: PoolError,
               kill: bool) -> None:
@@ -589,9 +610,12 @@ class WorkerPool:
             if worker in self._pool:
                 self._pool.remove(worker)
         if kill:
-            kill_process(worker.process, worker.conn)
-        else:
-            reap_process(worker.process, worker.conn)
+            # SIGKILL, not SIGTERM: a forked worker still runs the
+            # signal handling of its parent (a dist node's SIGTERM
+            # handler, an asyncio loop's wakeup fd), so a catchable
+            # signal would stop the parent along with the job.
+            worker.process.kill()
+        reap_process(worker.process, worker.conn)
         self.respawns += 1
         if ticket is not None and not ticket.future.cancelled():
             ticket.future.set_exception(error)
@@ -685,7 +709,7 @@ class WorkerPool:
                         emit_event(ticket.on_event, ProgressEvent(
                             kind="beat",
                             job_id=ticket.job.get("job_id", "?"),
-                            attempt=ticket.job.get("attempt", 1),
+                            attempt=ticket.attempt,
                             phase=worker.phase, beats=worker.beats))
                 self._settle(worker)
 

@@ -1,37 +1,46 @@
-"""Parallel batch scheduler with timeouts, retries and degradation.
+"""The one failure ladder, and the batch driver over it.
 
-The scheduler runs decomposition jobs (see :mod:`repro.runtime.jobspec`)
-across a pool of worker *processes* — one process per attempt, so a
-wall-clock timeout or a crashed worker is contained by construction:
-the parent kills/reaps the process and the batch keeps moving.
+Every tier runs jobs (see :mod:`repro.runtime.jobspec`) on a
+:class:`~repro.runtime.pool.WorkerPool`, the only code that starts,
+watches, kills and reaps job processes.  :func:`run_ladder` is the
+failure policy over the pool's futures; batch (:class:`BatchScheduler`),
+``repro serve`` and dist nodes all settle their jobs through it, so a
+job reaches the same status, error text and record on every tier:
 
-Failure policy (the "graceful degradation" contract):
-
-* **timeout** — the worker is killed and the job immediately *degrades*:
-  the parent re-runs it through the trivial Shannon/MUX mapping path
-  (``DecompositionEngine`` with a zero time budget), which is bounded by
-  the BDD size and deterministic.  No retry — a search that timed out
-  once will time out again.
+* **timeout** — the pool kills the worker and the job immediately
+  *degrades*: the parent re-runs it through the trivial Shannon/MUX
+  mapping (:func:`degraded_record`), which is bounded by the BDD size
+  and deterministic.  No retry — a search that timed out once will time
+  out again.
 * **hang** (heartbeats enabled and silent for ``hang_grace_s``) — same
   as a timeout, without waiting for the full wall-clock budget.  Workers
-  beat over the result pipe while the engine makes progress (phase
-  transitions bump a liveness pulse; the beat thread only speaks while
-  the pulse advances), so a worker stuck in a sleep or a dead loop goes
-  silent and is killed early, while a *slow but alive* worker keeps
-  beating and is left to its wall-clock budget.  No retry — a hang is
-  not transient.
-* **worker crash** (process died without a result) — retried with a
-  jittered linear backoff up to ``retries`` times, then degraded.
-  Crashes are the transient class (OOM kills, signals), so retrying is
-  worth it; the jitter (seeded, deterministic per scheduler) spreads
-  herd retries after a shared-cause crash.
+  beat while the engine makes progress (phase transitions bump a
+  liveness pulse; the beat thread only speaks while the pulse
+  advances), so a worker stuck in a sleep or a dead loop goes silent
+  and is killed early, while a *slow but alive* worker keeps beating
+  and is left to its wall-clock budget.  No retry — a hang is not
+  transient.
+* **worker crash** (process died without a result) — retried after the
+  seeded jittered linear backoff of :func:`retry_backoff` up to
+  ``retries`` times, then degraded.  Crashes are the transient class
+  (OOM kills, signals), so retrying is worth it; the jitter spreads
+  herd retries after a shared-cause crash.  A fault injected while an
+  attempt is handed to the pool (the ``on_dispatch`` callback, where
+  serve's ``server.dispatch`` site fires) counts as a crash.
 * **worker exception** (job raised) — deterministic, so no retry: the
   job degrades when the function can still be built, otherwise it is
   marked ``failed`` (e.g. an unreadable PLA file).
 
-Results come back in submission order regardless of completion order,
-and each carries its own observability record (queue wait, exec time,
-cache hit, retry count, heartbeat count) for the batch metrics document.
+With ``degrade=False`` every degrade becomes ``failed`` instead.
+
+:class:`BatchScheduler` is a thin driver over the ladder: a cache
+pre-pass, one pool per :meth:`~BatchScheduler.run` with at most
+``workers`` attempts in flight, ``cache.put`` on ok, and
+:class:`JobResult` rows in submission order, each with its own
+observability record (queue wait, exec time, cache hit, retry count,
+heartbeat count).  :meth:`BatchScheduler.run_job` is the same per-job
+path for one job on a caller's long-lived pool; a dist node runs every
+shipped job through it.
 
 With a :class:`~repro.runtime.cache.ResultCache` attached, the parent
 builds each function up front, keys it by content
@@ -42,43 +51,42 @@ function ships to the worker in wire form so it is not rebuilt.
 Chaos containment: the parent-side build and the degradation fallback
 run under :func:`repro.faults.suppressed`, so injected worker faults
 (``worker.mid_decomp``, ``bdd.ite``, ``kernel.dispatch``) can never
-take down the scheduler through its own recovery paths.  Parent-side
+take down the parent through its own recovery paths.  Parent-side
 *storage* faults (``cache.write``, ``journal.append``) stay live — they
 exercise the crash-safety story (journal + ``--resume``), not the
-containment one.  ``run`` kills and reaps every live worker on the way
-out, including on ``KeyboardInterrupt`` — no orphans.
+containment one.  ``run`` kills and reaps every worker on the way out,
+including on ``KeyboardInterrupt`` — no orphans.
 """
 
 from __future__ import annotations
 
-import multiprocessing
+import functools
 import random
+import threading
 import time
-from dataclasses import dataclass, field
-from multiprocessing.connection import wait as connection_wait
-from typing import Any, Callable, Dict, List, Optional
+from concurrent.futures import ThreadPoolExecutor, as_completed
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro import faults
 from repro.runtime import jobspec
 from repro.runtime.cache import ResultCache, cache_key
 from repro.runtime.pool import (
-    POLL_S,
     EventSink,
+    JobHung,
+    JobTimeout,
+    PoolClosed,
     ProgressEvent,
-    drain_messages,
+    WorkerCrash,
+    WorkerPool,
     emit_event,
-    kill_process,
-    reap_process,
     resolve_workers,
 )
-
-#: Hard floor for the scheduler's poll interval (seconds).
-_POLL_S = POLL_S
 
 
 @dataclass
 class JobResult:
-    """Outcome of one batch job, with its observability record."""
+    """Outcome of one job on any tier, with its observability record."""
 
     job_id: str
     source: str
@@ -177,45 +185,120 @@ def summarize(results: List[JobResult]) -> Dict[str, Any]:
     return summarize_rows([r.as_dict() for r in results])
 
 
-@dataclass
-class _Active:
-    """Bookkeeping for one in-flight worker process."""
+# ---------------------------------------------------------------------
+# The failure ladder
+# ---------------------------------------------------------------------
 
-    index: int
-    attempt: int
-    process: multiprocessing.Process
-    conn: Any
-    started_at: float
-    deadline: Optional[float]
-    job_id: str = "?"
-    payload: Optional[Dict[str, Any]] = None
-    retries: int = 0
-    first_dispatch: float = 0.0
-    #: Monotonic time of the last heartbeat (dispatch time until one
-    #: arrives, so the hang grace covers worker startup too).
-    last_beat: float = 0.0
-    beats: int = 0
-    #: Engine phase piggybacked on the most recent beat.
-    phase: Optional[str] = None
-    #: Parent-side build artefacts (cache mode only).
-    func: Any = None
-    key: Optional[str] = None
+def retry_backoff(attempt: int, base_s: float,
+                  rng: random.Random) -> float:
+    """Jittered linear backoff: ``base * attempt * uniform(0.5, 1.5)``
+    — the one retry curve, for job crash retries and dist RPC retries
+    alike."""
+    return base_s * max(1, attempt) * rng.uniform(0.5, 1.5)
 
 
-@dataclass
-class _Pending:
-    index: int
-    attempt: int = 1
-    retries: int = 0
-    #: Earliest dispatch time (crash-retry backoff).
-    not_before: float = 0.0
-    func: Any = None
-    key: Optional[str] = None
-    first_dispatch: Optional[float] = field(default=None)
+def _result(job: Dict[str, Any], **fields: Any) -> JobResult:
+    return JobResult(job_id=job["job_id"],
+                     source=jobspec.source_label(job["source"]),
+                     flow=job["flow"], **fields)
 
+
+#: Fallbacks map in the parent, where engine runs share process-wide
+#: memo state; they run one at a time.
+_FALLBACK_LOCK = threading.Lock()
+
+
+def fallback(job: Dict[str, Any], reason: str, func: Any = None, *,
+             degrade: bool = True,
+             res: Optional[JobResult] = None) -> JobResult:
+    """The ladder's last rung: settle ``job`` (into ``res``) on the
+    verified trivial mapping, or as ``failed`` when degradation is off
+    or the fallback itself fails.  ``reason`` becomes the error text."""
+    res = res or _result(job, status="failed")
+    res.status, res.error = "failed", reason
+    if not degrade:
+        return res
+    started = time.monotonic()
+    try:
+        # Recovery must succeed even under chaos: the fallback walks
+        # engine/BDD code where worker faults are armed, and a fault
+        # here would turn a contained degrade into a parent crash.
+        with _FALLBACK_LOCK, faults.suppressed():
+            res.result = degraded_record(job, func=func)
+        res.status = "degraded"
+        res.degraded = True
+    except Exception as exc:  # noqa: BLE001 — even fallback failed
+        res.error = (f"{reason}; fallback failed: "
+                     f"{type(exc).__name__}: {exc}")
+    res.exec_s += time.monotonic() - started
+    return res
+
+
+def run_ladder(pool: WorkerPool, job: Dict[str, Any], *,
+               func: Any = None, timeout: Optional[float] = None,
+               retries: int = 1, degrade: bool = True,
+               backoff_s: float = 0.25,
+               rng: Optional[random.Random] = None,
+               on_dispatch: Optional[Callable[[int], None]] = None,
+               on_event: Optional[EventSink] = None) -> JobResult:
+    """Run ``job`` on ``pool`` until it settles (blocking).
+
+    The one decision between retry and degrade for every tier (see the
+    module docstring).  ``on_dispatch(attempt)`` fires before each
+    hand-off to the pool; ``on_event`` receives the pool's ``dispatch``
+    and ``beat`` events and the ladder's ``retry`` events.  ``func`` is
+    the parent-built function the fallback maps (rebuilt from the job's
+    source when None).  ``rng`` is the backoff jitter stream.
+    """
+    rng = rng or random.Random(0)
+    res = _result(job, status="failed")
+
+    def sink(event: ProgressEvent) -> None:
+        if event.kind == "beat":
+            res.beats = event.beats
+        emit_event(on_event, event)
+
+    attempt = 0
+    while True:
+        attempt += 1
+        res.beats = 0
+        started = time.monotonic()
+        try:
+            if on_dispatch is not None:
+                on_dispatch(attempt)
+            payload = pool.submit(job, attempt=attempt, timeout=timeout,
+                                  on_event=sink).result()
+            # A worker exception (or a verification mismatch) is
+            # deterministic: degrade, no retry.
+            reason = (None if payload.get("status") == "ok"
+                      else payload.get("error", "job failed"))
+        except (WorkerCrash, faults.FaultInjected, MemoryError) as exc:
+            if res.retries < retries:
+                res.retries += 1
+                sink(ProgressEvent(kind="retry", job_id=res.job_id,
+                                   attempt=attempt + 1, detail=str(exc)))
+                time.sleep(retry_backoff(res.retries, backoff_s, rng))
+                continue
+            reason = f"{exc}, retries exhausted"
+        except (JobTimeout, JobHung) as exc:
+            res.hung = isinstance(exc, JobHung)
+            reason = str(exc)
+        except PoolClosed:
+            res.error = "pool closed"
+            return res
+        res.exec_s = time.monotonic() - started
+        if reason is None:
+            res.status, res.result = "ok", payload["result"]
+            return res
+        return fallback(job, reason, func, degrade=degrade, res=res)
+
+
+# ---------------------------------------------------------------------
+# The batch driver
+# ---------------------------------------------------------------------
 
 class BatchScheduler:
-    """Run many jobs across a worker pool with bounded failure modes.
+    """Run many jobs on a worker pool with bounded failure modes.
 
     Parameters
     ----------
@@ -233,7 +316,7 @@ class BatchScheduler:
         instead of falling back to the trivial mapping.
     retry_backoff_s:
         Base of the jittered linear crash-retry backoff
-        (``base * retries * uniform(0.5, 1.5)``).
+        (:func:`retry_backoff`).
     backoff_seed:
         Seed for the backoff jitter stream (deterministic schedules in
         tests).
@@ -244,7 +327,7 @@ class BatchScheduler:
         Kill a worker silent for this long and degrade its job without
         retry.  None (default) disables hang detection — only the hard
         wall-clock ``timeout`` applies.  Must comfortably exceed
-        ``heartbeat_s`` plus worker startup time.
+        ``heartbeat_s``.
     """
 
     def __init__(self, workers: Optional[int] = None,
@@ -254,8 +337,7 @@ class BatchScheduler:
                  retry_backoff_s: float = 0.25,
                  backoff_seed: int = 0,
                  heartbeat_s: Optional[float] = 1.0,
-                 hang_grace_s: Optional[float] = None,
-                 mp_context: Optional[str] = None) -> None:
+                 hang_grace_s: Optional[float] = None) -> None:
         # None / zero / negative all clamp to the auto-detected count
         # (CPU count capped at 8) — see runtime.pool.resolve_workers.
         self.workers, _ = resolve_workers(workers)
@@ -267,15 +349,17 @@ class BatchScheduler:
         self.heartbeat_s = heartbeat_s
         self.hang_grace_s = hang_grace_s
         self._rng = random.Random(backoff_seed)
-        self._on_event: Optional[EventSink] = None
         #: Sub-ISF memo counters summed over workers' payloads for the
         #: most recent :meth:`run` (rows never carry them — see
         #: :mod:`repro.decomp.submemo`).
         self.submemo_totals: Dict[str, int] = {}
-        if mp_context is None:
-            methods = multiprocessing.get_all_start_methods()
-            mp_context = "fork" if "fork" in methods else "spawn"
-        self._ctx = multiprocessing.get_context(mp_context)
+
+    def open_pool(self) -> WorkerPool:
+        """A pool for this scheduler's jobs.  Its ``workers`` processes
+        fork on first use and keep no warm function LRU: a batch's jobs
+        rarely share a source, and the LRU would only cost memory."""
+        return WorkerPool(self.workers, heartbeat_s=self.heartbeat_s,
+                          hang_grace_s=self.hang_grace_s, warm_limit=0)
 
     # -- public entry ---------------------------------------------------
 
@@ -285,81 +369,80 @@ class BatchScheduler:
             on_event: Optional[EventSink] = None) -> List[JobResult]:
         """Execute ``jobs``; results are in submission order.
 
-        ``on_dispatch(index, attempt)`` fires just before each worker
-        process starts (the journal's start record); ``on_result`` fires
-        as each job settles, out of submission order.  ``on_event``
-        receives the full :class:`ProgressEvent` stream (``dispatch``,
-        ``beat`` with the engine phase, ``retry``, ``result``) — the
-        same API the service tier streams to clients, so batch
-        consumers and streaming endpoints share one progress contract.
+        ``on_dispatch(index, attempt)`` fires on the job's ladder thread
+        before each attempt is handed to the pool (the journal's start
+        record); ``on_result`` fires on the calling thread as each job
+        settles, out of submission order.  ``on_event`` receives the
+        full :class:`ProgressEvent` stream (``dispatch``, ``beat`` with
+        the engine phase, ``retry``, ``result``) from the pool's and
+        the ladders' threads — the same API the service tier streams to
+        clients, so batch consumers and streaming endpoints share one
+        progress contract.
         """
         started = time.monotonic()
         results: List[Optional[JobResult]] = [None] * len(jobs)
-        queue: List[_Pending] = []
-        self._on_event = on_event
         self.submemo_totals = {}
 
-        def finish(index: int, res: JobResult) -> None:
-            res.index = index
-            results[index] = res
-            emit_event(on_event, ProgressEvent(
-                kind="result", job_id=res.job_id, index=index,
-                status=res.status, beats=res.beats,
-                detail=res.error))
+        def finish(res: JobResult, key: Optional[str]) -> None:
+            results[res.index] = self._settle(res, key, on_event)
             if on_result is not None:
                 on_result(res)
 
+        todo = []
         for index, job in enumerate(jobs):
-            pending = _Pending(index)
-            if self.cache is not None:
-                hit = self._try_cache(job, pending)
-                if hit is not None:
-                    finish(index, hit)
-                    continue
-            queue.append(pending)
-
-        active: List[_Active] = []
-        try:
-            while queue or active:
-                now = time.monotonic()
-                while len(active) < self.workers:
-                    slot = next((p for p in queue if p.not_before <= now),
-                                None)
-                    if slot is None:
-                        break
-                    queue.remove(slot)
-                    if on_dispatch is not None:
-                        on_dispatch(slot.index, slot.attempt)
-                    emit_event(on_event, ProgressEvent(
-                        kind="dispatch",
-                        job_id=jobs[slot.index]["job_id"],
-                        index=slot.index, attempt=slot.attempt))
-                    active.append(self._dispatch(jobs, slot, started))
-                if active:
-                    self._poll(active)
-                elif queue:
-                    # Everything is in crash-retry backoff; sleep it off.
-                    time.sleep(max(_POLL_S,
-                                   min(p.not_before for p in queue) - now))
-                for entry in list(active):
-                    outcome = self._settle(jobs, entry, queue)
-                    if outcome is not None:
-                        active.remove(entry)
-                        if isinstance(outcome, JobResult):
-                            finish(entry.index, outcome)
-        finally:
-            # Interrupt/exception hygiene: whatever got us out of the
-            # loop, no worker process may outlive the scheduler.
-            for entry in active:
-                self._kill(entry)
+            res, func, key = self._prepare(index, job)
+            if res is not None:
+                finish(res, key)
+            else:
+                todo.append((index, func, key))
+        if todo:
+            pool = self.open_pool()
+            threads = ThreadPoolExecutor(self.workers,
+                                         thread_name_prefix="repro-batch")
+            settled = False
+            try:
+                futures = {
+                    threads.submit(self._execute, pool, index, jobs[index],
+                                   func, started, on_dispatch,
+                                   on_event): key
+                    for index, func, key in todo}
+                for future in as_completed(futures):
+                    finish(future.result(), futures[future])
+                settled = True
+            finally:
+                # Every job settled: stop the idle workers.  Anything
+                # else (a callback raised, ^C): kill them.  Either way
+                # no worker outlives run().
+                pool.shutdown(drain=settled)
+                threads.shutdown(cancel_futures=True)
+                self.submemo_totals = dict(pool.submemo_totals)
         return [r for r in results if r is not None]
 
-    # -- cache ----------------------------------------------------------
+    def run_job(self, pool: WorkerPool, job: Dict[str, Any],
+                index: int = 0,
+                on_event: Optional[EventSink] = None) -> JobResult:
+        """One job on the caller's ``pool`` through the per-job path of
+        :meth:`run`: cache lookup, the ladder, ``cache.put`` on ok and
+        the ``result`` event.  A dist node runs every shipped job
+        through this, so its rows are :class:`JobResult` rows by
+        construction.  The cache must be safe to share between threads
+        when callers run jobs concurrently."""
+        started = time.monotonic()
+        res, func, key = self._prepare(index, job)
+        if res is None:
+            res = self._execute(pool, index, job, func, started, None,
+                                on_event)
+        return self._settle(res, key, on_event)
 
-    def _try_cache(self, job: Dict[str, Any],
-                   pending: _Pending) -> Optional[JobResult]:
-        """Cache lookup; on a miss the built function and key stick to
-        the pending entry so the hot path never builds twice."""
+    # -- per-job steps --------------------------------------------------
+
+    def _prepare(self, index: int, job: Dict[str, Any]
+                 ) -> Tuple[Optional[JobResult], Any, Optional[str]]:
+        """Cache lookup: ``(settled row or None, function, key)``.  On a
+        miss the built function and key ride along so nothing builds
+        twice; without a cache nothing is built parent-side."""
+        if self.cache is None:
+            return None, None, None
         try:
             # The parent-side build walks the same BDD/kernel code as a
             # worker; suppress injected faults so worker-targeted chaos
@@ -367,197 +450,45 @@ class BatchScheduler:
             with faults.suppressed():
                 func = jobspec.build_function(job["source"])
         except Exception as exc:  # noqa: BLE001 — bad source: report it
-            return JobResult(
-                job_id=job["job_id"],
-                source=jobspec.source_label(job["source"]),
-                flow=job["flow"], status="failed",
-                error=f"{type(exc).__name__}: {exc}")
+            failed = _result(job, status="failed", index=index,
+                             error=f"{type(exc).__name__}: {exc}")
+            return failed, None, None
         key = cache_key(func.canonical_key(), job["flow"], job["config"])
-        pending.func = func
-        pending.key = key
         record = self.cache.get(key)
-        if record is None:
-            job["wire"] = func.to_wire()
-            return None
-        return JobResult(
-            job_id=job["job_id"],
-            source=jobspec.source_label(job["source"]),
-            flow=job["flow"], status="ok", result=record,
-            cache_hit=True)
+        if record is not None:
+            return _result(job, status="ok", result=record,
+                           cache_hit=True, index=index), func, key
+        job["wire"] = func.to_wire()
+        return None, func, key
 
-    # -- dispatch/poll/settle -------------------------------------------
+    def _execute(self, pool: WorkerPool, index: int, job: Dict[str, Any],
+                 func: Any, started: float,
+                 on_dispatch: Optional[Callable[[int, int], None]],
+                 on_event: Optional[EventSink]) -> JobResult:
+        """The ladder for one job; events carry the job's index."""
+        def sink(event: ProgressEvent) -> None:
+            event.index = index
+            emit_event(on_event, event)
 
-    def _dispatch(self, jobs: List[Dict[str, Any]], pending: _Pending,
-                  batch_started: float) -> _Active:
-        now = time.monotonic()
-        if pending.first_dispatch is None:
-            pending.first_dispatch = now - batch_started
-        parent_conn, child_conn = self._ctx.Pipe(duplex=False)
-        process = self._ctx.Process(
-            target=jobspec.worker_entry,
-            args=(child_conn, jobs[pending.index], pending.attempt,
-                  self.heartbeat_s),
-            daemon=True)
-        process.start()
-        child_conn.close()
-        deadline = now + self.timeout if self.timeout is not None else None
-        return _Active(index=pending.index, attempt=pending.attempt,
-                       process=process, conn=parent_conn,
-                       started_at=now, deadline=deadline,
-                       job_id=jobs[pending.index]["job_id"],
-                       retries=pending.retries,
-                       first_dispatch=pending.first_dispatch,
-                       last_beat=now,
-                       func=pending.func, key=pending.key)
+        queue_wait_s = time.monotonic() - started
+        res = run_ladder(
+            pool, job, func=func, timeout=self.timeout,
+            retries=self.retries, degrade=self.degrade,
+            backoff_s=self.retry_backoff_s, rng=self._rng,
+            on_dispatch=(None if on_dispatch is None
+                         else functools.partial(on_dispatch, index)),
+            on_event=sink)
+        res.index, res.queue_wait_s = index, queue_wait_s
+        return res
 
-    def _poll(self, active: List[_Active]) -> None:
-        """Block briefly until a worker speaks, dies or times out."""
-        if not active:
-            return
-        budget = _POLL_S * 4
-        now = time.monotonic()
-        deadlines = [e.deadline - now for e in active
-                     if e.deadline is not None]
-        if deadlines:
-            budget = min(budget, max(_POLL_S, min(deadlines)))
-        ready = connection_wait([e.conn for e in active],
-                                timeout=max(_POLL_S, budget))
-        for entry in active:
-            if entry.conn in ready and entry.payload is None:
-                self._drain(entry)
-
-    def _drain(self, entry: _Active) -> None:
-        """Consume everything buffered on the entry's pipe: heartbeat
-        messages update liveness bookkeeping, the final payload sticks.
-
-        Delegates to the shared :func:`repro.runtime.pool.drain_messages`
-        primitive (also used by the persistent serve pool) and turns new
-        beats into ``beat`` progress events.
-        """
-        new_beats = drain_messages(entry)
-        if new_beats:
-            emit_event(self._on_event, ProgressEvent(
-                kind="beat", job_id=entry.job_id, index=entry.index,
-                attempt=entry.attempt, phase=entry.phase,
-                beats=entry.beats))
-
-    def _settle(self, jobs: List[Dict[str, Any]], entry: _Active,
-                queue: List[_Pending]):
-        """Resolve one in-flight entry.
-
-        Returns a :class:`JobResult` when the job finished (possibly
-        degraded), the string ``"requeued"`` on a crash retry, or None
-        while the worker is still healthy and inside its deadline.
-        """
-        job = jobs[entry.index]
-        now = time.monotonic()
-        exec_s = now - entry.started_at
-        if entry.payload is not None:
-            self._reap(entry)
-            for name, count in (entry.payload.get("submemo")
-                                or {}).items():
-                self.submemo_totals[name] = \
-                    self.submemo_totals.get(name, 0) + int(count)
-            if entry.payload.get("status") == "ok":
-                record = entry.payload["result"]
-                if self.cache is not None and entry.key is not None:
-                    self.cache.put(entry.key, record)
-                return self._result(job, entry, "ok", record=record,
-                                    exec_s=exec_s)
-            # Worker raised: deterministic, degrade rather than retry.
-            return self._fallback(job, entry, exec_s,
-                                  entry.payload.get("error", "job failed"))
-        if entry.deadline is not None and now > entry.deadline:
-            self._kill(entry)
-            return self._fallback(
-                job, entry, exec_s,
-                f"timeout after {self.timeout:.1f}s")
-        if (self.hang_grace_s is not None and self.heartbeat_s
-                and entry.process.is_alive()
-                and now - entry.last_beat > self.hang_grace_s):
-            # Heartbeats went silent: the worker is stuck, not slow.
-            # Kill and degrade without retry — a hang is deterministic.
-            self._kill(entry)
-            phase = f" in phase {entry.phase!r}" if entry.phase else ""
-            return self._fallback(
-                job, entry, exec_s,
-                f"hung (no heartbeat for {now - entry.last_beat:.1f}s"
-                f"{phase})", hung=True)
-        if not entry.process.is_alive():
-            # The process may have exited cleanly with its payload still
-            # in the pipe buffer (a fast worker racing the poll) — drain
-            # before declaring a crash.
-            self._drain(entry)
-            if entry.payload is not None:
-                return self._settle(jobs, entry, queue)
-            self._reap(entry)
-            if entry.retries < self.retries:
-                retries = entry.retries + 1
-                backoff = (self.retry_backoff_s * retries
-                           * self._rng.uniform(0.5, 1.5))
-                queue.append(_Pending(
-                    entry.index, attempt=entry.attempt + 1,
-                    retries=retries,
-                    not_before=now + backoff,
-                    func=entry.func, key=entry.key,
-                    first_dispatch=entry.first_dispatch))
-                emit_event(self._on_event, ProgressEvent(
-                    kind="retry", job_id=entry.job_id,
-                    index=entry.index, attempt=entry.attempt + 1,
-                    detail=f"worker crashed (exit code "
-                           f"{entry.process.exitcode})"))
-                return "requeued"
-            code = entry.process.exitcode
-            return self._fallback(job, entry, exec_s,
-                                  f"worker crashed (exit code {code}), "
-                                  f"retries exhausted")
-        return None
-
-    # -- degradation ----------------------------------------------------
-
-    def _fallback(self, job: Dict[str, Any], entry: _Active,
-                  exec_s: float, reason: str,
-                  hung: bool = False) -> JobResult:
-        if not self.degrade:
-            return self._result(job, entry, "failed", error=reason,
-                                exec_s=exec_s, hung=hung)
-        started = time.monotonic()
-        try:
-            # Recovery must succeed even under chaos: the fallback walks
-            # engine/BDD code where worker faults are armed, and a fault
-            # here would turn a contained degrade into a parent crash.
-            with faults.suppressed():
-                record = degraded_record(job, func=entry.func)
-        except Exception as exc:  # noqa: BLE001 — even fallback failed
-            return self._result(
-                job, entry, "failed",
-                error=f"{reason}; fallback failed: "
-                      f"{type(exc).__name__}: {exc}",
-                exec_s=exec_s, hung=hung)
-        exec_s += time.monotonic() - started
-        return self._result(job, entry, "degraded", record=record,
-                            error=reason, exec_s=exec_s, degraded=True,
-                            hung=hung)
-
-    def _result(self, job: Dict[str, Any], entry: _Active, status: str,
-                record: Optional[Dict[str, Any]] = None,
-                error: Optional[str] = None, exec_s: float = 0.0,
-                degraded: bool = False, hung: bool = False) -> JobResult:
-        return JobResult(
-            job_id=job["job_id"],
-            source=jobspec.source_label(job["source"]),
-            flow=job["flow"], status=status, result=record, error=error,
-            degraded=degraded, queue_wait_s=entry.first_dispatch,
-            exec_s=exec_s, retries=entry.retries, beats=entry.beats,
-            hung=hung)
-
-    # -- process hygiene ------------------------------------------------
-
-    def _reap(self, entry: _Active) -> None:
-        reap_process(entry.process, entry.conn)
-
-    def _kill(self, entry: _Active) -> None:
-        kill_process(entry.process, entry.conn)
+    def _settle(self, res: JobResult, key: Optional[str],
+                on_event: Optional[EventSink]) -> JobResult:
+        if key is not None and res.status == "ok" and not res.cache_hit:
+            self.cache.put(key, res.result)
+        emit_event(on_event, ProgressEvent(
+            kind="result", job_id=res.job_id, index=res.index,
+            status=res.status, beats=res.beats, detail=res.error))
+        return res
 
 
 def degraded_record(job: Dict[str, Any],
@@ -573,12 +504,12 @@ def degraded_record(job: Dict[str, Any],
     if func is None:
         func = jobspec.build_function(job["source"])
     config = job.get("config") or {}
-    fallback = map_to_xc3000(func, use_dontcares=False, time_budget=0.0)
-    record = fallback.to_record()
+    mapped = map_to_xc3000(func, use_dontcares=False, time_budget=0.0)
+    record = mapped.to_record()
     record["degraded"] = True
     if job.get("flow") == "compare":
         record = {"mulopII": dict(record), "mulop_dc": dict(record),
                   "clbs_saved": 0, "degraded": True}
     elif config.get("verify", True):
-        record["verified"] = jobspec._verify_record(func, fallback)
+        record["verified"] = jobspec._verify_record(func, mapped)
     return record

@@ -7,7 +7,7 @@ across requests), a read-through :class:`~repro.runtime.cache
 and the single-flight table that collapses identical concurrent
 requests onto one computation.
 
-Request lifecycle (all on the daemon's event loop)::
+Request lifecycle (on the daemon's event loop unless noted)::
 
     handle(request, emit)
       └─ build function parent-side (executor, faults suppressed)
@@ -15,18 +15,19 @@ Request lifecycle (all on the daemon's event loop)::
       └─ single-flight lookup  -> join an identical in-flight request
       └─ admission control     -> queue full: shed to the verified
       │                           trivial mapping, or reject "overloaded"
-      └─ FairQueue.push        -> _pump dispatches when a pool slot frees
-            └─ _run_flight: pool.submit, crash retries w/ backoff,
-               timeout/hang -> degrade, cache.put on ok, broadcast
+      └─ FairQueue.push        -> _pump flies when a pool slot frees
+            └─ _fly: run_ladder on a flight thread (pool.submit, crash
+               retries w/ seeded backoff, timeout/hang -> degrade),
+               cache.put on ok, broadcast
 
-The failure ladder mirrors the batch scheduler exactly — crash retried
-then degraded, timeout/hang/exception degraded without retry, the
-degradation fallback runs under :func:`repro.faults.suppressed` — so a
-request served by the daemon settles to the same record the batch tier
-would produce, bit for bit (the unit of determinism is the job, not the
-process).
+The failure ladder is the batch tier's own
+(:func:`repro.runtime.scheduler.run_ladder`) — crash retried then
+degraded, timeout/hang/exception degraded without retry, the same
+seeded jittered backoff and error texts — so a request served by the
+daemon settles to the same status, error and record a batch row gets,
+bit for bit (the unit of determinism is the job, not the process).
 
-The ``server.dispatch`` fault site fires as a job is handed to the
+The ``server.dispatch`` fault site fires before each hand-off to the
 pool; an injected raise there is contained as if the worker had
 crashed (retry, then degrade) — chaos at the dispatch boundary must
 never take the daemon down.
@@ -35,22 +36,18 @@ never take the daemon down.
 from __future__ import annotations
 
 import asyncio
+import functools
+import random
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro import faults
 from repro.runtime import jobspec
 from repro.runtime.cache import ResultCache, cache_key
-from repro.runtime.pool import (
-    JobHung,
-    JobTimeout,
-    PoolClosed,
-    ProgressEvent,
-    WorkerCrash,
-    WorkerPool,
-)
-from repro.runtime.scheduler import degraded_record
+from repro.runtime.pool import ProgressEvent, WorkerPool
+from repro.runtime.scheduler import fallback, run_ladder
 from repro.serve.protocol import (
     MAX_RETRIES,
     Overloaded,
@@ -81,9 +78,6 @@ class _Flight:
     func: Any
     subscribers: List[_Subscriber] = field(default_factory=list)
     done: "asyncio.Future[Tuple[str, Optional[dict], Optional[str]]]" = None  # type: ignore[assignment]
-    retries_used: int = 0
-    beats: int = 0
-    dispatches: int = 0
 
     @property
     def tenant(self) -> str:
@@ -102,8 +96,6 @@ class _Flight:
                     pass
 
     def on_pool_event(self, event: ProgressEvent) -> None:
-        if event.kind == "beat":
-            self.beats = max(self.beats, event.beats)
         frame = event.as_dict()
         frame["job_id"] = self.job["job_id"]
         self.broadcast(frame)
@@ -137,6 +129,12 @@ class DecompositionService:
         self.timeout = timeout
         self.retries = max(0, min(retries, MAX_RETRIES))
         self.retry_backoff_s = retry_backoff_s
+        #: Crash-retry jitter stream (seeded, as in the batch tier).
+        self._rng = random.Random(0)
+        #: Flights block in the ladder; one thread per pool worker keeps
+        #: them off the shared executor the parent-side builds use.
+        self._ladders = ThreadPoolExecutor(
+            self.pool.workers, thread_name_prefix="repro-serve-flight")
         self._inflight: Dict[str, _Flight] = {}
         self._busy = 0
         self._draining = False
@@ -235,11 +233,11 @@ class DecompositionService:
             if request.stream:
                 self._emit_to(request, emit,
                               {"event": "shed", "reason": "queue full"})
-            status, record, error = await self._degrade(
-                loop, job, func, "load shed: queue full")
-            self._count_status(status)
-            return self._final(request, status, record, error,
-                               started=started)
+            shed = await loop.run_in_executor(None, functools.partial(
+                fallback, job, "load shed: queue full", func))
+            self._count_status(shed.status)
+            return self._final(request, shed.status, shed.result,
+                               shed.error, started=started)
 
         if request.stream:
             self._emit_to(request, emit,
@@ -266,8 +264,36 @@ class DecompositionService:
 
     async def _fly(self, loop: asyncio.AbstractEventLoop,
                    flight: _Flight) -> None:
+        job = flight.job
+        request = flight.subscribers[0].request
+
+        def sink(event: ProgressEvent) -> None:
+            # Pool dispatcher / flight thread -> event loop marshalling.
+            loop.call_soon_threadsafe(flight.on_pool_event, event)
+
+        def dispatch_site(attempt: int) -> None:
+            # Chaos boundary: an injected raise here is contained
+            # exactly like a worker crash (retry, then degrade).
+            faults.fault_point("server.dispatch",
+                               job["job_id"].encode("utf-8"))
+
         try:
-            outcome = await self._run_flight(loop, flight)
+            # Warm-memo key: ship the wire dump so repeat sources reuse
+            # an already-built function (and its hot BDD manager).
+            job.setdefault("wire", flight.func.to_wire())
+            res = await loop.run_in_executor(
+                self._ladders, functools.partial(
+                    run_ladder, self.pool, job, func=flight.func,
+                    timeout=(self.timeout if request.timeout is None
+                             else request.timeout),
+                    retries=(self.retries if request.retries is None
+                             else request.retries),
+                    backoff_s=self.retry_backoff_s, rng=self._rng,
+                    on_dispatch=dispatch_site, on_event=sink))
+            self.counters["retries"] += res.retries
+            if res.status == "ok" and self.cache is not None:
+                self.cache.put(flight.key, res.result)
+            outcome = (res.status, res.result, res.error)
         except Exception as exc:  # noqa: BLE001 — never lose a waiter
             outcome = ("failed", None,
                        f"internal: {type(exc).__name__}: {exc}")
@@ -277,82 +303,6 @@ class DecompositionService:
         if not flight.done.done():
             flight.done.set_result(outcome)
         self._pump(loop)
-
-    async def _run_flight(self, loop: asyncio.AbstractEventLoop,
-                          flight: _Flight
-                          ) -> Tuple[str, Optional[dict], Optional[str]]:
-        job = flight.job
-        request = flight.subscribers[0].request
-        timeout = request.timeout if request.timeout is not None \
-            else self.timeout
-        retries = request.retries if request.retries is not None \
-            else self.retries
-        # Warm-memo key: ship the wire dump so repeat sources reuse an
-        # already-built function (and its hot BDD manager) in-worker.
-        job.setdefault("wire", flight.func.to_wire())
-
-        def sink(event: ProgressEvent) -> None:
-            # Pool dispatcher thread -> event loop marshalling.
-            loop.call_soon_threadsafe(flight.on_pool_event, event)
-
-        attempt = 0
-        while True:
-            attempt += 1
-            job["attempt"] = attempt  # crash:n hooks count per attempt
-            try:
-                # Chaos boundary: an injected raise here is contained
-                # exactly like a worker crash (retry, then degrade).
-                faults.fault_point("server.dispatch",
-                                   job["job_id"].encode("utf-8"))
-                flight.dispatches += 1
-                future = self.pool.submit(job, timeout=timeout,
-                                          on_event=sink)
-                payload = await asyncio.wrap_future(future)
-            except (WorkerCrash, faults.FaultInjected,
-                    MemoryError) as exc:
-                if attempt <= retries:
-                    flight.retries_used += 1
-                    self.counters["retries"] += 1
-                    flight.broadcast({"event": "retry",
-                                      "job_id": job["job_id"],
-                                      "attempt": attempt + 1,
-                                      "detail": str(exc)})
-                    await asyncio.sleep(
-                        self.retry_backoff_s * attempt)
-                    continue
-                return await self._degrade(
-                    loop, job, flight.func,
-                    f"{exc}; retries exhausted")
-            except (JobTimeout, JobHung) as exc:
-                # Deterministic failure class: no retry, degrade.
-                return await self._degrade(loop, job, flight.func,
-                                           str(exc))
-            except PoolClosed:
-                return ("failed", None, "pool closed during drain")
-            if payload.get("status") == "ok":
-                record = payload["result"]
-                if self.cache is not None:
-                    self.cache.put(flight.key, record)
-                return ("ok", record, None)
-            # Worker raised (or verification mismatch): deterministic,
-            # degrade rather than retry — same policy as batch.
-            return await self._degrade(
-                loop, job, flight.func,
-                payload.get("error", "job failed"))
-
-    async def _degrade(self, loop: asyncio.AbstractEventLoop,
-                       job: Dict[str, Any], func: Any, reason: str
-                       ) -> Tuple[str, Optional[dict], Optional[str]]:
-        def fallback():
-            with faults.suppressed():
-                return degraded_record(job, func=func)
-        try:
-            record = await loop.run_in_executor(None, fallback)
-        except Exception as exc:  # noqa: BLE001 — even fallback failed
-            return ("failed", None,
-                    f"{reason}; fallback failed: "
-                    f"{type(exc).__name__}: {exc}")
-        return ("degraded", record, reason)
 
     # -- shaping/accounting ---------------------------------------------
 
@@ -408,6 +358,8 @@ class DecompositionService:
         loop = asyncio.get_running_loop()
         await loop.run_in_executor(
             None, lambda: self.pool.shutdown(drain=False, timeout=5.0))
+        # Flight threads still in the ladder now see PoolClosed.
+        self._ladders.shutdown(wait=False, cancel_futures=True)
         # Wake any stranded waiters (queued flights never dispatched).
         while True:
             flight = self.queue.pop()

@@ -91,6 +91,28 @@ class TestWriteBehind:
             writer.close()
             reader.close()
 
+    def test_flush_waits_for_the_write_in_flight(self, server,
+                                                 monkeypatch):
+        # The writer pops an entry before sending it, so an empty queue
+        # does not mean the write landed: flush must also wait for the
+        # write the server is still answering.
+        store = server.cache.put
+
+        def slow_put(key, payload):
+            time.sleep(0.3)
+            store(key, payload)
+
+        monkeypatch.setattr(server.cache, "put", slow_put)
+        rc = client(server)
+        try:
+            rc.put(KEY, PAYLOAD)
+            time.sleep(0.05)  # the writer has popped the entry by now
+            assert rc.flush()
+            assert server.cache.get(KEY) == PAYLOAD
+            assert rc.counter_stats()["pending_writes"] == 0
+        finally:
+            rc.close()
+
     def test_put_never_blocks_on_dead_server(self, server):
         rc = client(server)
         server.close()

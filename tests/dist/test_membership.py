@@ -43,8 +43,9 @@ pytestmark = pytest.mark.filterwarnings(
 CIRCUITS = ("xor5", "rd53", "majority", "misex1", "rd73", "rd84")
 
 
-def make_jobs(names=CIRCUITS):
-    return [make_job(source_from_name(name)) for name in names]
+def make_jobs(names=CIRCUITS, hook=None):
+    return [make_job(source_from_name(name), test_hook=hook)
+            for name in names]
 
 
 def stable(rows):
@@ -281,8 +282,11 @@ class TestRedial:
             coordinator = DistCoordinator(
                 [("127.0.0.1", port), (real.host, real.port)],
                 rpc_tries=2, rpc_backoff_s=0.05, connect_timeout_s=2.0)
+            # The sleep keeps the real node busy past the redial budget;
+            # a batch that drains first never declares the loss.
             rows = coordinator.run(make_jobs(("xor5", "rd53",
-                                              "majority", "rd73")))
+                                              "majority", "rd73"),
+                                             hook="sleep:0.5"))
         finally:
             real.close()
         assert all(r["status"] == "ok" for r in rows)

@@ -169,6 +169,30 @@ class TestSuppression:
         with pytest.raises(FaultInjected):
             faults.fault_point("cache.read")
 
+    def test_suppression_masks_only_the_calling_thread(self,
+                                                       monkeypatch):
+        # A fallback on one thread must not hide the storage sites
+        # another thread of the same parent passes.
+        import threading
+
+        monkeypatch.setenv(faults.ENV_VAR, "cache.write:raise:1")
+        seen = []
+
+        def other_thread():
+            try:
+                faults.fault_point("cache.write")
+                seen.append("masked")
+            except FaultInjected:
+                seen.append("fired")
+
+        with faults.suppressed():
+            assert faults.fault_point("cache.write", 1) == 1
+            thread = threading.Thread(target=other_thread)
+            thread.start()
+            thread.join(timeout=10.0)
+        assert not thread.is_alive()
+        assert seen == ["fired"]
+
 
 class TestKinds:
     def test_raise_carries_site(self):

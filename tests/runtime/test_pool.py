@@ -1,6 +1,8 @@
 """Tests for the persistent worker pool and its shared primitives."""
 
 import multiprocessing
+import os
+import signal
 import time
 
 import pytest
@@ -137,6 +139,32 @@ class TestWorkerPool:
             assert after["status"] == "ok"
         finally:
             pool.shutdown()
+        assert multiprocessing.active_children() == []
+
+    def test_timeout_kill_never_runs_inherited_signal_handlers(
+            self, tmp_path):
+        # A forked worker inherits its parent's SIGTERM handler (a dist
+        # node's closes the node's listening socket); killing a
+        # timed-out job must not run it.
+        marker = tmp_path / "handler-ran"
+
+        def handler(signum, frame):
+            marker.write_text(str(os.getpid()))
+            os._exit(0)
+
+        previous = signal.signal(signal.SIGTERM, handler)
+        try:
+            pool = WorkerPool(1, heartbeat_s=0.1)
+            try:
+                future = pool.submit(_job("rd53", test_hook="hang:60"),
+                                     timeout=0.5)
+                with pytest.raises(JobTimeout):
+                    future.result(timeout=120)
+            finally:
+                pool.shutdown()
+        finally:
+            signal.signal(signal.SIGTERM, previous)
+        assert not marker.exists()
         assert multiprocessing.active_children() == []
 
     def test_events_stream_from_pool_jobs(self):

@@ -189,6 +189,28 @@ class TestShutdownHygiene:
         assert multiprocessing.active_children() == []
 
 
+    def test_finished_batch_stops_workers_without_signals(self,
+                                                          tmp_path):
+        # Idle workers of a finished batch get a stop message, not
+        # SIGTERM, which would run a handler inherited from the parent.
+        import os
+        import signal
+
+        marker = tmp_path / "handler-ran"
+
+        def handler(signum, frame):
+            marker.write_text(str(os.getpid()))
+            os._exit(0)
+
+        previous = signal.signal(signal.SIGTERM, handler)
+        try:
+            results = BatchScheduler(workers=2).run(_jobs("rd53", "xor5"))
+        finally:
+            signal.signal(signal.SIGTERM, previous)
+        assert [r.status for r in results] == ["ok", "ok"]
+        assert not marker.exists()
+
+
 class TestRetryBackoff:
     def test_jitter_stream_is_seeded(self):
         # Same seed, same retry spread; different seed, different spread
