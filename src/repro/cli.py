@@ -686,12 +686,6 @@ def _cmd_serve(args) -> int:
               f"queue depth {args.queue_depth}/tenant, "
               f"shed policy {args.shed}", flush=True)
 
-    # A flight's job crosses threads on its way out and back (event
-    # loop, flight thread, pool dispatcher), and under load each
-    # hand-off can wait out the running thread's switch interval (5 ms
-    # by default): on a 2-CPU host that added ~4 ms to the median
-    # served request in the serve-mixed benchmark.
-    sys.setswitchinterval(0.0005)
     try:
         asyncio.run(daemon.run(ready=ready))
     except KeyboardInterrupt:

@@ -28,8 +28,9 @@ Source descriptor kinds
 Test hooks (``hang:<seconds>``, ``sleep:<seconds>``, ``crash`` /
 ``crash:<n>``) fire inside the worker before any real work; they exist
 so the failure ladder's timeout, retry and degradation paths are
-testable end to end (``sleep`` continues afterwards — it makes a job wall-clock
-bound, which is what the distributed benchmarks scale against).
+testable end to end (``sleep`` continues afterwards — it makes a job
+wall-clock bound, which is what the distributed benchmarks scale
+against).
 """
 
 from __future__ import annotations

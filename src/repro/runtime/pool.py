@@ -61,6 +61,11 @@ WARM_LIMIT_ENV = "REPRO_SERVE_WARM_FUNCS"
 #: How often a worker checks that its parent is still alive (seconds).
 _ORPHAN_CHECK_S = 0.5
 
+#: Held while a worker forks, and by the ladder's fallback: a child
+#: forked while a parent thread imports a module inherits that import
+#: lock, held by a thread it does not have, and hangs on the import.
+FORK_LOCK = threading.Lock()
+
 
 def resolve_workers(requested: Optional[int],
                     cap: int = AUTO_WORKER_CAP) -> "tuple[int, Optional[str]]":
@@ -190,12 +195,11 @@ def reap_process(process: multiprocessing.Process, conn: Any,
 
 def kill_process(process: multiprocessing.Process, conn: Any,
                  timeout: float = 1.0) -> None:
-    """Terminate (then kill) a worker and close its pipe end."""
-    process.terminate()
+    """SIGKILL a worker, reap it and close its pipe end.  Never SIGTERM:
+    a forked worker runs its parent's handler (a dist node's closes the
+    node's listener; serve's stops the daemon)."""
+    process.kill()
     process.join(timeout=timeout)
-    if process.is_alive():
-        process.kill()
-        process.join(timeout=timeout)
     try:
         conn.close()
     except OSError:
@@ -382,6 +386,7 @@ class _Ticket:
     timeout: Optional[float]
     attempt: int = 1
     on_event: Optional[EventSink] = None
+    on_start: Optional[Callable[[int], None]] = None
     seq: int = 0
 
 
@@ -410,9 +415,11 @@ class WorkerPool:
     ``submit`` returns a :class:`concurrent.futures.Future` resolving to
     the worker's payload dict (``{"status": ..., "result": ...}``) or
     failing with a typed :class:`PoolError`.  A dispatcher thread owns
-    all worker state; submitters only touch the queue under a lock, so
-    ``submit`` is safe from any thread (including an asyncio loop via
-    ``run_in_executor``-free call — it never blocks).
+    all worker state and resolves the futures, so their done-callbacks
+    run there and must not block.  Submitters only touch the queue
+    under a lock, so ``submit`` is safe from any thread (an asyncio
+    loop included — it never blocks).  Queued jobs reach workers in
+    submission order.
 
     ``heartbeat_s`` / ``hang_grace_s`` drive hang detection,
     ``default_timeout`` bounds jobs that do not carry their own.
@@ -461,11 +468,16 @@ class WorkerPool:
 
     def submit(self, job: Dict[str, Any], *, attempt: int = 1,
                timeout: Optional[float] = None,
-               on_event: Optional[EventSink] = None) -> Future:
+               on_event: Optional[EventSink] = None,
+               on_start: Optional[Callable[[int], None]] = None
+               ) -> Future:
         """Queue ``job`` for the next idle worker; never blocks.
 
         ``attempt`` (1-based) reaches the worker, where ``crash:<n>``
-        test hooks count it."""
+        test hooks count it.  ``on_start(attempt)`` runs on the
+        dispatcher thread just before the job is handed to a worker;
+        if it raises, the job never reaches one and the future fails
+        with that exception."""
         future: Future = Future()
         with self._lock:
             if self._closed:
@@ -473,7 +485,8 @@ class WorkerPool:
             ticket = _Ticket(job=job, future=future,
                              timeout=(self.default_timeout
                                       if timeout is None else timeout),
-                             attempt=attempt, on_event=on_event)
+                             attempt=attempt, on_event=on_event,
+                             on_start=on_start)
             self._queue.append(ticket)
         self._wake()
         return future
@@ -535,7 +548,8 @@ class WorkerPool:
             args=(child_conn, self.heartbeat_s, self.warm_limit),
             daemon=True)
         try:
-            process.start()
+            with FORK_LOCK:
+                process.start()
         except OSError:
             return None
         child_conn.close()
@@ -553,6 +567,14 @@ class WorkerPool:
                 if idle is None and not can_spawn:
                     return
                 ticket = self._queue.popleft()
+            if ticket.on_start is not None:
+                start, ticket.on_start = ticket.on_start, None
+                try:
+                    start(ticket.attempt)
+                except Exception as exc:  # noqa: BLE001 — submitter's call
+                    if not ticket.future.cancelled():
+                        ticket.future.set_exception(exc)
+                    continue
             if idle is not None and not idle.process.is_alive():
                 # An idle worker that died (external SIGKILL, OOM
                 # killer) is silently replaced — idleness means no job
@@ -609,13 +631,8 @@ class WorkerPool:
         with self._lock:
             if worker in self._pool:
                 self._pool.remove(worker)
-        if kill:
-            # SIGKILL, not SIGTERM: a forked worker still runs the
-            # signal handling of its parent (a dist node's SIGTERM
-            # handler, an asyncio loop's wakeup fd), so a catchable
-            # signal would stop the parent along with the job.
-            worker.process.kill()
-        reap_process(worker.process, worker.conn)
+        (kill_process if kill else reap_process)(worker.process,
+                                                 worker.conn)
         self.respawns += 1
         if ticket is not None and not ticket.future.cancelled():
             ticket.future.set_exception(error)

@@ -24,8 +24,8 @@ job reaches the same status, error text and record on every tier:
   seeded jittered linear backoff of :func:`retry_backoff` up to
   ``retries`` times, then degraded.  Crashes are the transient class
   (OOM kills, signals), so retrying is worth it; the jitter spreads
-  herd retries after a shared-cause crash.  A fault injected while an
-  attempt is handed to the pool (the ``on_dispatch`` callback, where
+  herd retries after a shared-cause crash.  A fault injected as an
+  attempt is handed to a worker (the ``on_dispatch`` callback, where
   serve's ``server.dispatch`` site fires) counts as a crash.
 * **worker exception** (job raised) — deterministic, so no retry: the
   job degrades when the function can still be built, otherwise it is
@@ -64,7 +64,7 @@ import functools
 import random
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor, as_completed
+from concurrent.futures import Future, ThreadPoolExecutor, as_completed
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -72,6 +72,7 @@ from repro import faults
 from repro.runtime import jobspec
 from repro.runtime.cache import ResultCache, cache_key
 from repro.runtime.pool import (
+    FORK_LOCK,
     EventSink,
     JobHung,
     JobTimeout,
@@ -203,9 +204,8 @@ def _result(job: Dict[str, Any], **fields: Any) -> JobResult:
                      flow=job["flow"], **fields)
 
 
-#: Fallbacks map in the parent, where engine runs share process-wide
-#: memo state; they run one at a time.
-_FALLBACK_LOCK = threading.Lock()
+#: Ladder fallbacks run here, off the pool's dispatcher thread.
+_FALLBACKS = ThreadPoolExecutor(1, thread_name_prefix="repro-fallback")
 
 
 def fallback(job: Dict[str, Any], reason: str, func: Any = None, *,
@@ -223,7 +223,9 @@ def fallback(job: Dict[str, Any], reason: str, func: Any = None, *,
         # Recovery must succeed even under chaos: the fallback walks
         # engine/BDD code where worker faults are armed, and a fault
         # here would turn a contained degrade into a parent crash.
-        with _FALLBACK_LOCK, faults.suppressed():
+        # Fallbacks share process-wide memo state, so they run one at
+        # a time, and never while a worker forks (see FORK_LOCK).
+        with FORK_LOCK, faults.suppressed():
             res.result = degraded_record(job, func=func)
         res.status = "degraded"
         res.degraded = True
@@ -240,57 +242,114 @@ def run_ladder(pool: WorkerPool, job: Dict[str, Any], *,
                backoff_s: float = 0.25,
                rng: Optional[random.Random] = None,
                on_dispatch: Optional[Callable[[int], None]] = None,
-               on_event: Optional[EventSink] = None) -> JobResult:
-    """Run ``job`` on ``pool`` until it settles (blocking).
+               on_event: Optional[EventSink] = None,
+               res: Optional[JobResult] = None) -> "Future[JobResult]":
+    """Start ``job`` on ``pool``; the future resolves to its settled row
+    (``res`` when given).  Never blocks: the pool's futures drive each
+    step on its dispatcher thread and a crash retry waits on a timer.
 
-    The one decision between retry and degrade for every tier (see the
-    module docstring).  ``on_dispatch(attempt)`` fires before each
-    hand-off to the pool; ``on_event`` receives the pool's ``dispatch``
-    and ``beat`` events and the ladder's ``retry`` events.  ``func`` is
-    the parent-built function the fallback maps (rebuilt from the job's
-    source when None).  ``rng`` is the backoff jitter stream.
+    ``on_dispatch(attempt)`` fires on the dispatcher thread just before
+    each attempt reaches a worker; a fault injected there counts as a
+    crash.  ``on_event`` receives the pool's ``dispatch`` and ``beat``
+    events and the ladder's ``retry`` events.  ``func`` is the
+    parent-built function the fallback maps (rebuilt from the source
+    when None) and ``rng`` the backoff jitter stream.
     """
-    rng = rng or random.Random(0)
-    res = _result(job, status="failed")
+    ladder = _Ladder(pool, job, func, timeout, retries, degrade,
+                     backoff_s, rng or random.Random(0), on_dispatch,
+                     on_event, res or _result(job, status="failed"))
+    ladder.submit(1)
+    return ladder.done
 
-    def sink(event: ProgressEvent) -> None:
+
+class _Ladder:
+    """One job's walk down the ladder.  Methods, not closures: closures
+    that call each other form a reference cycle, which would keep every
+    settled job's function and record alive until a full collection."""
+
+    def __init__(self, pool: WorkerPool, job: Dict[str, Any], func: Any,
+                 timeout: Optional[float], retries: int, degrade: bool,
+                 backoff_s: float, rng: random.Random,
+                 on_dispatch: Optional[Callable[[int], None]],
+                 on_event: Optional[EventSink], res: JobResult) -> None:
+        self.pool, self.job, self.func = pool, job, func
+        self.timeout, self.retries, self.degrade = timeout, retries, degrade
+        self.backoff_s, self.rng = backoff_s, rng
+        self.on_dispatch, self.on_event, self.res = on_dispatch, on_event, res
+        self.started = time.monotonic()
+        self.done: Future = Future()
+        # A running future cannot be cancelled, so a waiter that gives
+        # up (a cancelled serve flight) never races the ladder to it.
+        self.done.set_running_or_notify_cancel()
+
+    def sink(self, event: ProgressEvent) -> None:
         if event.kind == "beat":
-            res.beats = event.beats
-        emit_event(on_event, event)
+            self.res.beats = event.beats
+        emit_event(self.on_event, event)
 
-    attempt = 0
-    while True:
-        attempt += 1
-        res.beats = 0
-        started = time.monotonic()
+    def start(self, attempt: int) -> None:
+        self.started = time.monotonic()
+        self.res.beats = 0
+        if self.on_dispatch is not None:
+            self.on_dispatch(attempt)
+
+    def submit(self, attempt: int) -> None:
         try:
-            if on_dispatch is not None:
-                on_dispatch(attempt)
-            payload = pool.submit(job, attempt=attempt, timeout=timeout,
-                                  on_event=sink).result()
-            # A worker exception (or a verification mismatch) is
-            # deterministic: degrade, no retry.
-            reason = (None if payload.get("status") == "ok"
-                      else payload.get("error", "job failed"))
-        except (WorkerCrash, faults.FaultInjected, MemoryError) as exc:
-            if res.retries < retries:
-                res.retries += 1
-                sink(ProgressEvent(kind="retry", job_id=res.job_id,
-                                   attempt=attempt + 1, detail=str(exc)))
-                time.sleep(retry_backoff(res.retries, backoff_s, rng))
-                continue
-            reason = f"{exc}, retries exhausted"
-        except (JobTimeout, JobHung) as exc:
-            res.hung = isinstance(exc, JobHung)
-            reason = str(exc)
+            future = self.pool.submit(self.job, attempt=attempt,
+                                      timeout=self.timeout,
+                                      on_event=self.sink,
+                                      on_start=self.start)
         except PoolClosed:
-            res.error = "pool closed"
-            return res
-        res.exec_s = time.monotonic() - started
-        if reason is None:
-            res.status, res.result = "ok", payload["result"]
-            return res
-        return fallback(job, reason, func, degrade=degrade, res=res)
+            self.res.error = "pool closed"
+            self.done.set_result(self.res)
+            return
+        future.add_done_callback(functools.partial(self.settle, attempt))
+
+    def settle(self, attempt: int, future: Future) -> None:
+        res, error = self.res, future.exception()
+        try:
+            if error is None:
+                payload = future.result()
+                # A worker exception (or a verification mismatch) is
+                # deterministic: degrade, no retry.
+                reason = (None if payload.get("status") == "ok"
+                          else payload.get("error", "job failed"))
+            elif isinstance(error, (WorkerCrash, faults.FaultInjected,
+                                    MemoryError)):
+                if res.retries < self.retries:
+                    res.retries += 1
+                    self.sink(ProgressEvent(
+                        kind="retry", job_id=res.job_id,
+                        attempt=attempt + 1, detail=str(error)))
+                    timer = threading.Timer(
+                        retry_backoff(res.retries, self.backoff_s,
+                                      self.rng),
+                        self.submit, (attempt + 1,))
+                    timer.daemon = True
+                    timer.start()
+                    return
+                reason = f"{error}, retries exhausted"
+            elif isinstance(error, (JobTimeout, JobHung)):
+                res.hung = isinstance(error, JobHung)
+                reason = str(error)
+            elif isinstance(error, PoolClosed):
+                res.error = "pool closed"
+                self.done.set_result(res)
+                return
+            else:
+                raise error
+            res.exec_s = time.monotonic() - self.started
+            if reason is None:
+                res.status, res.result = "ok", payload["result"]
+                self.done.set_result(res)
+                return
+            _FALLBACKS.submit(
+                fallback, self.job, reason, self.func,
+                degrade=self.degrade, res=res).add_done_callback(
+                    lambda rung: self.done.set_result(rung.result()))
+        except BaseException as exc:  # noqa: BLE001 — never strand a waiter
+            if not self.done.done():
+                self.done.set_exception(exc)
 
 
 # ---------------------------------------------------------------------
@@ -369,10 +428,10 @@ class BatchScheduler:
             on_event: Optional[EventSink] = None) -> List[JobResult]:
         """Execute ``jobs``; results are in submission order.
 
-        ``on_dispatch(index, attempt)`` fires on the job's ladder thread
-        before each attempt is handed to the pool (the journal's start
-        record); ``on_result`` fires on the calling thread as each job
-        settles, out of submission order.  ``on_event`` receives the
+        ``on_dispatch(index, attempt)`` fires on the pool's dispatcher
+        thread just before each attempt reaches a worker (the journal's
+        start record); ``on_result`` fires on the calling thread as each
+        job settles, out of submission order.  ``on_event`` receives the
         full :class:`ProgressEvent` stream (``dispatch``, ``beat`` with
         the engine phase, ``retry``, ``result``) from the pool's and
         the ladders' threads — the same API the service tier streams to
@@ -396,25 +455,24 @@ class BatchScheduler:
             else:
                 todo.append((index, func, key))
         if todo:
+            # Every job queues on the pool at once; its ``workers``
+            # processes bound the attempts in flight, and a job in
+            # crash-retry backoff holds none of them.
             pool = self.open_pool()
-            threads = ThreadPoolExecutor(self.workers,
-                                         thread_name_prefix="repro-batch")
             settled = False
             try:
-                futures = {
-                    threads.submit(self._execute, pool, index, jobs[index],
-                                   func, started, on_dispatch,
-                                   on_event): key
+                ladders = {
+                    self._execute(pool, index, jobs[index], func, started,
+                                  on_dispatch, on_event): key
                     for index, func, key in todo}
-                for future in as_completed(futures):
-                    finish(future.result(), futures[future])
+                for ladder in as_completed(ladders):
+                    finish(ladder.result(), ladders[ladder])
                 settled = True
             finally:
                 # Every job settled: stop the idle workers.  Anything
                 # else (a callback raised, ^C): kill them.  Either way
                 # no worker outlives run().
                 pool.shutdown(drain=settled)
-                threads.shutdown(cancel_futures=True)
                 self.submemo_totals = dict(pool.submemo_totals)
         return [r for r in results if r is not None]
 
@@ -422,16 +480,16 @@ class BatchScheduler:
                 index: int = 0,
                 on_event: Optional[EventSink] = None) -> JobResult:
         """One job on the caller's ``pool`` through the per-job path of
-        :meth:`run`: cache lookup, the ladder, ``cache.put`` on ok and
-        the ``result`` event.  A dist node runs every shipped job
-        through this, so its rows are :class:`JobResult` rows by
+        :meth:`run` (blocking): cache lookup, the ladder, ``cache.put``
+        on ok and the ``result`` event.  A dist node runs every shipped
+        job through this, so its rows are :class:`JobResult` rows by
         construction.  The cache must be safe to share between threads
         when callers run jobs concurrently."""
         started = time.monotonic()
         res, func, key = self._prepare(index, job)
         if res is None:
             res = self._execute(pool, index, job, func, started, None,
-                                on_event)
+                                on_event).result()
         return self._settle(res, key, on_event)
 
     # -- per-job steps --------------------------------------------------
@@ -464,22 +522,27 @@ class BatchScheduler:
     def _execute(self, pool: WorkerPool, index: int, job: Dict[str, Any],
                  func: Any, started: float,
                  on_dispatch: Optional[Callable[[int, int], None]],
-                 on_event: Optional[EventSink]) -> JobResult:
-        """The ladder for one job; events carry the job's index."""
+                 on_event: Optional[EventSink]) -> "Future[JobResult]":
+        """Start the ladder for one job; its events carry the job's
+        index and its row the wait from ``started`` to the first
+        hand-off to a worker."""
+        res = _result(job, status="failed", index=index)
+
         def sink(event: ProgressEvent) -> None:
             event.index = index
             emit_event(on_event, event)
 
-        queue_wait_s = time.monotonic() - started
-        res = run_ladder(
+        def start(attempt: int) -> None:
+            if attempt == 1:
+                res.queue_wait_s = time.monotonic() - started
+            if on_dispatch is not None:
+                on_dispatch(index, attempt)
+
+        return run_ladder(
             pool, job, func=func, timeout=self.timeout,
             retries=self.retries, degrade=self.degrade,
             backoff_s=self.retry_backoff_s, rng=self._rng,
-            on_dispatch=(None if on_dispatch is None
-                         else functools.partial(on_dispatch, index)),
-            on_event=sink)
-        res.index, res.queue_wait_s = index, queue_wait_s
-        return res
+            on_dispatch=start, on_event=sink, res=res)
 
     def _settle(self, res: JobResult, key: Optional[str],
                 on_event: Optional[EventSink]) -> JobResult:

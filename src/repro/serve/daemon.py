@@ -68,28 +68,39 @@ class _InheritedFdGuard:
     port bound after shutdown).  The daemon tracks its socket FDs here;
     :func:`multiprocessing.util.register_after_fork` closes the
     snapshot in every forked child before it starts working.
+
+    The child closes an FD only while it still names the tracked socket
+    (device, inode): a number can outlive its socket (a stopped daemon's
+    listener) and be reused by the new worker's own pipe.
     """
 
     def __init__(self) -> None:
-        self.fds: "set[int]" = set()
+        self.fds: Dict[int, Tuple[int, int]] = {}
         register_after_fork(self, _InheritedFdGuard._close_in_child)
+
+    def add(self, fd: int) -> Optional[int]:
+        try:
+            stat = os.fstat(fd)
+        except OSError:
+            return None
+        self.fds[fd] = (stat.st_dev, stat.st_ino)
+        return fd
 
     def track(self, writer: asyncio.StreamWriter) -> Optional[int]:
         sock = writer.get_extra_info("socket")
         fd = sock.fileno() if sock is not None else -1
-        if fd >= 0:
-            self.fds.add(fd)
-            return fd
-        return None
+        return self.add(fd) if fd >= 0 else None
 
     def untrack(self, fd: Optional[int]) -> None:
         if fd is not None:
-            self.fds.discard(fd)
+            self.fds.pop(fd, None)
 
     def _close_in_child(self) -> None:
-        for fd in list(self.fds):
+        for fd, identity in list(self.fds.items()):
             try:
-                os.close(fd)
+                stat = os.fstat(fd)
+                if (stat.st_dev, stat.st_ino) == identity:
+                    os.close(fd)
             except OSError:
                 pass
         self.fds.clear()
@@ -155,7 +166,7 @@ class ServeDaemon:
             servers.append(http)
         for server in servers:
             for sock in server.sockets:
-                self._fd_guard.fds.add(sock.fileno())
+                self._fd_guard.add(sock.fileno())
         for signum in (signal.SIGTERM, signal.SIGINT):
             try:
                 self._loop.add_signal_handler(signum, self._stop.set)

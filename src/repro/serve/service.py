@@ -16,8 +16,8 @@ Request lifecycle (on the daemon's event loop unless noted)::
       └─ admission control     -> queue full: shed to the verified
       │                           trivial mapping, or reject "overloaded"
       └─ FairQueue.push        -> _pump flies when a pool slot frees
-            └─ _fly: run_ladder on a flight thread (pool.submit, crash
-               retries w/ seeded backoff, timeout/hang -> degrade),
+            └─ _fly: await run_ladder (pool.submit, crash retries
+               w/ seeded backoff, timeout/hang -> degrade),
                cache.put on ok, broadcast
 
 The failure ladder is the batch tier's own
@@ -25,12 +25,13 @@ The failure ladder is the batch tier's own
 degraded, timeout/hang/exception degraded without retry, the same
 seeded jittered backoff and error texts — so a request served by the
 daemon settles to the same status, error and record a batch row gets,
-bit for bit (the unit of determinism is the job, not the process).
+bit for bit (the unit of determinism is the job, not the process).  The
+ladder never blocks, so the loop awaits its future directly.
 
-The ``server.dispatch`` fault site fires before each hand-off to the
-pool; an injected raise there is contained as if the worker had
-crashed (retry, then degrade) — chaos at the dispatch boundary must
-never take the daemon down.
+The ``server.dispatch`` fault site fires as the pool hands each
+attempt to a worker; an injected raise there is contained as if the
+worker had crashed (retry, then degrade) — chaos at the dispatch
+boundary must never take the daemon down.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ import asyncio
 import functools
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -131,10 +131,6 @@ class DecompositionService:
         self.retry_backoff_s = retry_backoff_s
         #: Crash-retry jitter stream (seeded, as in the batch tier).
         self._rng = random.Random(0)
-        #: Flights block in the ladder; one thread per pool worker keeps
-        #: them off the shared executor the parent-side builds use.
-        self._ladders = ThreadPoolExecutor(
-            self.pool.workers, thread_name_prefix="repro-serve-flight")
         self._inflight: Dict[str, _Flight] = {}
         self._busy = 0
         self._draining = False
@@ -268,7 +264,7 @@ class DecompositionService:
         request = flight.subscribers[0].request
 
         def sink(event: ProgressEvent) -> None:
-            # Pool dispatcher / flight thread -> event loop marshalling.
+            # Pool dispatcher thread -> event loop marshalling.
             loop.call_soon_threadsafe(flight.on_pool_event, event)
 
         def dispatch_site(attempt: int) -> None:
@@ -281,15 +277,14 @@ class DecompositionService:
             # Warm-memo key: ship the wire dump so repeat sources reuse
             # an already-built function (and its hot BDD manager).
             job.setdefault("wire", flight.func.to_wire())
-            res = await loop.run_in_executor(
-                self._ladders, functools.partial(
-                    run_ladder, self.pool, job, func=flight.func,
-                    timeout=(self.timeout if request.timeout is None
-                             else request.timeout),
-                    retries=(self.retries if request.retries is None
-                             else request.retries),
-                    backoff_s=self.retry_backoff_s, rng=self._rng,
-                    on_dispatch=dispatch_site, on_event=sink))
+            res = await asyncio.wrap_future(run_ladder(
+                self.pool, job, func=flight.func,
+                timeout=(self.timeout if request.timeout is None
+                         else request.timeout),
+                retries=(self.retries if request.retries is None
+                         else request.retries),
+                backoff_s=self.retry_backoff_s, rng=self._rng,
+                on_dispatch=dispatch_site, on_event=sink))
             self.counters["retries"] += res.retries
             if res.status == "ok" and self.cache is not None:
                 self.cache.put(flight.key, res.result)
@@ -358,8 +353,6 @@ class DecompositionService:
         loop = asyncio.get_running_loop()
         await loop.run_in_executor(
             None, lambda: self.pool.shutdown(drain=False, timeout=5.0))
-        # Flight threads still in the ladder now see PoolClosed.
-        self._ladders.shutdown(wait=False, cancel_futures=True)
         # Wake any stranded waiters (queued flights never dispatched).
         while True:
             flight = self.queue.pop()

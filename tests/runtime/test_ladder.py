@@ -8,6 +8,7 @@ must reuse its pool's workers instead of forking one process per job.
 """
 
 import asyncio
+import gc
 import multiprocessing
 import sys
 import threading
@@ -16,7 +17,13 @@ import pytest
 
 from repro.dist.coordinator import DistCoordinator
 from repro.dist.node import NodeServer
-from repro.runtime import BatchScheduler, make_job, source_from_name
+from repro.boolfunc.spec import MultiFunction
+from repro.runtime import (
+    BatchScheduler,
+    ResultCache,
+    make_job,
+    source_from_name,
+)
 from repro.serve import DecompositionService
 from repro.serve.protocol import parse_request
 
@@ -100,10 +107,11 @@ class TestOneLadderAcrossTiers:
             assert batch["error"] == f"timeout after {TIMEOUT:.1f}s"
 
 
-class TestLadderThreads:
+class TestConcurrentLadders:
     def test_more_ladders_than_cores_settle_every_job(self):
-        # Four ladder threads share one pool, one jitter stream and the
-        # result list; a lost update or a crossed row would show here.
+        # Twelve ladders share one four-worker pool, one jitter stream
+        # and the result list; a lost update or a crossed row would
+        # show here.
         previous = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
@@ -127,6 +135,69 @@ class TestLadderThreads:
         finals = [e.index for e in events if e.kind == "result"]
         assert sorted(finals) == list(range(len(jobs)))
         assert multiprocessing.active_children() == []
+
+
+    def test_crash_backoff_leaves_the_worker_to_other_jobs(self):
+        # One worker, a crash retry waiting out a >= 0.5 s backoff: the
+        # clean job queued behind it runs during the backoff instead of
+        # after the retry.
+        events = []
+        jobs = [make_job(source_from_name("rd53"), test_hook="crash:1",
+                         job_id="crashes"),
+                make_job(source_from_name("xor5"), job_id="clean")]
+        results = BatchScheduler(workers=1, retries=1,
+                                 retry_backoff_s=1.0,
+                                 heartbeat_s=None).run(
+            jobs, on_event=events.append)
+        assert [(r.status, r.retries) for r in results] == [("ok", 1),
+                                                             ("ok", 0)]
+        order = [(e.kind, e.job_id, e.attempt) for e in events
+                 if e.kind in ("dispatch", "result")]
+        assert order.index(("result", "clean", 1)) \
+            < order.index(("dispatch", "crashes", 2))
+
+    def test_settled_jobs_free_their_functions_without_a_collection(
+            self, tmp_path):
+        # Ladder state must form no reference cycle: the functions a
+        # batch built parent-side (BDD managers and all) go when run()
+        # returns, not at the next full garbage collection.
+        def built():
+            return sum(isinstance(o, MultiFunction) for o in gc.get_objects())
+
+        gc.collect()
+        gc.disable()
+        try:
+            before = built()
+            jobs = [make_job(source_from_name(name))
+                    for name in ("rd53", "xor5", "majority")]
+            results = BatchScheduler(
+                workers=2, cache=ResultCache(str(tmp_path))).run(jobs)
+            assert [r.status for r in results] == ["ok"] * 3
+            del results, jobs
+            after = built()
+        finally:
+            gc.enable()
+        assert after == before
+
+
+class TestForkSafety:
+    def test_fallback_never_overlaps_a_fork(self, monkeypatch):
+        # A worker forked while a parent thread imports a module
+        # inherits that import lock and hangs on its own first import
+        # of the module; the fallback imports lazily, so it holds the
+        # pool's fork lock.
+        from repro.runtime import scheduler
+        from repro.runtime.pool import FORK_LOCK
+
+        held = []
+
+        def record(job, func=None):
+            held.append(FORK_LOCK.locked())
+            return {"lut_count": 1}
+
+        monkeypatch.setattr(scheduler, "degraded_record", record)
+        res = scheduler.fallback(_job(None), "why")
+        assert (res.status, res.error, held) == ("degraded", "why", [True])
 
 
 class TestWorkerReuse:

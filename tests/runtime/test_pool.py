@@ -141,11 +141,13 @@ class TestWorkerPool:
             pool.shutdown()
         assert multiprocessing.active_children() == []
 
-    def test_timeout_kill_never_runs_inherited_signal_handlers(
-            self, tmp_path):
+    @pytest.mark.parametrize("path", ["timeout", "abort"])
+    def test_kills_never_run_inherited_signal_handlers(self, tmp_path,
+                                                       path):
         # A forked worker inherits its parent's SIGTERM handler (a dist
         # node's closes the node's listening socket); killing a
-        # timed-out job must not run it.
+        # timed-out job, or every worker on an aborting shutdown, must
+        # not run it.
         marker = tmp_path / "handler-ran"
 
         def handler(signum, frame):
@@ -156,16 +158,49 @@ class TestWorkerPool:
         try:
             pool = WorkerPool(1, heartbeat_s=0.1)
             try:
-                future = pool.submit(_job("rd53", test_hook="hang:60"),
-                                     timeout=0.5)
-                with pytest.raises(JobTimeout):
-                    future.result(timeout=120)
+                if path == "timeout":
+                    future = pool.submit(
+                        _job("rd53", test_hook="hang:60"), timeout=0.5)
+                    with pytest.raises(JobTimeout):
+                        future.result(timeout=120)
+                else:
+                    future = pool.submit(_job("rd53", test_hook="hang:60"))
+                    deadline = time.monotonic() + 60
+                    while pool.stats()["busy"] < 1:
+                        assert time.monotonic() < deadline
+                        time.sleep(0.02)
+                    pool.shutdown(drain=False)
+                    with pytest.raises(PoolClosed):
+                        future.result(timeout=10)
             finally:
                 pool.shutdown()
         finally:
             signal.signal(signal.SIGTERM, previous)
         assert not marker.exists()
         assert multiprocessing.active_children() == []
+
+    def test_start_hook_runs_before_the_hand_off_and_can_veto_it(self):
+        # on_start fires on the dispatcher just before a worker gets the
+        # attempt; a raise there fails the attempt with that exception
+        # and no worker ever sees it.
+        seen = []
+
+        def veto(attempt):
+            seen.append(attempt)
+            raise MemoryError("no room")
+
+        pool = WorkerPool(1, heartbeat_s=None)
+        try:
+            with pytest.raises(MemoryError):
+                pool.submit(_job("rd53"), attempt=2,
+                            on_start=veto).result(timeout=60)
+            assert pool.stats()["dispatched"] == 0
+            ok = pool.submit(_job("rd53"),
+                             on_start=seen.append).result(timeout=120)
+        finally:
+            pool.shutdown()
+        assert ok["status"] == "ok"
+        assert seen == [2, 1]
 
     def test_events_stream_from_pool_jobs(self):
         events = []

@@ -252,3 +252,30 @@ class TestGracefulDrain:
         finally:
             harness.service._draining = False
             harness.stop()
+
+
+class TestInheritedFdGuard:
+    def test_child_closes_only_fds_that_still_name_their_socket(self):
+        # A tracked number whose socket closed (a stopped daemon's
+        # listener) can be reused by the next worker's own pipe; the
+        # after-fork close must leave that pipe open.
+        from repro.serve.daemon import _InheritedFdGuard
+
+        guard = _InheritedFdGuard()
+        live, stale = socket.socketpair()
+        number = stale.fileno()
+        guard.add(live.fileno())
+        guard.add(number)
+        stale.close()
+        read_fd, write_fd = os.pipe()
+        if number not in (read_fd, write_fd):
+            os.dup2(read_fd, number)  # the number now names a pipe
+        try:
+            guard._close_in_child()
+            os.fstat(number)  # the pipe survived
+            with pytest.raises(OSError):
+                os.fstat(live.fileno())  # the live socket was closed
+        finally:
+            for fd in {read_fd, write_fd, number}:
+                os.close(fd)
+            live.detach()
