@@ -27,7 +27,7 @@ Usage:
 
     PYTHONPATH=src python benchmarks/bench_hotpaths.py
     PYTHONPATH=src python benchmarks/bench_hotpaths.py \
-        --seeds 1 2 --check-speedup 1.0 --check-nvars 10 16 20 \
+        --seeds 1 2 --check-speedup 1.0 --check-nvars 10 16 \
         --check-dsd --check-submemo --check-dist
 
 ``--check-speedup X`` exits non-zero if any case at a width listed in
@@ -73,20 +73,15 @@ from repro.kernel import reset_kernel_stats  # noqa: E402
 from repro.symmetry.groups import assign_for_symmetry  # noqa: E402
 
 SCHEMA_VERSION = 1
+#: Widths up to the kernel cap (:data:`repro.kernel.MAX_VARS`); past it
+#: both sides would time the same BDD path.
 NVARS = (10, 14, 16)
-#: Widths past the bignum tier: cube-built dense-BDD ISFs (a dense
-#: random truth table is not constructible at 2**18+ entries, and a
-#: *sparse* one would be declined by the cost model — correctly, since
-#: the BDD path wins there).
-WIDE_NVARS = (18, 20, 22)
-#: Widths where the bound-set search ops run both ways; at wide widths
-#: a pure-BDD greedy search takes minutes per case, which is the point
-#: of the kernel but too slow for a smoke benchmark.
+#: Widths where the bound-set search ops run both ways; at 16 variables
+#: a pure-BDD greedy search is the point of the kernel but too slow for
+#: a smoke benchmark.
 SEARCH_NVARS = (10, 14)
 DC_DENSITY = 0.3
 REPEATS = 3
-WIDE_REPEATS = 1
-WIDE_CUBES = 60
 
 
 def calibrate() -> float:
@@ -116,35 +111,18 @@ def random_isf(bdd, rng, variables):
                       bdd.from_truth_table(hi_bits, variables))
 
 
-def wide_isf(bdd, rng, variables):
-    """A wide ISF with a *large* BDD (cube union), so the cost model
-    serves it at tier 2 — the workload the tier exists for."""
-    lo = BDD.FALSE
-    for _ in range(WIDE_CUBES):
-        cube_vars = rng.sample(variables, rng.randint(6, 10))
-        lo = bdd.apply_or(
-            lo, bdd.cube({v: rng.randint(0, 1) for v in cube_vars}))
-    dc = BDD.FALSE
-    for _ in range(WIDE_CUBES // 6):
-        cube_vars = rng.sample(variables, rng.randint(6, 10))
-        dc = bdd.apply_or(
-            dc, bdd.cube({v: rng.randint(0, 1) for v in cube_vars}))
-    return ISF.create(bdd, lo, bdd.apply_or(lo, dc))
-
-
 def make_case(seed: int, nvars: int):
     rng = random.Random(seed * 1000 + nvars)
     bdd = BDD(nvars)
     variables = list(range(nvars))
-    build = wide_isf if nvars > max(NVARS) else random_isf
-    outputs = [build(bdd, rng, variables) for _ in range(2)]
+    outputs = [random_isf(bdd, rng, variables) for _ in range(2)]
     bound = tuple(rng.sample(variables, 4))
     return bdd, outputs, variables, bound
 
 
-def time_op(fn, repeats=REPEATS) -> float:
+def time_op(fn) -> float:
     best = math.inf
-    for _ in range(repeats):
+    for _ in range(REPEATS):
         t0 = time.perf_counter()
         fn()
         best = min(best, time.perf_counter() - t0)
@@ -164,14 +142,13 @@ def run_case(seed: int, nvars: int):
             bdd, outputs, variables, 4)
         ops["rank_bound_sets"] = lambda: rank_bound_sets(
             bdd, outputs, variables, 4)
-    repeats = WIDE_REPEATS if nvars > max(NVARS) else REPEATS
     rows = []
     for op, fn in ops.items():
         os.environ["REPRO_KERNEL"] = "off"
-        bdd_s = time_op(fn, repeats)
+        bdd_s = time_op(fn)
         os.environ["REPRO_KERNEL"] = "on"
         reset_kernel_stats()
-        kernel_s = time_op(fn, repeats)
+        kernel_s = time_op(fn)
         rows.append({
             "op": op,
             "nvars": nvars,
@@ -505,7 +482,7 @@ def main(argv=None) -> int:
     calibration_s = calibrate()
     cases = []
     for seed in args.seeds:
-        for nvars in NVARS + WIDE_NVARS:
+        for nvars in NVARS:
             rows = run_case(seed, nvars)
             cases.extend(rows)
             for row in rows:
@@ -527,7 +504,7 @@ def main(argv=None) -> int:
 
     by_nvars = {
         str(n): geomean([r["speedup"] for r in cases if r["nvars"] == n])
-        for n in NVARS + WIDE_NVARS
+        for n in NVARS
     }
     doc = {
         "schema_version": SCHEMA_VERSION,
@@ -549,7 +526,7 @@ def main(argv=None) -> int:
           f"{doc['summary']['geomean_speedup']:.2f}x -> {args.out}")
 
     if args.check_speedup is not None:
-        # Below the bignum crossover (16 vars) only symmetry_assign is
+        # Below the symmetry crossover (16 vars) only symmetry_assign is
         # gated: the density rule keeps the kernel off unless the joint
         # BDD is dense enough to win, so >=1.0x is a promise there —
         # while the search ops at small widths legitimately hover

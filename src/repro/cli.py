@@ -851,11 +851,6 @@ def main(argv: Optional[list] = None) -> int:
                            help="disable the word-parallel truth-table "
                                 "kernel (pure-BDD hot paths; same as "
                                 "REPRO_KERNEL=off)")
-            p.add_argument("--kernel-max-vars", type=int, metavar="N",
-                           help="serve kernel ops up to N live support "
-                                "variables (default 24: bignum tier to "
-                                "16, numpy word-array tier above; same "
-                                "as REPRO_KERNEL_MAX_VARS=N)")
             p.add_argument("--profile", action="store_true",
                            help="print the phase/BDD-counter profile")
             p.add_argument("--metrics-out", metavar="FILE",
@@ -1141,12 +1136,6 @@ def main(argv: Optional[list] = None) -> int:
         os.environ["REPRO_DSD"] = "off"
     if getattr(args, "no_kernel", False):
         os.environ["REPRO_KERNEL"] = "off"
-    if getattr(args, "kernel_max_vars", None) is not None:
-        if args.kernel_max_vars < 0:
-            raise SystemExit(
-                "--kernel-max-vars must be >= 0 "
-                f"(got {args.kernel_max_vars})")
-        os.environ["REPRO_KERNEL_MAX_VARS"] = str(args.kernel_max_vars)
     if getattr(args, "inject", None):
         from repro import faults
         try:

@@ -126,7 +126,7 @@ class BddDsdOps:
 
     Check-for-check the same decision sequence as
     :class:`repro.kernel.dsd.MaskDsdOps`; used when the kernel is off or
-    the support exceeds its tiers.
+    the support exceeds its cap.
     """
 
     domain = "bdd"
@@ -258,11 +258,11 @@ def _probe(ops, h, n_lut: int, counters: Dict[str, int]):
 
 def shatter(bdd: BDD, isf: ISF, n_lut: int,
             counters: Dict[str, int]):
-    """Probe one ISF, kernel-served when the support fits a tier.
+    """Probe one ISF, kernel-served when the support fits the kernel.
 
     Returns a plan tree or ``None``.  Kernel-served probes are timed
     under the ``dsd_probe`` op in the kernel stats; when the kernel
-    declines (off, too wide, cost model) the probe runs the identical
+    declines (off or too wide) the probe runs the identical
     decision sequence over BDD restricts.
     """
     _bump(counters, "probes")
@@ -272,8 +272,7 @@ def shatter(bdd: BDD, isf: ISF, n_lut: int,
         ops, handle = domain
         start = perf_counter()
         plan = _probe(ops, handle, n_lut, counters)
-        KERNEL_STATS.record_hit("dsd_probe", perf_counter() - start,
-                                ops.tier)
+        KERNEL_STATS.record_hit("dsd_probe", perf_counter() - start)
         return plan
     return _probe(BddDsdOps(bdd), isf, n_lut, counters)
 

@@ -1290,7 +1290,7 @@ class DecompositionEngine:
                 merged.append([var])
         if ops.domain == "kernel":
             KERNEL_STATS.record_hit("symmetry_groups",
-                                    time.perf_counter() - start, ops.tier)
+                                    time.perf_counter() - start)
         return merged
 
     def _find_step(self, bdd: BDD, outputs: List[ISF],

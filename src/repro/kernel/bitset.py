@@ -11,9 +11,11 @@ Two packed flavours are used:
 * ``numpy`` word arrays (:func:`pack_bools` / :func:`pack_rows`) for the
   bulk slicing the cofactor extraction does;
 * arbitrary-precision *mask integers* (:func:`mask_rows` /
-  :func:`mask_to_bools`) for the per-vertex ``(lo, hi)`` interval
-  algebra of the clique cover, where CPython's C-level bignum AND/OR
-  beats per-call numpy overhead on the tiny tables involved.
+  :func:`mask_to_bools` / :func:`split_int`) — the kernel's mask form —
+  for the per-vertex ``(lo, hi)`` interval algebra of the clique cover,
+  the symmetry predicates and the DSD splits, where CPython's C-level
+  bignum AND/OR beats per-call numpy overhead on the tiny tables
+  involved.
 
 :class:`Bits` wraps the word-array form with set-algebra operators for
 tests and benchmarks.
@@ -89,6 +91,28 @@ def mask_to_bools(mask: int, nbits: int) -> np.ndarray:
     nbytes = max(1, (nbits + 7) >> 3)
     raw = np.frombuffer(mask.to_bytes(nbytes, "little"), dtype=np.uint8)
     return np.unpackbits(raw, bitorder="little")[:nbits].astype(bool)
+
+
+def split_int(mask: int, nbits: int, stride: int) -> tuple:
+    """Cofactor halves of a packed table along one variable axis.
+
+    ``stride`` is the variable's bit stride in the table (``2**k`` for
+    the ``k``-th axis from the right, MSB-first layout): entries come in
+    alternating blocks of ``stride`` bits with the variable 0 then 1.
+    Returns ``(mask0, mask1)``, each compacted to ``nbits // 2`` —
+    exactly the tables a fresh extraction over the reduced variable
+    tuple would produce.
+    """
+    # Round-trip through numpy: gathering alternating stride-blocks of a
+    # bignum has no O(n) pure-Python form, and the tables are tiny
+    # (<= 2**16 bits), so pack/unpack cost is negligible.
+    nbytes = max(1, (nbits + 7) >> 3)
+    raw = np.frombuffer(mask.to_bytes(nbytes, "little"), dtype=np.uint8)
+    arr = np.unpackbits(raw, bitorder="little")[:nbits].reshape(-1, 2, stride)
+    lo = np.packbits(arr[:, 0, :].reshape(-1), bitorder="little")
+    hi = np.packbits(arr[:, 1, :].reshape(-1), bitorder="little")
+    return (int.from_bytes(lo.tobytes(), "little"),
+            int.from_bytes(hi.tobytes(), "little"))
 
 
 class Bits:

@@ -22,8 +22,8 @@ output.  A wide multi-output bundle whose union support is far past
 the cap is therefore served as long as every single output fits.
 
 Every entry point returns ``None`` when the kernel is disabled or the
-widest output's domain exceeds :func:`repro.kernel.kernel_max_vars`;
-callers then take the BDD path (and the miss is counted).
+widest output's domain exceeds :data:`repro.kernel.MAX_VARS`; callers
+then take the BDD path (and the miss is counted).
 """
 
 from __future__ import annotations
@@ -33,24 +33,13 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.boolfunc.spec import ISF
 from repro.faults import fault_point
-from repro.kernel import (
-    AVAILABLE,
-    DEFAULT_COST_FACTOR,
-    MISS_COST_MODEL,
-    MISS_MISMATCH,
-    MISS_TOO_WIDE,
-    STATS,
-    kernel_cost_model,
-    kernel_enabled,
-    tier_for,
-)
+from repro.kernel import AVAILABLE, MISS_MISMATCH, STATS, fits, kernel_enabled
 from repro.obs.profiler import profile_phase
 
 if AVAILABLE:
     import numpy as np
 
-    from repro.kernel.bitset import mask_rows, mask_to_bools, pack_rows
-    from repro.kernel.bitset2 import words_rows
+    from repro.kernel.bitset import mask_rows, mask_to_bools
     from repro.kernel.convert import (
         TableMismatchError,
         _conversion_cache,
@@ -60,8 +49,6 @@ if AVAILABLE:
     )
 
 #: A vertex's cofactor vector: ``[(lo_mask, hi_mask)] * outputs``.
-#: Masks are bignums (tier 1) or :class:`repro.kernel.bitset2.Words`
-#: (tier 2); both carry the operator set the cover relies on.
 MaskVector = List[Tuple[int, int]]
 
 #: Deferred mask->ISF conversion of the merged class intervals.
@@ -70,37 +57,6 @@ MergedThunk = Callable[[], List[List[ISF]]]
 #: Per-output table domains: ``domains[k]`` is the sorted variable
 #: tuple output ``k``'s tables range over.
 Domains = Tuple[Tuple[int, ...], ...]
-
-
-def tier2_profitable(bdd, outputs: Sequence[ISF], num_live: int,
-                     widths: Optional[Sequence[int]] = None) -> bool:
-    """Should a tier-2-wide call actually go word-parallel?
-
-    BDD-path cost scales with the operands' node counts; table cost
-    scales with ``2**num_live`` regardless of sparsity.  Wide-but-sparse
-    functions (small BDDs) therefore stay on the BDD path — serving them
-    densely would be orders of magnitude *slower* — while wide dense
-    functions (the 16-var cliff the benchmarks show) go tier 2.
-    ``widths[i]``, when given, is the table width of ``outputs[i]``
-    (per-output domains); by default every table spans ``num_live``.
-    ``REPRO_KERNEL_COST_MODEL=off`` always serves (test lever).
-    """
-    if not kernel_cost_model():
-        return True
-    roots = set()
-    for isf in outputs:
-        roots.add(isf.lo)
-        roots.add(isf.hi)
-    cache = _conversion_cache(bdd)
-    key = ("nodes", tuple(sorted(roots)))
-    nodes = cache.get(key)
-    if nodes is None:
-        nodes = bdd.node_count(*roots)
-        cache_put(cache, key, nodes)
-    if widths is None:
-        widths = [num_live] * max(1, len(outputs))
-    words = sum(1 << max(0, width - 6) for width in widths)
-    return nodes * DEFAULT_COST_FACTOR >= words
 
 
 def _isf_support(bdd, isf: ISF) -> set:
@@ -113,51 +69,32 @@ def _isf_support(bdd, isf: ISF) -> set:
 def _fit_variables(bdd, outputs: Sequence[ISF], bound: Sequence[int],
                    op: str,
                    columns: Optional[Sequence[Sequence[ISF]]] = None
-                   ) -> Optional[Tuple[Domains, int]]:
-    """``(domains, tier)`` for the call, or ``None`` (miss counted)
-    when the kernel is off, the widest domain is too wide, or a tier-2
-    width is predicted cheaper on the BDD path.
+                   ) -> Optional[Domains]:
+    """The per-output table domains of the call, or ``None`` (miss
+    counted) when the kernel is off or the widest domain is too wide.
 
     ``domains[k]`` is output ``k``'s own table domain: the sorted live
     support of the output (and of ``columns[k]``, ISFs the call builds
     over the same table) plus ``bound``, which :func:`_vertex_masks`
-    slices.  The tier comes from the widest domain and the cost model
-    from the tables actually built, one per ISF at its domain's width.
+    slices.
     """
     if not kernel_enabled():
         return None
     domains = []
-    isfs: List[ISF] = []
-    widths: List[int] = []
     for k, isf in enumerate(outputs):
         group = [isf] if columns is None else [isf, *columns[k]]
         live = set(bound)
         for member in group:
             live |= _isf_support(bdd, member)
         domains.append(tuple(sorted(live)))
-        isfs.extend(group)
-        widths.extend([len(live)] * len(group))
-    widest = max(widths, default=len(bound))
-    tier = tier_for(widest)
-    if tier == 0:
-        STATS.record_miss(op, MISS_TOO_WIDE)
-        return None
-    if tier == 2 and not tier2_profitable(bdd, isfs, widest, widths):
-        STATS.record_miss(op, MISS_COST_MODEL)
+    if not fits(op, max(map(len, domains), default=len(bound))):
         return None
     fault_point("kernel.dispatch")  # chaos site: armed kernel hand-off
-    return tuple(domains), tier
-
-
-def _as_bools(mask, nbits: int):
-    """Boolean table of a tier-1 bignum or tier-2 ``Words`` mask."""
-    if isinstance(mask, int):
-        return mask_to_bools(mask, nbits)
-    return mask.to_bools()
+    return tuple(domains)
 
 
 def _vertex_masks(bdd, outputs: Sequence[ISF], bound: Sequence[int],
-                  domains: Domains, tier: int) -> List[MaskVector]:
+                  domains: Domains) -> List[MaskVector]:
     """Per-vertex cofactor mask vectors, vertex order = ``vertex_bits``.
 
     Row ``v`` of output ``k``'s table over ``domains[k]``, sliced at the
@@ -171,9 +108,9 @@ def _vertex_masks(bdd, outputs: Sequence[ISF], bound: Sequence[int],
     cache = _conversion_cache(bdd)
 
     def rows(node: int, table_vars: Tuple[int, ...]) -> list:
-        # Keyed alongside the bdd_to_bools entries (5-tuples vs their
+        # Keyed alongside the bdd_to_bools entries (4-tuples vs their
         # 2-tuples); re-scored bound sets reuse the packed rows.
-        key = ("rows", node, table_vars, bound_t, tier)
+        key = ("rows", node, table_vars, bound_t)
         hit = cache.get(key)
         if hit is not None:
             return hit
@@ -181,14 +118,8 @@ def _vertex_masks(bdd, outputs: Sequence[ISF], bound: Sequence[int],
         positions = [table_vars.index(b) for b in bound_t]
         arr = bdd_to_bools(bdd, node, table_vars).reshape((2,) * nvars)
         flat = np.moveaxis(arr, positions, range(p)).reshape(1 << p, -1)
-        if tier == 1:
-            packed = mask_rows(flat)
-            nbytes = (1 << p) * max(1, flat.shape[1] >> 3)
-        else:
-            matrix = pack_rows(flat)
-            packed = words_rows(matrix, flat.shape[1])
-            nbytes = matrix.nbytes
-        cache_put(cache, key, packed, nbytes)
+        packed = mask_rows(flat)
+        cache_put(cache, key, packed)
         return packed
 
     per_output: List[Tuple[List[int], List[int]]] = []
@@ -339,14 +270,13 @@ def kernel_classes_for(bdd, outputs: Sequence[ISF], bound: Sequence[int]
     few callers that narrow or encode pay for it exactly once (see
     :class:`repro.decomp.compat.LazyClasses`).
     """
-    fit = _fit_variables(bdd, outputs, bound, "classes_for")
-    if fit is None:
+    domains = _fit_variables(bdd, outputs, bound, "classes_for")
+    if domains is None:
         return None
-    domains, tier = fit
     start = perf_counter()
     try:
         with profile_phase("cofactors"):
-            vectors = _vertex_masks(bdd, outputs, bound, domains, tier)
+            vectors = _vertex_masks(bdd, outputs, bound, domains)
         with profile_phase("clique_cover"):
             classes, class_of, merged_masks = _cover(vectors)
     except TableMismatchError:
@@ -354,7 +284,7 @@ def kernel_classes_for(bdd, outputs: Sequence[ISF], bound: Sequence[int]
         # route instead of crashing the run.
         STATS.record_miss("classes_for", MISS_MISMATCH)
         return None
-    STATS.record_hit("classes_for", perf_counter() - start, tier)
+    STATS.record_hit("classes_for", perf_counter() - start)
     bound_set = set(bound)
     frees = [[v for v in domain if v not in bound_set]
              for domain in domains]
@@ -370,12 +300,13 @@ def kernel_classes_for(bdd, outputs: Sequence[ISF], bound: Sequence[int]
                 row = []
                 for (lo_mask, hi_mask), free in zip(vec, frees):
                     nbits = 1 << len(free)
-                    lo = bools_to_bdd(bdd, _as_bools(lo_mask, nbits), free)
+                    lo = bools_to_bdd(bdd, mask_to_bools(lo_mask, nbits),
+                                      free)
                     hi = lo if hi_mask == lo_mask else bools_to_bdd(
-                        bdd, _as_bools(hi_mask, nbits), free)
+                        bdd, mask_to_bools(hi_mask, nbits), free)
                     row.append(ISF(lo, hi))
                 merged.append(row)
-        STATS.record_hit("merged_convert", perf_counter() - begin, tier)
+        STATS.record_hit("merged_convert", perf_counter() - begin)
         return merged
 
     return tuple(bound), classes, class_of, materialise
@@ -386,14 +317,13 @@ def kernel_reduction_score(bdd, outputs: Sequence[ISF],
                            ) -> Optional[Tuple[int, int, int]]:
     """The ranking score of :func:`repro.decomp.bound_set.reduction_score`
     without any BDD materialisation (class *counts* only)."""
-    fit = _fit_variables(bdd, outputs, bound, "reduction_score")
-    if fit is None:
+    domains = _fit_variables(bdd, outputs, bound, "reduction_score")
+    if domains is None:
         return None
-    domains, tier = fit
     start = perf_counter()
     try:
         with profile_phase("cofactors"):
-            vectors = _vertex_masks(bdd, outputs, bound, domains, tier)
+            vectors = _vertex_masks(bdd, outputs, bound, domains)
     except TableMismatchError:
         STATS.record_miss("reduction_score", MISS_MISMATCH)
         return None
@@ -410,7 +340,7 @@ def kernel_reduction_score(bdd, outputs: Sequence[ISF],
         joint_classes, _, _ = _cover(vectors)
         joint_ncc = len(joint_classes)
         score = (-reduction, _min_r(joint_ncc), joint_ncc)
-    STATS.record_hit("reduction_score", perf_counter() - start, tier)
+    STATS.record_hit("reduction_score", perf_counter() - start)
     return score
 
 
@@ -431,11 +361,10 @@ def kernel_assign_by_classes(bdd, outputs: Sequence[ISF],
     """
     columns = [[row[k] for row in classes.merged]
                for k in range(len(outputs))]
-    fit = _fit_variables(bdd, outputs, classes.bound, "assign_by_classes",
-                         columns)
-    if fit is None:
+    domains = _fit_variables(bdd, outputs, classes.bound,
+                             "assign_by_classes", columns)
+    if domains is None:
         return None
-    domains, tier = fit
     p = len(classes.bound)
     bound_set = set(classes.bound)
     # Merged intervals normally live over the free variables only; a
@@ -475,5 +404,5 @@ def kernel_assign_by_classes(bdd, outputs: Sequence[ISF],
         hi = lo if np.array_equal(lo_arr, hi_arr) else \
             bools_to_bdd(bdd, hi_arr, table_vars)
         new_outputs.append(ISF.create(bdd, lo, hi))
-    STATS.record_hit("assign_by_classes", perf_counter() - start, tier)
+    STATS.record_hit("assign_by_classes", perf_counter() - start)
     return new_outputs

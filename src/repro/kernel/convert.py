@@ -25,16 +25,9 @@ import numpy as np
 from repro.bdd.manager import BDD
 
 #: Entry cap for the per-manager conversion cache (clear-on-threshold,
-#: like the manager's computed table).
+#: like the manager's computed table).  Kernel tables are at most 2**16
+#: bools, so the entry cap alone bounds its memory.
 CACHE_LIMIT = 512
-
-#: Byte budget for the same cache.  Tier-1 entries are at most 2**16
-#: bools so the entry cap alone bounded memory; tier-2 tables reach
-#: 2**24 bools (16 MB each), so the cache also tracks payload bytes and
-#: clears on whichever threshold trips first.
-CACHE_BYTES_LIMIT = 256 * 1024 * 1024
-
-_BYTES_KEY = "__bytes__"
 
 
 class TableMismatchError(ValueError):
@@ -61,14 +54,11 @@ def _conversion_cache(bdd: BDD) -> dict:
     return cache
 
 
-def cache_put(cache: dict, key, value, nbytes: int = 0) -> None:
-    """Insert with clear-on-threshold on both entry count and bytes."""
-    total = cache.get(_BYTES_KEY, 0) + nbytes
-    if len(cache) >= CACHE_LIMIT or total > CACHE_BYTES_LIMIT:
+def cache_put(cache: dict, key, value) -> None:
+    """Insert with clear-on-threshold on the entry count."""
+    if len(cache) >= CACHE_LIMIT:
         cache.clear()
-        total = nbytes
     cache[key] = value
-    cache[_BYTES_KEY] = total
 
 
 def bdd_to_bools(bdd: BDD, f: int, variables: Sequence[int]) -> np.ndarray:
@@ -116,7 +106,7 @@ def bdd_to_bools(bdd: BDD, f: int, variables: Sequence[int]) -> np.ndarray:
         arr = arr.reshape((2,) * nvars).transpose(perm).reshape(-1)
     arr = np.ascontiguousarray(arr)
     arr.setflags(write=False)
-    cache_put(cache, key, arr, arr.nbytes)
+    cache_put(cache, key, arr)
     return arr
 
 

@@ -9,8 +9,7 @@ adapter, where an ISF lives as a pair of packed truth-table masks and
 every split check is a handful of word-wide compares:
 
 * the two cofactor halves of the interval along a variable come from
-  one :func:`~repro.kernel.bitset2.split_int` /
-  :func:`~repro.kernel.bitset2.split_words` gather, already compacted
+  one :func:`~repro.kernel.bitset.split_int` gather, already compacted
   to the reduced variable tuple;
 * ``f = x AND g`` holds for *some* extension iff the onset of the
   ``x = 0`` half is empty (``not lo0``), ``f = x OR g`` iff the
@@ -28,23 +27,13 @@ is bit-identical either way.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 from repro.boolfunc.spec import ISF
-from repro.kernel import (
-    AVAILABLE,
-    MISS_COST_MODEL,
-    MISS_MISMATCH,
-    MISS_TOO_WIDE,
-    STATS,
-    kernel_enabled,
-    tier_for,
-)
+from repro.kernel import AVAILABLE, MISS_MISMATCH, STATS, fits, kernel_enabled
 
 if AVAILABLE:
-    from repro.kernel.bitset import mask_rows, mask_to_bools, pack_bools
-    from repro.kernel.bitset2 import Words, split_int, split_words
-    from repro.kernel.compat import tier2_profitable
+    from repro.kernel.bitset import mask_rows, mask_to_bools, split_int
     from repro.kernel.convert import (
         TableMismatchError,
         _conversion_cache,
@@ -52,7 +41,7 @@ if AVAILABLE:
         bools_to_bdd,
         cache_put,
     )
-    from repro.kernel.symmetry import _sel0, _sel2
+    from repro.kernel.symmetry import _sel0
 
 
 class MaskIsf:
@@ -66,7 +55,7 @@ class MaskIsf:
 
     __slots__ = ("variables", "lo", "hi")
 
-    def __init__(self, variables: Tuple[int, ...], lo, hi) -> None:
+    def __init__(self, variables: Tuple[int, ...], lo: int, hi: int) -> None:
         self.variables = variables
         self.lo = lo
         self.hi = hi
@@ -75,70 +64,45 @@ class MaskIsf:
 class MaskDsdOps:
     """Kernel-domain DSD split checks over :class:`MaskIsf` handles.
 
-    Tier-blind: masks are bignums (tier 1) or :class:`Words` (tier 2);
-    the predicates only use the operator set both share, plus the two
-    tier-specific helpers ``_full`` and ``_split``.  The decision
-    sequence mirrors :class:`repro.decomp.dsd.BddDsdOps` check for
-    check, so both domains shatter a function identically.
+    The decision sequence mirrors :class:`repro.decomp.dsd.BddDsdOps`
+    check for check, so both domains shatter a function identically.
     """
 
     domain = "kernel"
 
-    def __init__(self, bdd, tier: int) -> None:
+    def __init__(self, bdd) -> None:
         self.bdd = bdd
-        self.tier = tier
         self._full_cache: dict = {}
 
-    # -- tier dispatch ---------------------------------------------------
-
-    def _full(self, nbits: int):
+    def _full(self, nbits: int) -> int:
         """The all-ones mask of ``nbits`` bits (``~x`` via ``full ^ x``:
         bignum ``~`` is negative, so inversion goes through XOR)."""
         full = self._full_cache.get(nbits)
         if full is None:
-            if self.tier == 1:
-                full = (1 << nbits) - 1
-            else:
-                full = ~Words.from_int(0, nbits)
-            self._full_cache[nbits] = full
+            full = self._full_cache[nbits] = (1 << nbits) - 1
         return full
-
-    def _split(self, mask, nbits: int, stride: int):
-        if self.tier == 1:
-            return split_int(mask, nbits, stride)
-        return split_words(mask, stride)
-
-    def _sel(self, nvars: int, axis: int):
-        return _sel0(nvars, axis) if self.tier == 1 else _sel2(nvars, axis)
 
     # -- conversion ------------------------------------------------------
 
-    def _mask(self, node: int, variables: Tuple[int, ...]):
+    def _mask(self, node: int, variables: Tuple[int, ...]) -> int:
         cache = _conversion_cache(self.bdd)
-        key = ("mask", node, variables, self.tier)
+        key = ("mask", node, variables)
         hit = cache.get(key)
         if hit is not None:
             return hit
         arr = bdd_to_bools(self.bdd, node, variables)
-        if self.tier == 1:
-            mask = mask_rows(arr.reshape(1, -1))[0]
-            nbytes = max(1, (1 << len(variables)) >> 3)
-        else:
-            mask = Words(arr.size, pack_bools(arr))
-            nbytes = mask.words.nbytes
-        cache_put(cache, key, mask, nbytes)
+        mask = mask_rows(arr.reshape(1, -1))[0]
+        cache_put(cache, key, mask)
         cache_put(cache, ("node", variables, mask), node)
         return mask
 
-    def _node_of(self, mask, variables: Tuple[int, ...]) -> int:
+    def _node_of(self, mask: int, variables: Tuple[int, ...]) -> int:
         cache = _conversion_cache(self.bdd)
         key = ("node", variables, mask)
         hit = cache.get(key)
         if hit is not None:
             return hit
-        nbits = 1 << len(variables)
-        bools = mask_to_bools(mask, nbits) if self.tier == 1 \
-            else mask.to_bools()
+        bools = mask_to_bools(mask, 1 << len(variables))
         node = bools_to_bdd(self.bdd, bools, variables)
         cache_put(cache, key, node)
         return node
@@ -172,7 +136,7 @@ class MaskDsdOps:
         out = []
         for axis, var in enumerate(h.variables):
             stride = 1 << (n - 1 - axis)
-            sel = self._sel(n, axis)
+            sel = _sel0(n, axis)
             if (h.lo ^ (h.lo >> stride)) & sel:
                 out.append(var)
             elif not complete and (h.hi ^ (h.hi >> stride)) & sel:
@@ -184,11 +148,11 @@ class MaskDsdOps:
         axis = h.variables.index(var)
         stride = 1 << (n - 1 - axis)
         nbits = 1 << n
-        lo0, lo1 = self._split(h.lo, nbits, stride)
+        lo0, lo1 = split_int(h.lo, nbits, stride)
         if h.hi is h.lo or h.hi == h.lo:
             hi0, hi1 = lo0, lo1
         else:
-            hi0, hi1 = self._split(h.hi, nbits, stride)
+            hi0, hi1 = split_int(h.hi, nbits, stride)
         rest = h.variables[:axis] + h.variables[axis + 1:]
         return rest, lo0, hi0, lo1, hi1
 
@@ -223,22 +187,17 @@ class MaskDsdOps:
 
 def dsd_mask_domain(bdd, isf: ISF, op: str = "dsd_probe"
                     ) -> Optional[Tuple[MaskDsdOps, MaskIsf]]:
-    """Kernel ops + lifted handle when the ISF's live support fits a
-    tier, else ``None`` (miss counted under ``op``, except when the
+    """Kernel ops + lifted handle when the ISF's live support fits the
+    kernel, else ``None`` (miss counted under ``op``, except when the
     kernel is simply disabled)."""
     if not AVAILABLE or not kernel_enabled():
         return None
     live = bdd.support(isf.lo)
     if isf.hi != isf.lo:
         live = live | bdd.support(isf.hi)
-    tier = tier_for(len(live))
-    if tier == 0:
-        STATS.record_miss(op, MISS_TOO_WIDE)
+    if not fits(op, len(live)):
         return None
-    if tier == 2 and not tier2_profitable(bdd, [isf], len(live)):
-        STATS.record_miss(op, MISS_COST_MODEL)
-        return None
-    ops = MaskDsdOps(bdd, tier)
+    ops = MaskDsdOps(bdd)
     try:
         return ops, ops.lift(isf, tuple(sorted(live)))
     except TableMismatchError:

@@ -42,9 +42,8 @@ candidate variable instead of full ``classes_for`` calls.
 
 from __future__ import annotations
 
-from functools import partial
 from time import perf_counter
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.boolfunc.spec import ISF
 from repro.kernel import AVAILABLE, STATS
@@ -60,11 +59,11 @@ from repro.kernel.compat import (
 from repro.obs.profiler import profile_phase
 
 if AVAILABLE:
-    from repro.kernel.bitset2 import split_int, split_words
+    from repro.kernel.bitset import split_int
 
 #: Retained-mask byte budget per cache; past it the chain cache clears
 #: (correctness is unaffected — the next candidate re-refines from the
-#: root).  Tier-2 partitions can hold megabytes of masks each.
+#: root).
 CACHE_BYTES_LIMIT = 128 * 1024 * 1024
 
 
@@ -116,12 +115,11 @@ class PartitionCache:
     it passes that output's masks through unsplit.
     """
 
-    def __init__(self, bdd, outputs: Sequence[ISF], domains: Domains,
-                 tier: int) -> None:
+    def __init__(self, bdd, outputs: Sequence[ISF], domains: Domains
+                 ) -> None:
         self.bdd = bdd
         self.outputs = list(outputs)
         self.domains = domains
-        self.tier = tier
         self._chains: Dict[Tuple[int, ...], Partition] = {}
         self._bytes = 0
 
@@ -135,11 +133,10 @@ class PartitionCache:
         narrows every domain, so the root partition holds the widest
         table the cache ever builds, whichever variables it splits on.
         """
-        fit = _fit_variables(bdd, outputs, (), op)
-        if fit is None:
+        domains = _fit_variables(bdd, outputs, (), op)
+        if domains is None:
             return None
-        domains, tier = fit
-        return cls(bdd, outputs, domains, tier)
+        return cls(bdd, outputs, domains)
 
     # -- chain management -------------------------------------------------
 
@@ -156,7 +153,7 @@ class PartitionCache:
         if part is None:
             with profile_phase("cofactors"):
                 vectors = _vertex_masks(self.bdd, self.outputs, (),
-                                        self.domains, self.tier)
+                                        self.domains)
             uniq, mem, complete = _dedup(vectors)
             part = Partition((), self.domains, uniq, mem, complete)
             self._remember(part)
@@ -186,7 +183,9 @@ class PartitionCache:
         at ``var``'s cofactor axis (outputs whose domain lacks ``var``
         keep their masks)."""
         start = perf_counter()
-        splits: List[Optional[Callable]] = []
+        # Per output: (nbits, stride) of its split at var, or None when
+        # its domain lacks var.
+        splits: List[Optional[Tuple[int, int]]] = []
         free: List[Tuple[int, ...]] = []
         for domain in part.free:
             if var not in domain:
@@ -194,12 +193,7 @@ class PartitionCache:
                 free.append(domain)
                 continue
             fidx = domain.index(var)
-            stride = 1 << (len(domain) - 1 - fidx)
-            if self.tier == 1:
-                splits.append(partial(split_int, nbits=1 << len(domain),
-                                      stride=stride))
-            else:
-                splits.append(partial(split_words, stride=stride))
+            splits.append((1 << len(domain), 1 << (len(domain) - 1 - fidx)))
             free.append(domain[:fidx] + domain[fidx + 1:])
 
         rep: dict = {}
@@ -214,11 +208,11 @@ class PartitionCache:
                     halves1.append(pair)
                     continue
                 lo, hi = pair
-                lo0, lo1 = split(lo)
+                lo0, lo1 = split_int(lo, *split)
                 if hi is lo or hi == lo:
                     hi0, hi1 = lo0, lo1
                 else:
-                    hi0, hi1 = split(hi)
+                    hi0, hi1 = split_int(hi, *split)
                 halves0.append((lo0, hi0))
                 halves1.append((lo1, hi1))
             for b, newvec in ((0, halves0), (1, halves1)):
@@ -236,8 +230,7 @@ class PartitionCache:
         new = Partition(part.bound + (var,), tuple(free),
                         [uniq[i] for i in order], [mem[i] for i in order],
                         part.all_complete)
-        STATS.record_hit("kernel_refine", perf_counter() - start,
-                         self.tier)
+        STATS.record_hit("kernel_refine", perf_counter() - start)
         return new
 
     # -- scoring ----------------------------------------------------------
@@ -275,8 +268,7 @@ class PartitionCache:
                 part.num_vertices)
             ncc = len(joint_classes)
             score = (-reduction, _min_r(ncc), ncc)
-        STATS.record_hit("reduction_score", perf_counter() - start,
-                         self.tier)
+        STATS.record_hit("reduction_score", perf_counter() - start)
         return score
 
 

@@ -27,40 +27,25 @@ an assignment pass that changes nothing (the common case) lowers by
 dictionary lookup instead of rebuilding the BDD bottom-up — profiling
 showed that rebuild dominating the whole dispatch at small supports.
 
-Past :func:`repro.kernel.kernel_tier1_max_vars` live variables the
-masks are tier-2 :class:`repro.kernel.bitset2.Words` arrays instead of
-bignums; the selector/shift algebra is written against the operator set
-both share, so the predicate code below is tier-blind.  Below
-:func:`repro.kernel.kernel_symmetry_min_vars` (the measured crossover)
-the wrapper-level dispatch declines — the BDD path is usually faster
-there — without counting a miss, unless the operands are dense enough
-(:func:`repro.kernel.kernel_symmetry_density_factor`) that per-node BDD
-cost rivals the whole packed table.
+Supports past :data:`repro.kernel.MAX_VARS` live variables take the BDD
+path (a ``too_wide`` miss).  Below :data:`repro.kernel.SYMMETRY_MIN_VARS`
+(the measured crossover) the wrapper-level dispatch declines — the BDD
+path is usually faster there — without counting a miss, unless the
+operands are dense enough (:data:`repro.kernel.SYMMETRY_DENSITY_FACTOR`)
+that per-node BDD cost rivals the whole packed table.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+from repro import kernel
 from repro.boolfunc.spec import ISF
-from repro.kernel import (
-    AVAILABLE,
-    MISS_COST_MODEL,
-    MISS_MISMATCH,
-    MISS_TOO_WIDE,
-    STATS,
-    kernel_enabled,
-    kernel_symmetry_density_factor,
-    tier_for,
-)
+from repro.kernel import AVAILABLE, MISS_MISMATCH, STATS, fits, kernel_enabled
 from repro.symmetry.isf_symmetry import SymmetryKind
 
 if AVAILABLE:
-    import numpy as np
-
-    from repro.kernel.bitset import mask_rows, mask_to_bools, pack_bools
-    from repro.kernel.bitset2 import Words
-    from repro.kernel.compat import tier2_profitable
+    from repro.kernel.bitset import mask_rows, mask_to_bools
     from repro.kernel.convert import (
         TableMismatchError,
         _conversion_cache,
@@ -71,9 +56,6 @@ if AVAILABLE:
 
 #: ``(nvars, axis) -> `` selector mask of the entries with ``x_axis = 0``.
 _SEL_CACHE: Dict[Tuple[int, int], int] = {}
-
-#: Tier-2 (``Words``) form of the same selectors.
-_SEL2_CACHE: Dict[Tuple[int, int], "Words"] = {}
 
 
 def _sel0(nvars: int, axis: int) -> int:
@@ -87,35 +69,6 @@ def _sel0(nvars: int, axis: int) -> int:
         # Repeat `block` every `period` bits, `reps` times (repunit).
         sel = block * (((1 << (period * reps)) - 1) // ((1 << period) - 1))
         _SEL_CACHE[(nvars, axis)] = sel
-    return sel
-
-
-def _sel2(nvars: int, axis: int) -> "Words":
-    """Tier-2 form of :func:`_sel0` (same bits, word-array carrier).
-
-    Built directly in word space — the bignum repunit division of
-    :func:`_sel0` is quadratic in the table size, which at tier-2 widths
-    (multi-megabit tables) would take minutes.
-    """
-    sel = _SEL2_CACHE.get((nvars, axis))
-    if sel is None:
-        nbits = 1 << nvars
-        stride = 1 << (nvars - 1 - axis)
-        if nbits < 64:
-            sel = Words.from_int(_sel0(nvars, axis), nbits)
-        elif stride >= 64:
-            swords = stride >> 6
-            block = np.zeros(2 * swords, dtype=np.uint64)
-            block[:swords] = np.uint64(0xFFFFFFFFFFFFFFFF)
-            sel = Words(nbits, np.tile(block, nbits // (stride << 1)))
-        else:
-            # The period divides 64, so every word carries the same
-            # pattern: `stride` ones every `2*stride` bits.
-            period = stride << 1
-            word = ((1 << stride) - 1) * \
-                (((1 << 64) - 1) // ((1 << period) - 1))
-            sel = Words(nbits, np.full(nbits >> 6, np.uint64(word)))
-        _SEL2_CACHE[(nvars, axis)] = sel
     return sel
 
 
@@ -138,51 +91,40 @@ class BitsIsfOps:
 
     domain = "kernel"
 
-    def __init__(self, bdd, variables: Sequence[int], tier: int = 1) -> None:
+    def __init__(self, bdd, variables: Sequence[int]) -> None:
         self.bdd = bdd
         self.variables = tuple(variables)
         self.axis = {v: i for i, v in enumerate(self.variables)}
         self.nvars = len(self.variables)
         self.nbits = 1 << self.nvars
-        self.tier = tier
         self._pair_cache: Dict[Tuple[int, int, SymmetryKind],
-                               Tuple[object, int]] = {}
-
-    def _sel(self, axis: int):
-        return _sel0(self.nvars, axis) if self.tier == 1 \
-            else _sel2(self.nvars, axis)
+                               Tuple[int, int]] = {}
 
     # -- conversion ------------------------------------------------------
 
-    def _mask(self, node: int):
+    def _mask(self, node: int) -> int:
         cache = _conversion_cache(self.bdd)
-        key = ("mask", node, self.variables, self.tier)
+        key = ("mask", node, self.variables)
         hit = cache.get(key)
         if hit is not None:
             return hit
         arr = bdd_to_bools(self.bdd, node, self.variables)
-        if self.tier == 1:
-            mask = mask_rows(arr.reshape(1, -1))[0]
-            nbytes = max(1, self.nbits >> 3)
-        else:
-            mask = Words(self.nbits, pack_bools(arr))
-            nbytes = mask.words.nbytes
-        cache_put(cache, key, mask, nbytes)
+        mask = mask_rows(arr.reshape(1, -1))[0]
+        cache_put(cache, key, mask)
         # Reverse entry: lowering an unchanged mask (the common case for
         # assignment passes that narrow nothing) becomes a dict lookup
         # instead of a bottom-up BDD rebuild.
         cache_put(cache, ("node", self.variables, mask), node)
         return mask
 
-    def _node_of(self, mask) -> int:
+    def _node_of(self, mask: int) -> int:
         cache = _conversion_cache(self.bdd)
         key = ("node", self.variables, mask)
         hit = cache.get(key)
         if hit is not None:
             return hit
-        bools = mask_to_bools(mask, self.nbits) if self.tier == 1 \
-            else mask.to_bools()
-        node = bools_to_bdd(self.bdd, bools, self.variables)
+        node = bools_to_bdd(self.bdd, mask_to_bools(mask, self.nbits),
+                            self.variables)
         cache_put(cache, key, node)
         return node
 
@@ -199,7 +141,7 @@ class BitsIsfOps:
     # -- plane algebra ---------------------------------------------------
 
     def _pair(self, var_i: int, var_j: int,
-              kind: SymmetryKind) -> Tuple[object, int]:
+              kind: SymmetryKind) -> Tuple[int, int]:
         """``(sel, delta)``: selector of the first merged cofactor's
         entries and the bit distance to each entry's merge partner."""
         ai, aj = self.axis[var_i], self.axis[var_j]
@@ -212,11 +154,11 @@ class BitsIsfOps:
         sj = 1 << (self.nvars - 1 - aj)
         if kind is SymmetryKind.NONEQUIVALENCE:
             # (0, 1) entries; partner (1, 0) is +si - sj away.
-            sel = self._sel(ai) & (self._sel(aj) << sj)
+            sel = _sel0(self.nvars, ai) & (_sel0(self.nvars, aj) << sj)
             delta = si - sj
         else:
             # (0, 0) entries; partner (1, 1) is +si + sj away.
-            sel = self._sel(ai) & self._sel(aj)
+            sel = _sel0(self.nvars, ai) & _sel0(self.nvars, aj)
             delta = si + sj
         self._pair_cache[(ai, aj, kind)] = (sel, delta)
         return sel, delta
@@ -228,7 +170,7 @@ class BitsIsfOps:
         for var in self.variables:
             ax = self.axis[var]
             stride = 1 << (self.nvars - 1 - ax)
-            sel = self._sel(ax)
+            sel = _sel0(self.nvars, ax)
             if (f.lo ^ (f.lo >> stride)) & sel:
                 supp.add(var)
             elif f.hi != f.lo and (f.hi ^ (f.hi >> stride)) & sel:
@@ -287,7 +229,7 @@ def _dense_enough(bdd, isfs: Sequence[ISF], num_live: int) -> bool:
     small functions — where the crossover's worst case never happens —
     are faster lifted (measured 1.2-1.3x at 10 vars) while sparse ones
     keep declining.  Factor ``0`` disables the override."""
-    factor = kernel_symmetry_density_factor()
+    factor = kernel.SYMMETRY_DENSITY_FACTOR
     if not factor:
         return False
     roots = set()
@@ -315,8 +257,8 @@ def bits_domain(bdd, isfs: Sequence[ISF], variables: Sequence[int],
     kernel, so the dispatch declines *without* counting a miss (the
     kernel could serve; it just should not) — unless the operands are
     dense enough (``node_count * density_factor >= table_bits *
-    num_isfs``, mirroring :func:`tier2_profitable`) that the per-node
-    BDD predicates rival the whole packed table, where the masks win.
+    num_isfs``) that the per-node BDD predicates rival the whole packed
+    table, where the masks win.
     """
     if not kernel_enabled():
         return None
@@ -328,14 +270,9 @@ def bits_domain(bdd, isfs: Sequence[ISF], variables: Sequence[int],
     if min_vars and len(live) < min_vars \
             and not _dense_enough(bdd, isfs, len(live)):
         return None
-    tier = tier_for(len(live))
-    if tier == 0:
-        STATS.record_miss(op, MISS_TOO_WIDE)
+    if not fits(op, len(live)):
         return None
-    if tier == 2 and not tier2_profitable(bdd, isfs, len(live)):
-        STATS.record_miss(op, MISS_COST_MODEL)
-        return None
-    ops = BitsIsfOps(bdd, sorted(live), tier)
+    ops = BitsIsfOps(bdd, sorted(live))
     try:
         return ops, [ops.lift(isf) for isf in isfs]
     except TableMismatchError:

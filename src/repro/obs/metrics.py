@@ -205,27 +205,14 @@ def profile_report(stats: Any,
     kernel = getattr(stats, "kernel_metrics", None)
     if kernel is not None:
         state = "on" if kernel.get("enabled", True) else "off"
-        tier1 = kernel.get("tier1_max_vars")
-        max_vars = kernel.get("max_vars")
-        if tier1 is not None and tier1 < max_vars:
-            tiers = f"tier-1 <= {tier1} / tier-2 <= {max_vars} vars"
-            if kernel.get("cost_model", True):
-                tiers += ", cost model"
-        else:
-            tiers = f"<= {max_vars} vars"
-        lines.append(f"kernel (word-parallel, {state}, {tiers}):")
+        lines.append(f"kernel (word-parallel, {state}, "
+                     f"<= {kernel.get('max_vars')} vars):")
         lines.append(f"  dispatch            : {kernel['kernel_hits']} hits"
                      f" / {kernel['kernel_misses']} misses")
-        by_tier = kernel.get("kernel_hits_by_tier")
-        if by_tier:
-            lines.append(f"  hits by tier        : "
-                         f"{by_tier['1']} tier-1 (bignum) / "
-                         f"{by_tier['2']} tier-2 (Words)")
         causes = kernel.get("kernel_misses_by_cause")
         if causes:
             lines.append(f"  misses by cause     : "
                          f"{causes['too_wide']} too wide / "
-                         f"{causes['cost_model']} cost model / "
                          f"{causes['mismatch']} table mismatch")
         refines = kernel.get("kernel_refine", 0)
         scratch = kernel.get("classes_from_scratch", 0)

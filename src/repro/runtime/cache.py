@@ -34,6 +34,7 @@ from pathlib import Path
 from time import perf_counter
 from typing import Any, Dict, Optional
 
+from repro.decomp.dsd import dsd_enabled
 from repro.faults import FaultInjected, fault_point
 
 #: Bump to invalidate every persisted entry (layout changes).
@@ -102,13 +103,22 @@ def default_cache_dir() -> Path:
 
 
 def cache_key(func_key: str, flow: str, config: Dict[str, Any]) -> str:
-    """Combine function content, flow and engine config into one key."""
-    blob = json.dumps({
+    """Combine function content, flow and engine config into one key.
+
+    The DSD pre-pass switch (``REPRO_DSD`` / ``--no-dsd``) changes the
+    mapping, so a DSD-off run keys apart; the switch joins the key only
+    when off, so default keys (and existing caches) are unchanged.
+    """
+    fields = {
         "func": func_key,
         "flow": flow,
         "config": config,
         "code": CACHE_CODE_VERSION,
-    }, sort_keys=True, separators=(",", ":")).encode()
+    }
+    if not dsd_enabled():
+        fields["dsd"] = False
+    blob = json.dumps(fields, sort_keys=True,
+                      separators=(",", ":")).encode()
     return hashlib.sha256(blob).hexdigest()
 
 

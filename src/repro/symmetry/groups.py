@@ -31,8 +31,8 @@ from typing import Any, List, Optional, Sequence, Tuple
 
 from repro.bdd.manager import BDD
 from repro.boolfunc.spec import ISF
+from repro import kernel
 from repro.kernel import STATS as KERNEL_STATS
-from repro.kernel import kernel_symmetry_min_vars
 from repro.symmetry.isf_symmetry import (
     BddIsfOps,
     SymmetryKind,
@@ -53,17 +53,16 @@ def symmetry_domain(bdd: BDD, isfs: Sequence[ISF],
     Returns ``(ops, handles)``: the kernel adapter with lifted handles
     when the live support of ``isfs`` plus ``variables`` fits the
     kernel's cap *and* clears the measured crossover
-    (:func:`repro.kernel.kernel_symmetry_min_vars` — below it the BDD
-    path usually wins because the lift/lower conversion dominates,
-    unless the operands are dense enough that per-node BDD cost rivals
-    the packed table; see
-    :func:`repro.kernel.kernel_symmetry_density_factor`), otherwise
-    the BDD adapter with the ISFs unchanged.  Misses are counted under
-    ``op``; declining below the crossover is not a miss.
+    (:data:`repro.kernel.SYMMETRY_MIN_VARS` — below it the BDD path
+    usually wins because the lift/lower conversion dominates, unless
+    the operands are dense enough that per-node BDD cost rivals the
+    packed table; see :data:`repro.kernel.SYMMETRY_DENSITY_FACTOR`),
+    otherwise the BDD adapter with the ISFs unchanged.  Misses are
+    counted under ``op``; declining below the crossover is not a miss.
     """
     if bits_domain is not None:
         domain = bits_domain(bdd, isfs, variables, op,
-                             min_vars=kernel_symmetry_min_vars())
+                             min_vars=kernel.SYMMETRY_MIN_VARS)
         if domain is not None:
             return domain
     return BddIsfOps(bdd), list(isfs)
@@ -80,8 +79,7 @@ def isf_symmetry_groups(bdd: BDD, isf: ISF,
     start = perf_counter()
     groups = _symmetry_groups(ops, handles[0], variables, kind)
     if ops.domain == "kernel":
-        KERNEL_STATS.record_hit("symmetry_groups", perf_counter() - start,
-                                ops.tier)
+        KERNEL_STATS.record_hit("symmetry_groups", perf_counter() - start)
     return groups
 
 
@@ -237,8 +235,7 @@ def assign_for_symmetry(bdd: BDD, isf: ISF, variables: Sequence[int],
                                      max_pair_checks, protected_groups)
     result = ops.lower(f)
     if ops.domain == "kernel":
-        KERNEL_STATS.record_hit("symmetry_assign", perf_counter() - start,
-                                ops.tier)
+        KERNEL_STATS.record_hit("symmetry_assign", perf_counter() - start)
     return result, groups
 
 
@@ -341,8 +338,7 @@ def assign_for_symmetry_multi(bdd: BDD, outputs: Sequence[ISF],
                                                  kinds, max_pair_checks)
     result = [ops.lower(f) for f in refined]
     if ops.domain == "kernel":
-        KERNEL_STATS.record_hit("symmetry_assign", perf_counter() - start,
-                                ops.tier)
+        KERNEL_STATS.record_hit("symmetry_assign", perf_counter() - start)
     return result, groups
 
 

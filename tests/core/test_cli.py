@@ -47,6 +47,13 @@ class TestMap:
         with pytest.raises(SystemExit):
             main(["map"])
 
+    def test_no_dsd_flag_sets_env(self, monkeypatch, capsys):
+        # setenv (not delenv) so teardown undoes what main() writes.
+        monkeypatch.setenv("REPRO_DSD", "on")
+        assert main(["map", "rd73", "--no-dsd"]) == 0
+        import os
+        assert os.environ["REPRO_DSD"] == "off"
+
 
 class TestGates:
     def test_gates_adder(self, capsys):

@@ -121,6 +121,35 @@ class TestMapCache:
                      "--blif-out", str(cached)]) == 0
         assert cached.read_text() == fresh.read_text()
 
+    def test_dsd_switch_keys_apart(self, tmp_path, capsys, monkeypatch):
+        # rd84 maps to 9 CLBs with the DSD pre-pass and to 8 without it,
+        # so a key that ignored the switch would replay the other row.
+        monkeypatch.setenv("REPRO_DSD", "on")
+        cache_dir = str(tmp_path / "cache")
+        assert main(["map", "rd84", "--cache-dir", cache_dir]) == 0
+        assert "9 CLBs" in capsys.readouterr().out
+        assert main(["map", "rd84", "--no-dsd",
+                     "--cache-dir", cache_dir]) == 0
+        off = capsys.readouterr().out
+        assert "8 CLBs" in off and "(cached)" not in off
+        assert main(["map", "rd84", "--no-dsd",
+                     "--cache-dir", cache_dir]) == 0
+        assert "8 CLBs, depth 3 (cached)" in capsys.readouterr().out
+
+        # The other direction: a DSD-on batch over a cache holding only
+        # the DSD-off row must recompute, not hit.
+        cache_dir = str(tmp_path / "off-only")
+        assert main(["map", "rd84", "--no-dsd",
+                     "--cache-dir", cache_dir]) == 0
+        monkeypatch.setenv("REPRO_DSD", "on")
+        out = tmp_path / "rows.jsonl"
+        assert main(["batch", "rd84", "--cache-dir", cache_dir,
+                     "--out", str(out)]) == 0
+        [row] = [json.loads(line)
+                 for line in out.read_text().splitlines()]
+        assert row["cache_hit"] is False
+        assert row["result"]["clb_count"] == 9
+
 
 class TestCompareExitCode:
     def test_mismatch_exits_nonzero(self, capsys, monkeypatch):

@@ -1,8 +1,7 @@
-"""The kernel suite measures the live search (kernel on vs off, tier
-vs tier), so the sub-ISF memo must not splice past the code under
-test: a warm hit legitimately skips the kernel entirely, which is
-correct behaviour but zeroes the ``kernel_hits`` counters these
-differentials assert on."""
+"""The kernel suite measures the live search (kernel on vs off), so
+the sub-ISF memo must not splice past the code under test: a warm hit
+legitimately skips the kernel entirely, which is correct behaviour but
+zeroes the ``kernel_hits`` counters these differentials assert on."""
 
 import pytest
 

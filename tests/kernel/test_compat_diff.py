@@ -9,6 +9,7 @@ import random
 
 import pytest
 
+from repro import kernel
 from repro.bdd.manager import BDD
 from repro.boolfunc.spec import ISF
 from repro.decomp.bound_set import reduction_score
@@ -146,19 +147,12 @@ def sparse_full_support_isf(bdd, rng, variables, with_dc):
 
 
 @pytest.mark.parametrize("nvars,served", [(15, True), (16, True),
-                                          (17, True), (24, True),
+                                          (17, False), (24, False),
                                           (25, False)])
 def test_support_threshold_straddle(nvars, served, monkeypatch):
-    """15/16 hit tier 1, 17/24 hit tier 2, 25 exceeds the cap.
-
-    The cost model is pinned off: these sparse cube functions have tiny
-    BDDs, so profitability (tested separately below) would keep the
-    wide rows on the BDD path regardless of the width boundary.
-    """
+    """15/16 are served; 17, 24 and 25 exceed the cap and are refused
+    with a ``too_wide`` miss."""
     monkeypatch.setenv("REPRO_KERNEL", "on")
-    monkeypatch.setenv("REPRO_KERNEL_COST_MODEL", "off")
-    monkeypatch.delenv("REPRO_KERNEL_MAX_VARS", raising=False)
-    monkeypatch.delenv("REPRO_KERNEL_TIER1_MAX_VARS", raising=False)
     rng = random.Random(nvars)
     bdd = BDD(nvars)
     variables = list(range(nvars))
@@ -173,33 +167,8 @@ def test_support_threshold_straddle(nvars, served, monkeypatch):
     if served:
         assert STATS.hits > 0 and STATS.misses == 0
     else:
-        assert STATS.hits == 0 and STATS.misses > 0
-    assert hit.classes == ref.classes
-    assert hit.class_of == ref.class_of
-    assert isf_pairs(hit) == isf_pairs(ref)
-
-
-def test_cost_model_declines_sparse_wide(monkeypatch):
-    """A 20-var function with a tiny BDD stays on the BDD path (tier-2
-    tables would be orders of magnitude slower), counted as a miss;
-    ``REPRO_KERNEL_COST_MODEL=off`` forces dense service."""
-    monkeypatch.setenv("REPRO_KERNEL", "on")
-    monkeypatch.delenv("REPRO_KERNEL_MAX_VARS", raising=False)
-    rng = random.Random(20)
-    bdd = BDD(20)
-    variables = list(range(20))
-    isf = sparse_full_support_isf(bdd, rng, variables, with_dc=True)
-    bound = tuple(variables[:3])
-    reset_kernel_stats()
-    monkeypatch.setenv("REPRO_KERNEL_COST_MODEL", "on")
-    ref = classes_for(bdd, [isf], bound)
-    assert not isinstance(ref, LazyClasses)
-    assert STATS.misses > 0
-    reset_kernel_stats()
-    monkeypatch.setenv("REPRO_KERNEL_COST_MODEL", "off")
-    hit = classes_for(bdd, [isf], bound)
-    assert isinstance(hit, LazyClasses)
-    assert STATS.misses == 0
+        assert STATS.hits == 0
+        assert STATS.misses == STATS.miss_causes["too_wide"] > 0
     assert hit.classes == ref.classes
     assert hit.class_of == ref.class_of
     assert isf_pairs(hit) == isf_pairs(ref)
@@ -207,7 +176,7 @@ def test_cost_model_declines_sparse_wide(monkeypatch):
 
 def test_max_vars_override(monkeypatch):
     monkeypatch.setenv("REPRO_KERNEL", "on")
-    monkeypatch.setenv("REPRO_KERNEL_MAX_VARS", "4")
+    monkeypatch.setattr(kernel, "MAX_VARS", 4)
     rng = random.Random(51)
     bdd = BDD(6)
     variables = list(range(6))
@@ -233,12 +202,10 @@ def test_escape_hatch_disables_kernel(monkeypatch):
 def test_disjoint_wide_bundle_served_per_output(monkeypatch):
     """Three outputs over disjoint 12/13/14-variable supports: the
     union (39 variables) is far past the cap, yet every output's own
-    domain plus the bound fits tier 1, so all three compatible-class
+    domain plus the bound fits the cap, so all three compatible-class
     ops are served without a miss — and node for node equal to the BDD
     path."""
     monkeypatch.setenv("REPRO_KERNEL", "on")
-    monkeypatch.delenv("REPRO_KERNEL_MAX_VARS", raising=False)
-    monkeypatch.delenv("REPRO_KERNEL_TIER1_MAX_VARS", raising=False)
     rng = random.Random(83)
     bdd = BDD(39)
     supports = [list(range(0, 12)), list(range(12, 25)),

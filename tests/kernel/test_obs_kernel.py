@@ -2,8 +2,6 @@
 
 import random
 
-import pytest
-
 from repro.bdd.manager import BDD
 from repro.bdd.symmetry import equivalence_symmetric_in, symmetric_in
 from repro.bench.registry import benchmark
@@ -11,12 +9,11 @@ from repro.boolfunc.spec import ISF
 from repro.core.api import map_to_xc3000
 from repro.decomp import cover
 from repro.kernel import (
-    MISS_COST_MODEL,
     MISS_MISMATCH,
+    MISS_TOO_WIDE,
     STATS,
     KernelStats,
     kernel_enabled,
-    kernel_max_vars,
     reset_kernel_stats,
 )
 from repro.obs.metrics import profile_report, run_metrics
@@ -40,19 +37,17 @@ class TestKernelStats:
         assert snap["ops"]["classes_for"]["time_s"] == 0.5
         assert snap["ops"]["symmetry_assign"]["misses"] == 1
 
-    def test_tier_and_cause_split(self):
+    def test_cause_split(self):
         stats = KernelStats()
-        stats.record_hit("classes_for", 0.1, 1)
-        stats.record_hit("kernel_refine", 0.1, 2)
-        stats.record_hit("kernel_refine", 0.1, 2)
-        stats.record_miss("classes_for", MISS_COST_MODEL)
+        stats.record_miss("classes_for", MISS_TOO_WIDE)
+        stats.record_miss("symmetry_assign", MISS_TOO_WIDE)
         stats.record_miss("dsd_probe", MISS_MISMATCH)
         snap = stats.snapshot()
-        assert snap["kernel_hits_by_tier"] == {"1": 1, "2": 2}
         assert snap["kernel_misses_by_cause"] == {
-            "too_wide": 0, "cost_model": 1, "mismatch": 1}
+            "too_wide": 2, "mismatch": 1}
+        STATS.record_miss("dsd_probe", MISS_MISMATCH)
         reset_kernel_stats()
-        assert not STATS.tier_hits and not STATS.miss_causes
+        assert not STATS.miss_causes
 
     def test_reset(self):
         STATS.record_hit("x", 1.0)
@@ -64,10 +59,6 @@ class TestKernelStats:
         assert not kernel_enabled()
         monkeypatch.setenv("REPRO_KERNEL", "on")
         assert kernel_enabled()
-        monkeypatch.setenv("REPRO_KERNEL_MAX_VARS", "9")
-        assert kernel_max_vars() == 9
-        monkeypatch.setenv("REPRO_KERNEL_MAX_VARS", "junk")
-        assert kernel_max_vars() == 24
 
 
 class TestMetricsDocument:
@@ -89,21 +80,21 @@ class TestMetricsDocument:
         assert "kernel (word-parallel, on" in report
         assert "classes_for" in report
 
-    @pytest.mark.parametrize("tier1_max,tier", [("16", "1"), ("0", "2")])
-    def test_hits_attributed_to_serving_tier(self, monkeypatch, tier1_max,
-                                             tier):
+    def test_misses_attributed_to_cause(self, monkeypatch):
         monkeypatch.setenv("REPRO_KERNEL", "on")
-        monkeypatch.setenv("REPRO_KERNEL_TIER1_MAX_VARS", tier1_max)
-        monkeypatch.setenv("REPRO_KERNEL_COST_MODEL", "off")
         result = map_to_xc3000(benchmark("rd73"))
         kernel = result.stats.kernel_metrics
-        by_tier = kernel["kernel_hits_by_tier"]
-        assert by_tier[tier] == kernel["kernel_hits"] > 0
+        assert kernel["kernel_hits"] > 0
+        assert kernel["max_vars"] == 16
+        for dropped in ("kernel_hits_by_tier", "tier1_max_vars",
+                        "cost_model"):
+            assert dropped not in kernel
         assert sum(kernel["kernel_misses_by_cause"].values()) == \
             kernel["kernel_misses"]
         report = profile_report(result.stats)
-        assert f"hits by tier        : {by_tier['1']} tier-1" in report
+        assert "kernel (word-parallel, on, <= 16 vars):" in report
         assert "misses by cause     : 0 too wide" in report
+        assert "hits by tier" not in report
 
     def test_duck_typed_stats_tolerated(self):
         class Stats:

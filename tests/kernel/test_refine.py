@@ -43,10 +43,9 @@ def random_isf(bdd, rng, variables, dc_density):
 def scratch_partition(bdd, outputs, bound):
     """From-scratch dedup of ``bound``'s vertices, over the per-output
     domains a ``classes_for`` of ``bound`` would slice."""
-    fit = _fit_variables(bdd, outputs, bound, "test")
-    assert fit is not None
-    domains, tier = fit
-    vectors = _vertex_masks(bdd, outputs, tuple(bound), domains, tier)
+    domains = _fit_variables(bdd, outputs, bound, "test")
+    assert domains is not None
+    vectors = _vertex_masks(bdd, outputs, tuple(bound), domains)
     return _dedup(vectors)
 
 
@@ -58,12 +57,9 @@ SUPPORTS = ([range(7), range(7)],
 
 
 @pytest.mark.parametrize("density", [0.0, 0.3, 0.7])
-@pytest.mark.parametrize("tier1_max", ["16", "0"])
-def test_refined_partition_equals_scratch(density, tier1_max, monkeypatch):
+def test_refined_partition_equals_scratch(density, monkeypatch):
     monkeypatch.setenv("REPRO_KERNEL", "on")
-    monkeypatch.setenv("REPRO_KERNEL_TIER1_MAX_VARS", tier1_max)
-    monkeypatch.setenv("REPRO_KERNEL_COST_MODEL", "off")
-    rng = random.Random(int(density * 100) + int(tier1_max))
+    rng = random.Random(int(density * 100) + 16)
     bdd = BDD(7)
     variables = list(range(7))
     for supports in SUPPORTS:

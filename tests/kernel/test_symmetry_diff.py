@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from repro import kernel
 from repro.bdd.manager import BDD
 from repro.boolfunc.spec import ISF
 from repro.kernel.symmetry import bits_domain
@@ -118,9 +119,9 @@ class TestWrapperDifferential:
         # Defeat the measured crossover: these supports are far below
         # the default symmetry minimum, and the point here is the
         # kernel-vs-BDD differential, not the dispatch policy.
-        monkeypatch.setenv("REPRO_KERNEL_SYMMETRY_MIN_VARS", "0")
-        hit = fn()
-        monkeypatch.delenv("REPRO_KERNEL_SYMMETRY_MIN_VARS", raising=False)
+        with monkeypatch.context() as patch:
+            patch.setattr(kernel, "SYMMETRY_MIN_VARS", 0)
+            hit = fn()
         return ref, hit
 
     @pytest.mark.parametrize("density", [0.0, 0.4])
