@@ -82,10 +82,10 @@ def pack64(table: Sequence[int]) -> List[int]:
     """Pack a 0/1 table into 64-bit words, minterm ``k`` at word
     ``k // 64``, bit ``k % 64``.
 
-    Pure-Python reference for the packed layout used by
-    :mod:`repro.kernel.bitset` — the kernel's numpy packing must produce
-    identical words on every platform, and the differential tests pin
-    that with this function.  Tables shorter than a multiple of 64 are
+    Pure-Python reference for the mask layout used by
+    :mod:`repro.kernel.bitset` — a kernel mask read 64 bits at a time
+    must be exactly these words, and the kernel tests pin that with
+    this function.  Tables shorter than a multiple of 64 are
     zero-padded in the final word.
     """
     words = [0] * ((len(table) + 63) // 64)

@@ -26,17 +26,9 @@ from repro.boolfunc.spec import ISF
 from repro.decomp.compat import classes_for, min_r
 from repro.kernel import MISS_MISMATCH
 from repro.kernel import STATS as KERNEL_STATS
-
-try:
-    from repro.kernel.compat import kernel_reduction_score
-    from repro.kernel.convert import TableMismatchError
-    from repro.kernel.refine import PartitionCache
-except ImportError:  # pragma: no cover - numpy unavailable
-    kernel_reduction_score = None
-    PartitionCache = None
-
-    class TableMismatchError(Exception):
-        """Placeholder so except-clauses stay valid without numpy."""
+from repro.kernel.compat import kernel_reduction_score
+from repro.kernel.convert import TableMismatchError
+from repro.kernel.refine import PartitionCache
 
 
 def candidate_bound_sets(variables: Sequence[int], p: int,
@@ -130,10 +122,9 @@ def reduction_score(bdd: BDD, outputs: Sequence[ISF],
     support fits, the kernel computes the class *counts* without
     materialising a single BDD node.
     """
-    if kernel_reduction_score is not None:
-        hit = kernel_reduction_score(bdd, outputs, bound)
-        if hit is not None:
-            return hit
+    hit = kernel_reduction_score(bdd, outputs, bound)
+    if hit is not None:
+        return hit
     from repro.decomp.compat import compute_classes, vertex_cofactors
     vectors = vertex_cofactors(bdd, outputs, bound)
     bound_set = set(bound)
@@ -178,9 +169,7 @@ def greedy_bound_set(bdd: BDD, outputs: Sequence[ISF],
     # only consulted by the caller's scoring).
     if len(outputs) > 8:
         outputs = list(outputs)[:8]
-    cache = None
-    if PartitionCache is not None:
-        cache = PartitionCache.for_call(bdd, outputs, "classes_for")
+    cache = PartitionCache.for_call(bdd, outputs, "classes_for")
     current: List[int] = []
     for _ in range(p):
         best_var = None
@@ -238,7 +227,7 @@ def rank_bound_sets(bdd: BDD, outputs: Sequence[ISF],
     cache = None
     need_scores = score_memo is None or any(
         (memo_key, cand) not in score_memo for cand in candidates)
-    if PartitionCache is not None and need_scores:
+    if need_scores:
         cache = PartitionCache.for_call(bdd, outputs, "reduction_score")
     ranked = []
     for cand in candidates:

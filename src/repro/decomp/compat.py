@@ -28,16 +28,8 @@ from typing import List, Optional, Sequence, Tuple
 from repro.bdd.manager import BDD
 from repro.bdd.ops import vertex_bits
 from repro.boolfunc.spec import ISF
+from repro.kernel.compat import kernel_assign_by_classes, kernel_classes_for
 from repro.obs.profiler import profile_phase
-
-try:
-    from repro.kernel.compat import (
-        kernel_assign_by_classes,
-        kernel_classes_for,
-    )
-except ImportError:  # pragma: no cover - numpy unavailable
-    kernel_assign_by_classes = None
-    kernel_classes_for = None
 
 
 @dataclass
@@ -274,11 +266,10 @@ def classes_for(bdd: BDD, outputs: Sequence[ISF],
     cap (see :mod:`repro.kernel`); the result is bit-identical to the
     BDD path either way.
     """
-    if kernel_classes_for is not None:
-        hit = kernel_classes_for(bdd, outputs, bound)
-        if hit is not None:
-            bound_t, classes, class_of, thunk = hit
-            return LazyClasses(bound_t, classes, class_of, thunk)
+    hit = kernel_classes_for(bdd, outputs, bound)
+    if hit is not None:
+        bound_t, classes, class_of, thunk = hit
+        return LazyClasses(bound_t, classes, class_of, thunk)
     return compute_classes(bdd, vertex_cofactors(bdd, outputs, bound), bound)
 
 
@@ -302,10 +293,9 @@ def assign_by_classes(bdd: BDD, outputs: Sequence[ISF],
     """
     if all(isf.is_complete() for isf in outputs):
         return list(outputs)
-    if kernel_assign_by_classes is not None:
-        hit = kernel_assign_by_classes(bdd, outputs, classes)
-        if hit is not None:
-            return hit
+    hit = kernel_assign_by_classes(bdd, outputs, classes)
+    if hit is not None:
+        return hit
     p = len(classes.bound)
     new_outputs = []
     for k in range(len(outputs)):

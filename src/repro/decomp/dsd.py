@@ -33,7 +33,7 @@ decision sequence is a pure function of the interval.  Both ops
 adapters — :class:`BddDsdOps` here and
 :class:`repro.kernel.dsd.MaskDsdOps` in word space — implement the
 checks over the same order, and cores are lowered through the canonical
-``bools_to_bdd``, so the emitted network is bit-identical whether or
+``mask_to_bdd``, so the emitted network is bit-identical whether or
 not the kernel served the probe.
 
 The result of a probe is a *plan tree* (:class:`DsdConst`,
@@ -53,11 +53,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.bdd.manager import BDD
 from repro.boolfunc.spec import ISF
 from repro.kernel import _OFF_VALUES, STATS as KERNEL_STATS
-
-try:
-    from repro.kernel.dsd import dsd_mask_domain
-except ImportError:  # pragma: no cover - numpy unavailable
-    dsd_mask_domain = None
+from repro.kernel.dsd import dsd_mask_domain
 
 #: Minimum support-variable shed required of *both* branches before a
 #: MUX split fires.  1 would make MUX subsume a plain Shannon step and
@@ -266,8 +262,7 @@ def shatter(bdd: BDD, isf: ISF, n_lut: int,
     decision sequence over BDD restricts.
     """
     _bump(counters, "probes")
-    domain = dsd_mask_domain(bdd, isf) if dsd_mask_domain is not None \
-        else None
+    domain = dsd_mask_domain(bdd, isf)
     if domain is not None:
         ops, handle = domain
         start = perf_counter()

@@ -6,18 +6,20 @@ spending most of its time in three phases — ``dc_step1_symmetry``,
 ROBDD store one restrict/ITE call at a time, even though at the
 recursion depths where they fire the live support is small.  This
 package re-expresses those phases over *packed truth tables*, one
-Python bignum per mask (bit ``k`` = table entry ``k``; CPython's C
-bignum AND/OR beats numpy call overhead on tables this small):
+plain Python int per mask (bit ``k`` = table entry ``k``), so the
+whole kernel runs on CPython's C bignum AND/OR/shift and the standard
+library:
 
-* :mod:`repro.kernel.bitset` — the packing primitives (row masks,
-  mask <-> bools, the cofactor-half split);
-* :mod:`repro.kernel.convert` — lossless, canonical ``BDD <-> bitset``
-  conversion (equal functions convert to byte-identical tables and
-  back to the *same* node ids, which is what makes the kernel results
+* :mod:`repro.kernel.bitset` — the mask primitives (the cofactor-half
+  split on the mask's bytes, the per-variable selector masks);
+* :mod:`repro.kernel.convert` — lossless, canonical ``BDD <-> mask``
+  conversion (equal functions convert to equal masks and back to the
+  *same* node ids, which is what makes the kernel results
   bit-identical to the BDD path);
 * :mod:`repro.kernel.compat` — bound-set vertex cofactor extraction as
-  strided slicing plus the ISF compatibility / running-intersection /
-  greedy-cover pipeline as bitwise AND/OR over ``(lo, hi)`` mask pairs;
+  contiguous row slices of a bound-first mask, plus the ISF
+  compatibility / running-intersection / greedy-cover pipeline as
+  bitwise AND/OR over ``(lo, hi)`` mask pairs;
 * :mod:`repro.kernel.symmetry` — (non)equivalence symmetry checks and
   the ``make_symmetric`` narrowing as shifted mask algebra against
   precomputed cofactor-plane selectors;
@@ -52,12 +54,6 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from typing import Any, Dict
-
-try:  # numpy is a declared dependency, but the BDD path works without it.
-    import numpy  # noqa: F401
-    AVAILABLE = True
-except ImportError:  # pragma: no cover - exercised only on broken installs
-    AVAILABLE = False
 
 #: Live-support cap for kernel dispatch: tables of at most 2**16 bits.
 #: Wider supports take the BDD path as a ``too_wide`` miss.
@@ -98,8 +94,6 @@ def kernel_enabled() -> bool:
     The environment is read on every call so tests and the CLI's
     ``--no-kernel`` can flip the switch mid-process.
     """
-    if not AVAILABLE:
-        return False
     return os.environ.get("REPRO_KERNEL", "").strip().lower() \
         not in _OFF_VALUES
 
@@ -194,7 +188,6 @@ def kernel_metrics() -> Dict[str, Any]:
 
 
 __all__ = [
-    "AVAILABLE",
     "KernelStats",
     "MAX_VARS",
     "MISS_CAUSES",

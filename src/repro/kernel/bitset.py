@@ -1,99 +1,51 @@
-"""Packed truth tables: 64 minterms per ``numpy.uint64`` word.
+"""Packed truth tables as Python bignum masks.
 
-Tables follow the package-wide MSB-first convention (entry ``k`` has the
-first variable as the most significant bit of ``k``); within the packed
-form, minterm ``k`` lives in bit ``k % 64`` of word ``k // 64``
-(little-endian bit order), so the pure-Python cross-check in
-:func:`repro.boolfunc.truthtable.pack64` produces identical words.
+A table over ``n`` variables is one non-negative ``int`` of ``2**n``
+bits: bit ``k`` is table entry ``k``, and tables follow the
+package-wide MSB-first convention (entry ``k`` has the first variable
+as the most significant bit of ``k``).  Read 64 bits at a time, a mask
+is exactly the word list of the pure-Python reference
+:func:`repro.boolfunc.truthtable.pack64`.
 
-Two packed flavours are used:
-
-* ``numpy`` word arrays (:func:`pack_bools` / :func:`pack_rows`) for the
-  bulk slicing the cofactor extraction does;
-* arbitrary-precision *mask integers* (:func:`mask_rows` /
-  :func:`mask_to_bools` / :func:`split_int`) — the kernel's mask form —
-  for the per-vertex ``(lo, hi)`` interval algebra of the clique cover,
-  the symmetry predicates and the DSD splits, where CPython's C-level
-  bignum AND/OR beats per-call numpy overhead on the tiny tables
-  involved.
-
-:class:`Bits` wraps the word-array form with set-algebra operators for
-tests and benchmarks.
+CPython's C-level bignum AND/OR/shift does the interval algebra of the
+clique cover, the symmetry predicates and the DSD splits.  What has no
+single bignum operation is gathering a variable's two cofactor halves,
+which :func:`split_int` does on the mask's little-endian bytes;
+:func:`sel0` builds the per-variable selector masks.
 """
 
 from __future__ import annotations
 
-from typing import List
-
-import numpy as np
-
-_BYTE_SHIFTS = np.arange(8, dtype=np.uint64) * np.uint64(8)
+from typing import Dict, Tuple
 
 
-def pack_bools(arr) -> np.ndarray:
-    """Pack a 1-D boolean table into ``uint64`` words (zero-padded)."""
-    arr = np.asarray(arr, dtype=np.uint8).reshape(-1)
-    nwords = max(1, (arr.size + 63) >> 6)
-    packed = np.packbits(arr, bitorder="little")
-    buf = np.zeros(nwords * 8, dtype=np.uint8)
-    buf[:packed.size] = packed
-    # Combine bytes explicitly (shift + OR) so the result is independent
-    # of the platform's endianness, unlike a raw uint8->uint64 view.
-    return np.bitwise_or.reduce(
-        buf.reshape(nwords, 8).astype(np.uint64) << _BYTE_SHIFTS, axis=1)
+def _compaction_tables(stride: int) -> Tuple[bytes, bytes, bytes, bytes]:
+    """``bytes.translate`` tables for a sub-byte ``stride``.
 
-
-def pack_rows(rows) -> np.ndarray:
-    """Pack a ``(r, c)`` boolean matrix row-wise into ``(r, words)``."""
-    rows = np.asarray(rows, dtype=np.uint8)
-    nrows, ncols = rows.shape
-    nwords = max(1, (ncols + 63) >> 6)
-    packed = np.packbits(rows, axis=1, bitorder="little")
-    buf = np.zeros((nrows, nwords * 8), dtype=np.uint8)
-    buf[:, :packed.shape[1]] = packed
-    return np.bitwise_or.reduce(
-        buf.reshape(nrows, nwords, 8).astype(np.uint64) << _BYTE_SHIFTS,
-        axis=2)
-
-
-def unpack_words(words, nbits: int) -> np.ndarray:
-    """Inverse of :func:`pack_bools`: the first ``nbits`` as booleans."""
-    words = np.asarray(words, dtype=np.uint64).reshape(-1)
-    by = ((words[:, None] >> _BYTE_SHIFTS) & np.uint64(0xFF)).astype(np.uint8)
-    return np.unpackbits(by.reshape(-1), bitorder="little")[:nbits] \
-        .astype(bool)
-
-
-def popcount_words(words) -> int:
-    """Total number of set bits across a word array."""
-    words = np.asarray(words, dtype=np.uint64)
-    if hasattr(np, "bitwise_count"):  # numpy >= 2.0
-        return int(np.bitwise_count(words).sum())
-    return int(unpack_words(words, words.size * 64).sum())
-
-
-def mask_rows(rows) -> List[int]:
-    """Pack each row of a boolean matrix into one Python mask integer.
-
-    Bit ``k`` of the mask is entry ``k`` of the row — the same bit
-    order as :func:`pack_bools`, just materialised as a bignum.
+    Each byte holds four ``x = 0`` and four ``x = 1`` bits; the tables
+    map it to the four bits of either half, compacted into the low
+    nibble or the high nibble: ``(lo_low, lo_high, hi_low, hi_high)``.
     """
-    rows = np.asarray(rows, dtype=np.uint8)
-    packed = np.packbits(rows, axis=1, bitorder="little")
-    data = packed.tobytes()
-    step = packed.shape[1]
-    return [int.from_bytes(data[i * step:(i + 1) * step], "little")
-            for i in range(packed.shape[0])]
+    lo, hi = bytearray(256), bytearray(256)
+    for byte in range(256):
+        halves = [0, 0]
+        filled = [0, 0]
+        for pos in range(8):
+            side = (pos // stride) & 1
+            halves[side] |= ((byte >> pos) & 1) << filled[side]
+            filled[side] += 1
+        lo[byte], hi[byte] = halves
+    return (bytes(lo), bytes(b << 4 for b in lo),
+            bytes(hi), bytes(b << 4 for b in hi))
 
 
-def mask_to_bools(mask: int, nbits: int) -> np.ndarray:
-    """Inverse of one :func:`mask_rows` row: a boolean array of ``nbits``."""
-    nbytes = max(1, (nbits + 7) >> 3)
-    raw = np.frombuffer(mask.to_bytes(nbytes, "little"), dtype=np.uint8)
-    return np.unpackbits(raw, bitorder="little")[:nbits].astype(bool)
+_COMPACT = {stride: _compaction_tables(stride) for stride in (1, 2, 4)}
+
+#: ``memoryview`` item formats for 1-, 2-, 4- and 8-byte blocks.
+_BLOCK_FORMAT = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
 
-def split_int(mask: int, nbits: int, stride: int) -> tuple:
+def split_int(mask: int, nbits: int, stride: int) -> Tuple[int, int]:
     """Cofactor halves of a packed table along one variable axis.
 
     ``stride`` is the variable's bit stride in the table (``2**k`` for
@@ -103,76 +55,49 @@ def split_int(mask: int, nbits: int, stride: int) -> tuple:
     exactly the tables a fresh extraction over the reduced variable
     tuple would produce.
     """
-    # Round-trip through numpy: gathering alternating stride-blocks of a
-    # bignum has no O(n) pure-Python form, and the tables are tiny
-    # (<= 2**16 bits), so pack/unpack cost is negligible.
-    nbytes = max(1, (nbits + 7) >> 3)
-    raw = np.frombuffer(mask.to_bytes(nbytes, "little"), dtype=np.uint8)
-    arr = np.unpackbits(raw, bitorder="little")[:nbits].reshape(-1, 2, stride)
-    lo = np.packbits(arr[:, 0, :].reshape(-1), bitorder="little")
-    hi = np.packbits(arr[:, 1, :].reshape(-1), bitorder="little")
-    return (int.from_bytes(lo.tobytes(), "little"),
-            int.from_bytes(hi.tobytes(), "little"))
+    if stride << 1 == nbits:  # the top variable: two contiguous halves
+        return mask & ((1 << stride) - 1), mask >> stride
+    raw = mask.to_bytes((nbits + 7) >> 3, "little")
+    if stride < 8:
+        # Output byte i takes the compacted halves of bytes 2i and 2i+1;
+        # OR of the two translated streams never carries.
+        lo_low, lo_high, hi_low, hi_high = _COMPACT[stride]
+        even, odd = raw[0::2], raw[1::2]
+        return (int.from_bytes(even.translate(lo_low), "little")
+                | int.from_bytes(odd.translate(lo_high), "little"),
+                int.from_bytes(even.translate(hi_low), "little")
+                | int.from_bytes(odd.translate(hi_high), "little"))
+    block = stride >> 3
+    if block <= 8:
+        view = memoryview(raw).cast(_BLOCK_FORMAT[block])
+        return (int.from_bytes(view[0::2].tobytes(), "little"),
+                int.from_bytes(view[1::2].tobytes(), "little"))
+    # Blocks past one word: join the byte slices (at most 2**16 bits,
+    # so at most 256 block pairs).
+    step = block << 1
+    return (int.from_bytes(b"".join([raw[i:i + block] for i in
+                                     range(0, len(raw), step)]), "little"),
+            int.from_bytes(b"".join([raw[i:i + block] for i in
+                                     range(block, len(raw), step)]),
+                           "little"))
 
 
-class Bits:
-    """A truth table packed into ``uint64`` words, with set algebra.
+#: ``(nvars, axis) -> `` selector mask of the entries with ``x_axis = 0``.
+_SEL_CACHE: Dict[Tuple[int, int], int] = {}
 
-    Bits beyond ``nbits`` in the last word are kept at zero (the
-    operators preserve this, :meth:`invert` masks the tail), so
-    :meth:`key` is a canonical byte string: equal tables, equal keys.
-    """
 
-    __slots__ = ("nbits", "words")
+def sel0(nvars: int, axis: int) -> int:
+    """Mask selecting the table entries where variable ``axis`` is 0."""
+    sel = _SEL_CACHE.get((nvars, axis))
+    if sel is None:
+        stride = 1 << (nvars - 1 - axis)
+        period = stride << 1
+        reps = (1 << nvars) // period
+        block = (1 << stride) - 1
+        # Repeat `block` every `period` bits, `reps` times (repunit).
+        sel = block * (((1 << (period * reps)) - 1) // ((1 << period) - 1))
+        _SEL_CACHE[(nvars, axis)] = sel
+    return sel
 
-    def __init__(self, nbits: int, words: np.ndarray) -> None:
-        self.nbits = nbits
-        self.words = words
 
-    @classmethod
-    def from_bools(cls, arr) -> "Bits":
-        arr = np.asarray(arr, dtype=bool).reshape(-1)
-        return cls(arr.size, pack_bools(arr))
-
-    def to_bools(self) -> np.ndarray:
-        return unpack_words(self.words, self.nbits)
-
-    def _tail_mask(self) -> np.ndarray:
-        mask = np.full(self.words.shape, np.uint64(0xFFFFFFFFFFFFFFFF))
-        tail = self.nbits & 63
-        if tail:
-            mask[-1] = np.uint64((1 << tail) - 1)
-        return mask
-
-    def __and__(self, other: "Bits") -> "Bits":
-        return Bits(self.nbits, self.words & other.words)
-
-    def __or__(self, other: "Bits") -> "Bits":
-        return Bits(self.nbits, self.words | other.words)
-
-    def invert(self) -> "Bits":
-        return Bits(self.nbits, ~self.words & self._tail_mask())
-
-    def subset_of(self, other: "Bits") -> bool:
-        return not np.any(self.words & ~other.words)
-
-    def is_zero(self) -> bool:
-        return not self.words.any()
-
-    def popcount(self) -> int:
-        return popcount_words(self.words)
-
-    def key(self) -> bytes:
-        return self.words.tobytes()
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Bits):
-            return NotImplemented
-        return self.nbits == other.nbits and \
-            bool(np.array_equal(self.words, other.words))
-
-    def __hash__(self) -> int:
-        return hash((self.nbits, self.key()))
-
-    def __repr__(self) -> str:
-        return f"<Bits nbits={self.nbits} popcount={self.popcount()}>"
+__all__ = ["sel0", "split_int"]

@@ -5,13 +5,14 @@ dedup insertion order, same onset-keyed seeds, same first-fit-decreasing
 greedy cover, same class numbering — but over packed truth tables
 instead of BDD nodes:
 
-* vertex cofactor extraction is one reshape/moveaxis/slice per output
-  instead of ``2**p * outputs`` chains of ``bdd.restrict``;
+* vertex cofactor extraction is one mask per output, laid out
+  bound-first so each vertex's row is a contiguous slice, instead of
+  ``2**p * outputs`` chains of ``bdd.restrict``;
 * interval compatibility, running intersection and the cover's guards
   are bignum AND/OR over ``(lo, hi)`` mask pairs;
 * only the few *merged* class intervals (and narrowed outputs) are
   converted back to BDD nodes, through the canonical
-  :func:`repro.kernel.convert.bools_to_bdd`, so the resulting
+  :func:`repro.kernel.convert.mask_to_bdd`, so the resulting
   ``Classes`` carries exactly the node ids the BDD path would produce.
 
 Each output gets its own table domain — its live support plus the
@@ -33,20 +34,15 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.boolfunc.spec import ISF
 from repro.faults import fault_point
-from repro.kernel import AVAILABLE, MISS_MISMATCH, STATS, fits, kernel_enabled
+from repro.kernel import MISS_MISMATCH, STATS, fits, kernel_enabled
+from repro.kernel.convert import (
+    TableMismatchError,
+    _conversion_cache,
+    bdd_to_mask,
+    cache_put,
+    mask_to_bdd,
+)
 from repro.obs.profiler import profile_phase
-
-if AVAILABLE:
-    import numpy as np
-
-    from repro.kernel.bitset import mask_rows, mask_to_bools
-    from repro.kernel.convert import (
-        TableMismatchError,
-        _conversion_cache,
-        bdd_to_bools,
-        bools_to_bdd,
-        cache_put,
-    )
 
 #: A vertex's cofactor vector: ``[(lo_mask, hi_mask)] * outputs``.
 MaskVector = List[Tuple[int, int]]
@@ -97,30 +93,32 @@ def _vertex_masks(bdd, outputs: Sequence[ISF], bound: Sequence[int],
                   domains: Domains) -> List[MaskVector]:
     """Per-vertex cofactor mask vectors, vertex order = ``vertex_bits``.
 
-    Row ``v`` of output ``k``'s table over ``domains[k]``, sliced at the
-    bound, is the cofactor of bound-set vertex ``v`` over that output's
-    free variables (MSB-first on both sides, with ``bound[0]`` the most
-    significant vertex bit — the same convention as
+    Each output's table is laid out bound-first (``bound`` then its
+    free variables), so row ``v`` — the cofactor of bound-set vertex
+    ``v`` over that output's free variables — is the ``v``-th
+    contiguous slice (MSB-first on both sides, with ``bound[0]`` the
+    most significant vertex bit — the same convention as
     :func:`repro.decomp.compat.vertex_cofactors`).
     """
     p = len(bound)
     bound_t = tuple(bound)
+    bound_set = set(bound_t)
     cache = _conversion_cache(bdd)
 
     def rows(node: int, table_vars: Tuple[int, ...]) -> list:
-        # Keyed alongside the bdd_to_bools entries (4-tuples vs their
-        # 2-tuples); re-scored bound sets reuse the packed rows.
+        # Keyed alongside the bdd_to_mask entries (4-tuples vs their
+        # 2-tuples); re-scored bound sets reuse the sliced rows.
         key = ("rows", node, table_vars, bound_t)
         hit = cache.get(key)
         if hit is not None:
             return hit
-        nvars = len(table_vars)
-        positions = [table_vars.index(b) for b in bound_t]
-        arr = bdd_to_bools(bdd, node, table_vars).reshape((2,) * nvars)
-        flat = np.moveaxis(arr, positions, range(p)).reshape(1 << p, -1)
-        packed = mask_rows(flat)
-        cache_put(cache, key, packed)
-        return packed
+        free = tuple(v for v in table_vars if v not in bound_set)
+        mask = bdd_to_mask(bdd, node, bound_t + free)
+        width = 1 << len(free)
+        row = (1 << width) - 1
+        sliced = [(mask >> (v * width)) & row for v in range(1 << p)]
+        cache_put(cache, key, sliced)
+        return sliced
 
     per_output: List[Tuple[List[int], List[int]]] = []
     for isf, table_vars in zip(outputs, domains):
@@ -291,7 +289,7 @@ def kernel_classes_for(bdd, outputs: Sequence[ISF], bound: Sequence[int]
 
     def materialise() -> List[List[ISF]]:
         # Each output's intervals convert over its own free variables;
-        # bools_to_bdd is canonical, so the node ids do not depend on
+        # mask_to_bdd is canonical, so the node ids do not depend on
         # which covering variable tuple the table used.
         begin = perf_counter()
         with profile_phase("clique_cover"):
@@ -299,11 +297,9 @@ def kernel_classes_for(bdd, outputs: Sequence[ISF], bound: Sequence[int]
             for vec in merged_masks:
                 row = []
                 for (lo_mask, hi_mask), free in zip(vec, frees):
-                    nbits = 1 << len(free)
-                    lo = bools_to_bdd(bdd, mask_to_bools(lo_mask, nbits),
-                                      free)
-                    hi = lo if hi_mask == lo_mask else bools_to_bdd(
-                        bdd, mask_to_bools(hi_mask, nbits), free)
+                    lo = mask_to_bdd(bdd, lo_mask, free)
+                    hi = lo if hi_mask == lo_mask else \
+                        mask_to_bdd(bdd, hi_mask, free)
                     row.append(ISF(lo, hi))
                 merged.append(row)
         STATS.record_hit("merged_convert", perf_counter() - begin)
@@ -365,8 +361,8 @@ def kernel_assign_by_classes(bdd, outputs: Sequence[ISF],
                              "assign_by_classes", columns)
     if domains is None:
         return None
-    p = len(classes.bound)
-    bound_set = set(classes.bound)
+    bound = tuple(classes.bound)
+    bound_set = set(bound)
     # Merged intervals normally live over the free variables only; a
     # hand-built Classes violating that goes down the BDD path instead.
     for column in columns:
@@ -378,31 +374,24 @@ def kernel_assign_by_classes(bdd, outputs: Sequence[ISF],
 
     new_outputs = []
     for table_vars, column in zip(domains, columns):
-        nvars = len(table_vars)
-        positions = [table_vars.index(b) for b in classes.bound]
-        free = [v for v in table_vars if v not in bound_set]
-        nfree_bits = 1 << len(free)
-        lo_rows = np.empty((1 << p, nfree_bits), dtype=bool)
-        hi_rows = np.empty((1 << p, nfree_bits), dtype=bool)
+        # Bound-first layout: vertex v's row sits at bit v * width.
+        free = tuple(v for v in table_vars if v not in bound_set)
+        width = 1 << len(free)
+        lo_mask = hi_mask = 0
         for merged, vertices in zip(column, classes.classes):
             try:
-                lo_tab = bdd_to_bools(bdd, merged.lo, free)
-                hi_tab = lo_tab if merged.hi == merged.lo else \
-                    bdd_to_bools(bdd, merged.hi, free)
+                lo_row = bdd_to_mask(bdd, merged.lo, free)
+                hi_row = lo_row if merged.hi == merged.lo else \
+                    bdd_to_mask(bdd, merged.hi, free)
             except TableMismatchError:
                 STATS.record_miss("assign_by_classes", MISS_MISMATCH)
                 return None
-            idx = np.asarray(vertices)
-            lo_rows[idx] = lo_tab
-            hi_rows[idx] = hi_tab
-        # Undo the bound-first axis layout, back to table_vars order.
-        lo_arr = np.moveaxis(lo_rows.reshape((2,) * nvars),
-                             range(p), positions).reshape(-1)
-        hi_arr = np.moveaxis(hi_rows.reshape((2,) * nvars),
-                             range(p), positions).reshape(-1)
-        lo = bools_to_bdd(bdd, lo_arr, table_vars)
-        hi = lo if np.array_equal(lo_arr, hi_arr) else \
-            bools_to_bdd(bdd, hi_arr, table_vars)
+            for v in vertices:
+                lo_mask |= lo_row << (v * width)
+                hi_mask |= hi_row << (v * width)
+        layout = bound + free
+        lo = mask_to_bdd(bdd, lo_mask, layout)
+        hi = lo if hi_mask == lo_mask else mask_to_bdd(bdd, hi_mask, layout)
         new_outputs.append(ISF.create(bdd, lo, hi))
     STATS.record_hit("assign_by_classes", perf_counter() - start)
     return new_outputs

@@ -1,32 +1,32 @@
-"""Lossless, canonical conversion between BDD nodes and truth tables.
+"""Lossless, canonical conversion between BDD nodes and mask tables.
 
 Both directions preserve canonicity, which is the keystone of the
 kernel's bit-identicality guarantee:
 
-* :func:`bdd_to_bools` — equal functions (equal node ids, by ROBDD
-  canonicity) produce byte-identical tables;
-* :func:`bools_to_bdd` — equal tables produce the *same* node id the
-  BDD path would have computed, because nodes are built bottom-up
-  through the manager's unique table.
+* :func:`bdd_to_mask` — equal functions (equal node ids, by ROBDD
+  canonicity) produce equal masks;
+* :func:`mask_to_bdd` — equal masks produce the *same* node id the
+  BDD path would have computed, because nodes are built through the
+  manager's unique table.
 
-Tables are MSB-first over the given variable tuple (the package-wide
-convention, see :meth:`repro.bdd.manager.BDD.from_truth_table`).
-Conversions are memoised per manager in ``BDD._kernel_cache``, which
-the manager clears on :meth:`~repro.bdd.manager.BDD.set_order` (node
-ids go stale there, so the cached tables would lie).
+Masks are MSB-first over the given variable tuple (the package-wide
+convention, see :meth:`repro.bdd.manager.BDD.from_truth_table`), in
+the layout of :mod:`repro.kernel.bitset`.  Conversions to masks are
+memoised per manager in ``BDD._kernel_cache``, which the manager
+clears on :meth:`~repro.bdd.manager.BDD.set_order` (node ids go stale
+there, so the cached masks would lie).
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-import numpy as np
-
 from repro.bdd.manager import BDD
+from repro.kernel.bitset import sel0, split_int
 
 #: Entry cap for the per-manager conversion cache (clear-on-threshold,
 #: like the manager's computed table).  Kernel tables are at most 2**16
-#: bools, so the entry cap alone bounds its memory.
+#: bits, so the entry cap alone bounds its memory.
 CACHE_LIMIT = 512
 
 
@@ -40,11 +40,6 @@ class TableMismatchError(ValueError):
     converted.  Kernel dispatch sites catch this and degrade to the BDD
     route with a recorded miss instead of crashing the run.
     """
-
-_FALSE1 = np.zeros(1, dtype=bool)
-_TRUE1 = np.ones(1, dtype=bool)
-_FALSE1.setflags(write=False)
-_TRUE1.setflags(write=False)
 
 
 def _conversion_cache(bdd: BDD) -> dict:
@@ -61,14 +56,15 @@ def cache_put(cache: dict, key, value) -> None:
     cache[key] = value
 
 
-def bdd_to_bools(bdd: BDD, f: int, variables: Sequence[int]) -> np.ndarray:
-    """Truth table of node ``f`` over ``variables`` as a boolean array.
+def bdd_to_mask(bdd: BDD, f: int, variables: Sequence[int]) -> int:
+    """Truth table of node ``f`` over ``variables`` as a mask.
 
-    ``variables`` must cover the support of ``f``.  The returned array
-    is read-only (it is shared through the per-manager cache).
+    ``variables`` must cover the support of ``f``.  In level order the
+    table is expanded top-down, one shift-and-OR per (node, depth)
+    pair; in any other layout each node blends its children's full
+    tables under the selector of its variable.
     """
     variables = tuple(variables)
-    nvars = len(variables)
     extra = bdd.support(f) - set(variables)
     if extra:
         raise TableMismatchError(
@@ -80,81 +76,115 @@ def bdd_to_bools(bdd: BDD, f: int, variables: Sequence[int]) -> np.ndarray:
     if hit is not None:
         return hit
 
-    # Expand in level order (one concatenation per node/depth pair,
-    # memoised), then transpose to the requested variable order.
+    nvars = len(variables)
+    var_of, low, high = bdd._var, bdd._low, bdd._high
     lvars = sorted(variables, key=bdd.var_level)
+    # full[k]: the constant-1 table over k variables.
+    full = [(1 << (1 << k)) - 1 for k in range(nvars + 1)]
     memo: dict = {}
 
-    def expand(node: int, depth: int) -> np.ndarray:
-        if depth == nvars:
-            return _TRUE1 if node == BDD.TRUE else _FALSE1
-        mkey = (node, depth)
-        res = memo.get(mkey)
-        if res is None:
-            if node > 1 and bdd.var_of(node) == lvars[depth]:
-                res = np.concatenate((expand(bdd.low(node), depth + 1),
-                                      expand(bdd.high(node), depth + 1)))
-            else:
-                half = expand(node, depth + 1)
-                res = np.concatenate((half, half))
-            memo[mkey] = res
-        return res
+    if lvars == list(variables):
+        def expand(node: int, depth: int) -> int:
+            if node <= 1:
+                return full[nvars - depth] if node else 0
+            mkey = (node, depth)
+            res = memo.get(mkey)
+            if res is None:
+                half = 1 << (nvars - depth - 1)
+                if var_of[node] == lvars[depth]:
+                    res = expand(low[node], depth + 1) \
+                        | (expand(high[node], depth + 1) << half)
+                else:
+                    res = expand(node, depth + 1)
+                    res |= res << half
+                memo[mkey] = res
+            return res
 
-    arr = expand(f, 0)
-    if nvars and list(variables) != lvars:
-        perm = [lvars.index(v) for v in variables]
-        arr = arr.reshape((2,) * nvars).transpose(perm).reshape(-1)
-    arr = np.ascontiguousarray(arr)
-    arr.setflags(write=False)
-    cache_put(cache, key, arr)
-    return arr
+        mask = expand(f, 0)
+    else:
+        # sel1[v]: the entries with v = 1.
+        sel1 = {v: full[nvars] ^ sel0(nvars, axis)
+                for axis, v in enumerate(variables)}
+
+        def blend(node: int) -> int:
+            if node <= 1:
+                return full[nvars] if node else 0
+            res = memo.get(node)
+            if res is None:
+                lo = blend(low[node])
+                res = lo ^ ((lo ^ blend(high[node])) & sel1[var_of[node]])
+                memo[node] = res
+            return res
+
+        mask = blend(f)
+    cache_put(cache, key, mask)
+    return mask
 
 
-def bools_to_bdd(bdd: BDD, table, variables: Sequence[int]) -> int:
-    """Canonical BDD node of a boolean truth table over ``variables``.
+def mask_to_bdd(bdd: BDD, mask: int, variables: Sequence[int]) -> int:
+    """Canonical BDD node of a mask table over ``variables``.
 
-    Built bottom-up one level at a time, with each level's node pairs
-    deduplicated so the manager's ``_make`` runs once per *distinct*
-    pair — at most the BDD's width at that level — instead of once per
-    table entry.  Wide levels dedupe through :func:`numpy.unique`;
-    narrow ones use a plain dict (the numpy call overhead dominates on
-    small arrays).
+    Halves the table top-down on the top-level variable, with a memo on
+    ``(depth, mask)``, so ``_make`` runs once per distinct subtable — at
+    most the BDD's width at each level.  In level order the halves are
+    contiguous; in any other layout :func:`split_int` gathers them.
     """
     variables = tuple(variables)
     nvars = len(variables)
-    arr = np.asarray(table, dtype=bool).reshape(-1)
-    if arr.size != 1 << nvars:
-        raise ValueError("truth table length must be 2**len(variables)")
-    if len(bdd) >= (1 << 31):  # pragma: no cover - pairing needs 31-bit ids
-        return bdd.from_truth_table([int(b) for b in arr], list(variables))
-
+    if mask < 0 or mask >> (1 << nvars):
+        raise ValueError("mask wider than 2**len(variables) bits")
     lvars = sorted(variables, key=bdd.var_level)
-    if nvars and list(variables) != lvars:
-        perm = [variables.index(v) for v in lvars]
-        arr = arr.reshape((2,) * nvars).transpose(perm).reshape(-1)
-
+    # strides[d]: the bit stride of lvars[d] once lvars[:d] are split off.
+    strides = []
+    layout = list(variables)
+    for var in lvars:
+        axis = layout.index(var)
+        strides.append(1 << (len(layout) - 1 - axis))
+        del layout[axis]
+    full = [(1 << (1 << k)) - 1 for k in range(nvars + 1)]
     make = bdd._make
-    nodes = arr.astype(np.int64)
-    depth = nvars - 1
-    while depth >= 0 and nodes.size > 2048:
-        var = lvars[depth]
-        keys = (nodes[0::2] << 32) | nodes[1::2]
-        uniq, inverse = np.unique(keys, return_inverse=True)
-        made = np.empty(uniq.size, dtype=np.int64)
-        for i, key in enumerate(uniq.tolist()):
-            made[i] = make(var, key >> 32, key & 0xFFFFFFFF)
-        nodes = made[inverse]
-        depth -= 1
-    lst = nodes.tolist()
-    for d in range(depth, -1, -1):
-        var = lvars[d]
-        memo: dict = {}
-        nxt = []
-        for i in range(0, len(lst), 2):
-            pair = (lst[i], lst[i + 1])
-            node = memo.get(pair)
-            if node is None:
-                node = memo[pair] = make(var, pair[0], pair[1])
-            nxt.append(node)
-        lst = nxt
-    return int(lst[0])
+    memo: dict = {}
+
+    def build(m: int, depth: int) -> int:
+        if not m:
+            return BDD.FALSE
+        if m == full[nvars - depth]:
+            return BDD.TRUE
+        mkey = (depth, m)
+        node = memo.get(mkey)
+        if node is None:
+            lo, hi = split_int(m, 1 << (nvars - depth), strides[depth])
+            node = memo[mkey] = make(lvars[depth], build(lo, depth + 1),
+                                     build(hi, depth + 1))
+        return node
+
+    return build(mask, 0)
+
+
+def lift_mask(bdd: BDD, node: int, variables: Sequence[int]) -> int:
+    """:func:`bdd_to_mask`, also remembering ``mask -> node`` so that
+    lowering an unchanged mask (the common case for symmetry and DSD
+    passes that narrow nothing) is a dict lookup, not a rebuild."""
+    variables = tuple(variables)
+    mask = bdd_to_mask(bdd, node, variables)
+    cache = _conversion_cache(bdd)
+    key = ("node", variables, mask)
+    if key not in cache:
+        cache_put(cache, key, node)
+    return mask
+
+
+def lower_mask(bdd: BDD, mask: int, variables: Sequence[int]) -> int:
+    """:func:`mask_to_bdd` through the entries :func:`lift_mask` keeps."""
+    variables = tuple(variables)
+    cache = _conversion_cache(bdd)
+    key = ("node", variables, mask)
+    node = cache.get(key)
+    if node is None:
+        node = mask_to_bdd(bdd, mask, variables)
+        cache_put(cache, key, node)
+    return node
+
+
+__all__ = ["TableMismatchError", "bdd_to_mask", "lift_mask", "lower_mask",
+           "mask_to_bdd"]

@@ -20,7 +20,7 @@ every split check is a handful of word-wide compares:
 Handles carry their own (shrinking) variable tuple, so a probe that
 peels ten literals does ten mask splits, never touching the BDD; only
 the irreducible cores are lowered back — through the canonical
-:func:`~repro.kernel.convert.bools_to_bdd`, so the engine sees exactly
+:func:`~repro.kernel.convert.mask_to_bdd`, so the engine sees exactly
 the node ids the BDD route would have produced and the emitted network
 is bit-identical either way.
 """
@@ -30,18 +30,9 @@ from __future__ import annotations
 from typing import Optional, Tuple
 
 from repro.boolfunc.spec import ISF
-from repro.kernel import AVAILABLE, MISS_MISMATCH, STATS, fits, kernel_enabled
-
-if AVAILABLE:
-    from repro.kernel.bitset import mask_rows, mask_to_bools, split_int
-    from repro.kernel.convert import (
-        TableMismatchError,
-        _conversion_cache,
-        bdd_to_bools,
-        bools_to_bdd,
-        cache_put,
-    )
-    from repro.kernel.symmetry import _sel0
+from repro.kernel import MISS_MISMATCH, STATS, fits, kernel_enabled
+from repro.kernel.bitset import sel0, split_int
+from repro.kernel.convert import TableMismatchError, lift_mask, lower_mask
 
 
 class MaskIsf:
@@ -84,38 +75,16 @@ class MaskDsdOps:
 
     # -- conversion ------------------------------------------------------
 
-    def _mask(self, node: int, variables: Tuple[int, ...]) -> int:
-        cache = _conversion_cache(self.bdd)
-        key = ("mask", node, variables)
-        hit = cache.get(key)
-        if hit is not None:
-            return hit
-        arr = bdd_to_bools(self.bdd, node, variables)
-        mask = mask_rows(arr.reshape(1, -1))[0]
-        cache_put(cache, key, mask)
-        cache_put(cache, ("node", variables, mask), node)
-        return mask
-
-    def _node_of(self, mask: int, variables: Tuple[int, ...]) -> int:
-        cache = _conversion_cache(self.bdd)
-        key = ("node", variables, mask)
-        hit = cache.get(key)
-        if hit is not None:
-            return hit
-        bools = mask_to_bools(mask, 1 << len(variables))
-        node = bools_to_bdd(self.bdd, bools, variables)
-        cache_put(cache, key, node)
-        return node
-
     def lift(self, isf: ISF, variables: Tuple[int, ...]) -> MaskIsf:
-        lo = self._mask(isf.lo, variables)
-        hi = lo if isf.hi == isf.lo else self._mask(isf.hi, variables)
+        lo = lift_mask(self.bdd, isf.lo, variables)
+        hi = lo if isf.hi == isf.lo else \
+            lift_mask(self.bdd, isf.hi, variables)
         return MaskIsf(variables, lo, hi)
 
     def lower(self, h: MaskIsf) -> ISF:
-        lo = self._node_of(h.lo, h.variables)
+        lo = lower_mask(self.bdd, h.lo, h.variables)
         hi = lo if h.hi is h.lo or h.hi == h.lo \
-            else self._node_of(h.hi, h.variables)
+            else lower_mask(self.bdd, h.hi, h.variables)
         return ISF.create(self.bdd, lo, hi)
 
     # -- split predicates ------------------------------------------------
@@ -136,7 +105,7 @@ class MaskDsdOps:
         out = []
         for axis, var in enumerate(h.variables):
             stride = 1 << (n - 1 - axis)
-            sel = _sel0(n, axis)
+            sel = sel0(n, axis)
             if (h.lo ^ (h.lo >> stride)) & sel:
                 out.append(var)
             elif not complete and (h.hi ^ (h.hi >> stride)) & sel:
@@ -190,7 +159,7 @@ def dsd_mask_domain(bdd, isf: ISF, op: str = "dsd_probe"
     """Kernel ops + lifted handle when the ISF's live support fits the
     kernel, else ``None`` (miss counted under ``op``, except when the
     kernel is simply disabled)."""
-    if not AVAILABLE or not kernel_enabled():
+    if not kernel_enabled():
         return None
     live = bdd.support(isf.lo)
     if isf.hi != isf.lo:

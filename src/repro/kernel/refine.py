@@ -46,7 +46,8 @@ from time import perf_counter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.boolfunc.spec import ISF
-from repro.kernel import AVAILABLE, STATS
+from repro.kernel import STATS
+from repro.kernel.bitset import split_int
 from repro.kernel.compat import (
     Domains,
     MaskVector,
@@ -57,9 +58,6 @@ from repro.kernel.compat import (
     _vertex_masks,
 )
 from repro.obs.profiler import profile_phase
-
-if AVAILABLE:
-    from repro.kernel.bitset import split_int
 
 #: Retained-mask byte budget per cache; past it the chain cache clears
 #: (correctness is unaffected — the next candidate re-refines from the

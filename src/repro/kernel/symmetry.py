@@ -19,13 +19,13 @@ predicate is a handful of word-wide shift/AND/XOR operations against
   selector, for the *whole* plane at once.
 
 Functions are lifted once per dispatch (through the cached, canonical
-:func:`repro.kernel.convert.bdd_to_bools`) and lowered back to
+:func:`repro.kernel.convert.lift_mask`) and lowered back to
 node-identical ISFs at the wrapper boundary, so the narrowed outputs
 and the group structure are bit-identical to the BDD path.  Masks and
 mask->node results are memoised in the manager's conversion cache, so
 an assignment pass that changes nothing (the common case) lowers by
-dictionary lookup instead of rebuilding the BDD bottom-up — profiling
-showed that rebuild dominating the whole dispatch at small supports.
+dictionary lookup instead of rebuilding the BDD — profiling showed
+that rebuild dominating the whole dispatch at small supports.
 
 Supports past :data:`repro.kernel.MAX_VARS` live variables take the BDD
 path (a ``too_wide`` miss).  Below :data:`repro.kernel.SYMMETRY_MIN_VARS`
@@ -41,35 +41,16 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro import kernel
 from repro.boolfunc.spec import ISF
-from repro.kernel import AVAILABLE, MISS_MISMATCH, STATS, fits, kernel_enabled
+from repro.kernel import MISS_MISMATCH, STATS, fits, kernel_enabled
+from repro.kernel.bitset import sel0
+from repro.kernel.convert import (
+    TableMismatchError,
+    _conversion_cache,
+    cache_put,
+    lift_mask,
+    lower_mask,
+)
 from repro.symmetry.isf_symmetry import SymmetryKind
-
-if AVAILABLE:
-    from repro.kernel.bitset import mask_rows, mask_to_bools
-    from repro.kernel.convert import (
-        TableMismatchError,
-        _conversion_cache,
-        bdd_to_bools,
-        bools_to_bdd,
-        cache_put,
-    )
-
-#: ``(nvars, axis) -> `` selector mask of the entries with ``x_axis = 0``.
-_SEL_CACHE: Dict[Tuple[int, int], int] = {}
-
-
-def _sel0(nvars: int, axis: int) -> int:
-    """Mask selecting the table entries where variable ``axis`` is 0."""
-    sel = _SEL_CACHE.get((nvars, axis))
-    if sel is None:
-        stride = 1 << (nvars - 1 - axis)
-        period = stride << 1
-        reps = (1 << nvars) // period
-        block = (1 << stride) - 1
-        # Repeat `block` every `period` bits, `reps` times (repunit).
-        sel = block * (((1 << (period * reps)) - 1) // ((1 << period) - 1))
-        _SEL_CACHE[(nvars, axis)] = sel
-    return sel
 
 
 class BitsISF:
@@ -96,46 +77,21 @@ class BitsIsfOps:
         self.variables = tuple(variables)
         self.axis = {v: i for i, v in enumerate(self.variables)}
         self.nvars = len(self.variables)
-        self.nbits = 1 << self.nvars
         self._pair_cache: Dict[Tuple[int, int, SymmetryKind],
                                Tuple[int, int]] = {}
 
     # -- conversion ------------------------------------------------------
 
-    def _mask(self, node: int) -> int:
-        cache = _conversion_cache(self.bdd)
-        key = ("mask", node, self.variables)
-        hit = cache.get(key)
-        if hit is not None:
-            return hit
-        arr = bdd_to_bools(self.bdd, node, self.variables)
-        mask = mask_rows(arr.reshape(1, -1))[0]
-        cache_put(cache, key, mask)
-        # Reverse entry: lowering an unchanged mask (the common case for
-        # assignment passes that narrow nothing) becomes a dict lookup
-        # instead of a bottom-up BDD rebuild.
-        cache_put(cache, ("node", self.variables, mask), node)
-        return mask
-
-    def _node_of(self, mask: int) -> int:
-        cache = _conversion_cache(self.bdd)
-        key = ("node", self.variables, mask)
-        hit = cache.get(key)
-        if hit is not None:
-            return hit
-        node = bools_to_bdd(self.bdd, mask_to_bools(mask, self.nbits),
-                            self.variables)
-        cache_put(cache, key, node)
-        return node
-
     def lift(self, isf: ISF) -> BitsISF:
-        lo = self._mask(isf.lo)
-        hi = lo if isf.hi == isf.lo else self._mask(isf.hi)
+        lo = lift_mask(self.bdd, isf.lo, self.variables)
+        hi = lo if isf.hi == isf.lo else \
+            lift_mask(self.bdd, isf.hi, self.variables)
         return BitsISF(lo, hi)
 
     def lower(self, f: BitsISF) -> ISF:
-        lo = self._node_of(f.lo)
-        hi = lo if f.hi == f.lo else self._node_of(f.hi)
+        lo = lower_mask(self.bdd, f.lo, self.variables)
+        hi = lo if f.hi == f.lo else \
+            lower_mask(self.bdd, f.hi, self.variables)
         return ISF.create(self.bdd, lo, hi)
 
     # -- plane algebra ---------------------------------------------------
@@ -154,11 +110,11 @@ class BitsIsfOps:
         sj = 1 << (self.nvars - 1 - aj)
         if kind is SymmetryKind.NONEQUIVALENCE:
             # (0, 1) entries; partner (1, 0) is +si - sj away.
-            sel = _sel0(self.nvars, ai) & (_sel0(self.nvars, aj) << sj)
+            sel = sel0(self.nvars, ai) & (sel0(self.nvars, aj) << sj)
             delta = si - sj
         else:
             # (0, 0) entries; partner (1, 1) is +si + sj away.
-            sel = _sel0(self.nvars, ai) & _sel0(self.nvars, aj)
+            sel = sel0(self.nvars, ai) & sel0(self.nvars, aj)
             delta = si + sj
         self._pair_cache[(ai, aj, kind)] = (sel, delta)
         return sel, delta
@@ -170,7 +126,7 @@ class BitsIsfOps:
         for var in self.variables:
             ax = self.axis[var]
             stride = 1 << (self.nvars - 1 - ax)
-            sel = _sel0(self.nvars, ax)
+            sel = sel0(self.nvars, ax)
             if (f.lo ^ (f.lo >> stride)) & sel:
                 supp.add(var)
             elif f.hi != f.lo and (f.hi ^ (f.hi >> stride)) & sel:

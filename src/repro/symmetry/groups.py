@@ -33,16 +33,12 @@ from repro.bdd.manager import BDD
 from repro.boolfunc.spec import ISF
 from repro import kernel
 from repro.kernel import STATS as KERNEL_STATS
+from repro.kernel.symmetry import bits_domain
 from repro.symmetry.isf_symmetry import (
     BddIsfOps,
     SymmetryKind,
     potentially_symmetric,
 )
-
-try:
-    from repro.kernel.symmetry import bits_domain
-except ImportError:  # pragma: no cover - numpy unavailable
-    bits_domain = None
 
 
 def symmetry_domain(bdd: BDD, isfs: Sequence[ISF],
@@ -60,11 +56,10 @@ def symmetry_domain(bdd: BDD, isfs: Sequence[ISF],
     otherwise the BDD adapter with the ISFs unchanged.  Misses are
     counted under ``op``; declining below the crossover is not a miss.
     """
-    if bits_domain is not None:
-        domain = bits_domain(bdd, isfs, variables, op,
-                             min_vars=kernel.SYMMETRY_MIN_VARS)
-        if domain is not None:
-            return domain
+    domain = bits_domain(bdd, isfs, variables, op,
+                         min_vars=kernel.SYMMETRY_MIN_VARS)
+    if domain is not None:
+        return domain
     return BddIsfOps(bdd), list(isfs)
 
 

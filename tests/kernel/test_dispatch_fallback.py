@@ -2,7 +2,7 @@
 
 A caller can hand the kernel a *DC-shrunk* variable ordering — a
 support list computed from a narrowed interval that no longer covers
-the raw node being converted.  ``bdd_to_bools`` reports that as
+the raw node being converted.  ``bdd_to_mask`` reports that as
 :class:`TableMismatchError`; every dispatch site catches it, records a
 miss and falls back to the BDD route, so the run completes with
 identical results.
@@ -23,7 +23,7 @@ from repro.kernel.compat import (
     kernel_classes_for,
     kernel_reduction_score,
 )
-from repro.kernel.convert import TableMismatchError, bdd_to_bools
+from repro.kernel.convert import TableMismatchError, bdd_to_mask
 
 
 def random_isfs(bdd, rng, n, m):
@@ -41,7 +41,7 @@ class TestConvertRaisesTyped:
         f = bdd.apply_or(bdd.var(0), bdd.var(3))
         # A DC-shrunk support that dropped variable 3.
         with pytest.raises(TableMismatchError):
-            bdd_to_bools(bdd, f, [0, 1])
+            bdd_to_mask(bdd, f, [0, 1])
 
     def test_is_a_value_error(self):
         # Pre-existing callers catching ValueError keep working.

@@ -2,8 +2,10 @@
 cleanly from a cold interpreter."""
 
 import importlib
+import os
 import subprocess
 import sys
+import textwrap
 
 import pytest
 
@@ -58,3 +60,25 @@ def test_no_circular_import_traps():
                                 capture_output=True, text=True,
                                 timeout=60)
         assert result.returncode == 0, (name, result.stderr)
+
+
+def test_runs_without_numpy():
+    # With numpy blocked, every module imports and the kernel serves
+    # a real map: the package has no numpy dependency left.
+    code = textwrap.dedent("""
+        import importlib, pkgutil, sys
+        sys.modules["numpy"] = None  # numpy is now unimportable
+        import repro
+        for info in pkgutil.walk_packages(repro.__path__, "repro."):
+            if info.name != "repro.__main__":  # importing it runs the CLI
+                importlib.import_module(info.name)
+        from repro.bench.registry import benchmark
+        from repro.core.api import map_to_xc3000
+        stats = map_to_xc3000(benchmark("rd84")).stats
+        print(stats.kernel_metrics["kernel_hits"])
+    """)
+    env = {k: v for k, v in os.environ.items() if k != "REPRO_KERNEL"}
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert int(result.stdout.split()[-1]) > 0
