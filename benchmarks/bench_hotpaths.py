@@ -6,8 +6,17 @@ clique cover (``classes_for``), bound-set scoring
 (``reduction_score``) and symmetry-based assignment
 (``assign_for_symmetry``) — twice per case: once with the kernel
 disabled (pure-BDD reference) and once enabled, on identical inputs.
+The bound-set search (``greedy_bound_set``, ``rank_bound_sets``) is
+timed twice over: on the case's incompletely specified outputs, and
+(``*_complete`` rows) on completed outputs, the view the engine ranks.
 The kernel is verified elsewhere (tests/kernel/) to be bit-identical;
 this script only measures.
+
+Each side of a case is timed by the same rule: the best of
+``REPEATS`` calls, unless either side's best is under
+``SMALL_OP_S`` — then both sides are the median of ``SMALL_CALLS``
+calls taken alternately, since the best of a few sub-millisecond calls
+hangs on one scheduler slice.
 
 Writes a schema-versioned JSON report (default: repo-root
 ``BENCH_hotpaths.json``).  Raw seconds are machine-dependent, so each
@@ -55,6 +64,7 @@ import json
 import math
 import os
 import random
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -81,7 +91,14 @@ NVARS = (10, 14, 16)
 #: a smoke benchmark.
 SEARCH_NVARS = (10, 14)
 DC_DENSITY = 0.3
+#: The completed-output search rows: outputs and bound-set size.
+COMPLETE_OUTPUTS = 4
+COMPLETE_P = 5
 REPEATS = 3
+#: Ops whose best call is faster than this on either side are timed as
+#: the median of ``SMALL_CALLS`` calls on both sides.
+SMALL_OP_S = 1e-3
+SMALL_CALLS = 101
 
 
 def calibrate() -> float:
@@ -120,13 +137,48 @@ def make_case(seed: int, nvars: int):
     return bdd, outputs, variables, bound
 
 
-def time_op(fn) -> float:
-    best = math.inf
-    for _ in range(REPEATS):
+def make_complete_case(seed: int, nvars: int):
+    """``COMPLETE_OUTPUTS`` random outputs completed to their onsets —
+    the ranking view :meth:`DecompositionEngine._find_step` builds."""
+    rng = random.Random(seed * 1000 + nvars + 500)
+    bdd = BDD(nvars)
+    variables = list(range(nvars))
+    outputs = [ISF.complete(random_isf(bdd, rng, variables).lo)
+               for _ in range(COMPLETE_OUTPUTS)]
+    return bdd, outputs, variables
+
+
+def _calls(fn, n: int):
+    times = []
+    for _ in range(n):
         t0 = time.perf_counter()
         fn()
-        best = min(best, time.perf_counter() - t0)
-    return best
+        times.append(time.perf_counter() - t0)
+    return times
+
+
+def time_sides(fn):
+    """``(bdd_s, kernel_s, estimator, calls)`` of ``fn`` with the kernel
+    off and on, both sides by the same rule (see the module doc)."""
+    sides = ("off", "on")
+    samples = {}
+    for side in sides:
+        os.environ["REPRO_KERNEL"] = side
+        reset_kernel_stats()
+        samples[side] = _calls(fn, REPEATS)
+    if min(min(times) for times in samples.values()) >= SMALL_OP_S:
+        return (min(samples["off"]), min(samples["on"]), "best",
+                REPEATS)
+    # Alternate the sides call by call: a sub-millisecond op's time
+    # drifts with the state earlier calls leave behind, and both sides
+    # must sample the same drift.
+    samples = {side: [] for side in sides}
+    for _ in range(SMALL_CALLS):
+        for side in sides:
+            os.environ["REPRO_KERNEL"] = side
+            samples[side].extend(_calls(fn, 1))
+    return (statistics.median(samples["off"]),
+            statistics.median(samples["on"]), "median", SMALL_CALLS)
 
 
 def run_case(seed: int, nvars: int):
@@ -142,17 +194,20 @@ def run_case(seed: int, nvars: int):
             bdd, outputs, variables, 4)
         ops["rank_bound_sets"] = lambda: rank_bound_sets(
             bdd, outputs, variables, 4)
+        cbdd, complete, cvars = make_complete_case(seed, nvars)
+        ops["greedy_bound_set_complete"] = lambda: greedy_bound_set(
+            cbdd, complete, cvars, COMPLETE_P)
+        ops["rank_bound_sets_complete"] = lambda: rank_bound_sets(
+            cbdd, complete, cvars, COMPLETE_P)
     rows = []
     for op, fn in ops.items():
-        os.environ["REPRO_KERNEL"] = "off"
-        bdd_s = time_op(fn)
-        os.environ["REPRO_KERNEL"] = "on"
-        reset_kernel_stats()
-        kernel_s = time_op(fn)
+        bdd_s, kernel_s, estimator, calls = time_sides(fn)
         rows.append({
             "op": op,
             "nvars": nvars,
             "seed": seed,
+            "estimator": estimator,
+            "calls": calls,
             "bdd_s": bdd_s,
             "kernel_s": kernel_s,
             "speedup": bdd_s / kernel_s if kernel_s > 0 else math.inf,
@@ -486,7 +541,7 @@ def main(argv=None) -> int:
             rows = run_case(seed, nvars)
             cases.extend(rows)
             for row in rows:
-                print(f"seed={seed} nvars={nvars:2d} {row['op']:<16s} "
+                print(f"seed={seed} nvars={nvars:2d} {row['op']:<25s} "
                       f"bdd {row['bdd_s']*1e3:8.2f} ms   "
                       f"kernel {row['kernel_s']*1e3:8.2f} ms   "
                       f"speedup {row['speedup']:6.2f}x")
@@ -512,6 +567,10 @@ def main(argv=None) -> int:
         "seeds": args.seeds,
         "dc_density": DC_DENSITY,
         "repeats": REPEATS,
+        "small_op_s": SMALL_OP_S,
+        "small_calls": SMALL_CALLS,
+        "complete_outputs": COMPLETE_OUTPUTS,
+        "complete_p": COMPLETE_P,
         "cases": cases,
         "dsd": dsd_rows,
         "submemo": submemo_section,

@@ -66,7 +66,7 @@ def print_hotpaths(path: Path) -> None:
           f"{doc.get('calibration_s', 0) * 1e3:.2f} ms/unit")
     for row in doc.get("cases", []):
         print(f"  seed={row['seed']} nvars={row['nvars']:2d} "
-              f"{row['op']:<16s} bdd {row['bdd_s']*1e3:8.2f} ms   "
+              f"{row['op']:<25s} bdd {row['bdd_s']*1e3:8.2f} ms   "
               f"kernel {row['kernel_s']*1e3:8.2f} ms   "
               f"speedup {row['speedup']:6.2f}x")
     print(f"geomean speedup: {summary.get('geomean_speedup', 0):.2f}x  "

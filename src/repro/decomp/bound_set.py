@@ -19,7 +19,7 @@ shrink; the driver falls back to a Shannon step when none exists.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.bdd.manager import BDD
 from repro.boolfunc.spec import ISF
@@ -151,11 +151,13 @@ def greedy_bound_set(bdd: BDD, outputs: Sequence[ISF],
     it collects variables whose contribution patterns are linearly
     dependent, where ``ncc`` stays at ``2^rank`` instead of ``2^p``.
 
-    When the kernel serves the support, each candidate ``B ∪ {v}`` is
-    scored by *one* partition refinement of the cached partition of the
-    current ``B`` (see :mod:`repro.kernel.refine`) instead of a full
-    ``classes_for`` recomputation — identical ``ncc``, so the grown set
-    is bit-identical either way.
+    When the kernel serves the support, each round refines the cached
+    partition of the current ``B`` once (see :mod:`repro.kernel.refine`)
+    and scores every ``B ∪ {v}`` off it: on completely specified
+    outputs by counting the split's distinct cofactor keys, otherwise
+    by one refinement and the clique cover's class count per candidate
+    — identical ``ncc`` to a full ``classes_for``, so the grown set is
+    bit-identical either way.
     """
     variables = list(variables)
     if p >= len(variables):
@@ -172,23 +174,27 @@ def greedy_bound_set(bdd: BDD, outputs: Sequence[ISF],
     cache = PartitionCache.for_call(bdd, outputs, "classes_for")
     current: List[int] = []
     for _ in range(p):
+        part = None
+        if cache is not None:
+            try:
+                part = cache.partition_for(tuple(current))
+            except TableMismatchError:
+                # Stale/shrunk ordering behind the cache: degrade to
+                # the BDD route for the rest of the growth.
+                KERNEL_STATS.record_miss("classes_for", MISS_MISMATCH)
+                cache = None
         best_var = None
         best_key = None
         for var in variables:
             if var in current:
                 continue
-            cand = current + [var]
-            if cache is not None:
-                try:
-                    ncc = cache.ncc_for(tuple(cand))
-                except TableMismatchError:
-                    # Stale/shrunk ordering behind the cache: degrade to
-                    # the BDD route for the rest of the growth.
-                    KERNEL_STATS.record_miss("classes_for", MISS_MISMATCH)
-                    cache = None
-            if cache is None:
+            if part is None:
                 KERNEL_STATS.record_scratch()
-                ncc = classes_for(bdd, outputs, cand).ncc
+                ncc = classes_for(bdd, outputs, current + [var]).ncc
+            elif part.all_complete:
+                ncc = cache.count_split(part, var)
+            else:
+                ncc = cache.ncc_for(part.bound + (var,))
             key = (ncc, var)
             if best_key is None or key < best_key:
                 best_key = key
@@ -204,7 +210,8 @@ def rank_bound_sets(bdd: BDD, outputs: Sequence[ISF],
                     groups: Optional[Sequence[Sequence[int]]] = None,
                     max_candidates: int = 24,
                     score_memo: Optional[Dict] = None,
-                    memo_key: Optional[Tuple] = None
+                    memo_key: Optional[Tuple] = None,
+                    memo_stats: Optional[Any] = None
                     ) -> List[Tuple[Tuple[int, ...], Tuple[int, int, int]]]:
     """Candidates with positive total support reduction, best first.
 
@@ -216,26 +223,37 @@ def rank_bound_sets(bdd: BDD, outputs: Sequence[ISF],
     Candidates are sorted tuples, so when the kernel serves the support
     they are scored through one :class:`repro.kernel.refine.PartitionCache`
     — overlapping windows extend each other's longest shared sorted
-    prefix instead of recomputing from scratch.  ``score_memo`` (keyed
-    by ``(memo_key, candidate)``) lets the engine reuse scores across
-    repeated rankings of the same outputs within one run.
+    prefix instead of recomputing from scratch.
+
+    ``score_memo`` lets the engine reuse work across repeated rankings
+    of the same outputs within one run: it holds each candidate's score
+    under ``(memo_key, candidate)`` and the greedy pick under
+    ``(memo_key, "greedy", tuple(variables))``, so a fully memoised
+    ranking does no table work.  ``memo_stats``, when given, counts the
+    memo's hits and misses on its ``score_memo_hits``,
+    ``score_memo_misses``, ``greedy_memo_hits`` and
+    ``greedy_memo_misses`` attributes.
     """
     candidates = candidate_bound_sets(variables, p, groups, max_candidates)
-    greedy = greedy_bound_set(bdd, outputs, variables, p)
+    memo = {} if score_memo is None else score_memo
+    greedy_key = (memo_key, "greedy", tuple(variables))
+    greedy_hit = greedy_key in memo
+    if greedy_hit:
+        greedy = memo[greedy_key]
+    else:
+        greedy = memo[greedy_key] = greedy_bound_set(bdd, outputs,
+                                                     variables, p)
     if greedy is not None and greedy not in candidates:
         candidates.insert(0, greedy)
+    keys = [(memo_key, cand) for cand in candidates]
+    misses = sum(key not in memo for key in keys)
     cache = None
-    need_scores = score_memo is None or any(
-        (memo_key, cand) not in score_memo for cand in candidates)
-    if need_scores:
+    if misses:
         cache = PartitionCache.for_call(bdd, outputs, "reduction_score")
     ranked = []
-    for cand in candidates:
-        full_key = (memo_key, cand)
-        if score_memo is not None and full_key in score_memo:
-            score = score_memo[full_key]
-        else:
-            score = None
+    for cand, key in zip(candidates, keys):
+        score = memo.get(key)
+        if score is None:
             if cache is not None:
                 try:
                     score = cache.score_for(cand)
@@ -244,14 +262,17 @@ def rank_bound_sets(bdd: BDD, outputs: Sequence[ISF],
                                              MISS_MISMATCH)
                     cache = None
             if score is None:
-                if cache is None:
-                    KERNEL_STATS.record_scratch()
+                KERNEL_STATS.record_scratch()
                 score = reduction_score(bdd, outputs, cand)
-        if score_memo is not None:
-            score_memo[full_key] = score
+            memo[key] = score
         if score[0] >= 0:
             continue  # removes nothing
         ranked.append((cand, score))
+    if memo_stats is not None:
+        memo_stats.greedy_memo_hits += greedy_hit
+        memo_stats.greedy_memo_misses += not greedy_hit
+        memo_stats.score_memo_hits += len(keys) - misses
+        memo_stats.score_memo_misses += misses
     ranked.sort(key=lambda item: item[1])
     return ranked
 

@@ -83,7 +83,8 @@ _SUBMEMO_FAULT_SITES = frozenset(
 
 #: Score-memo bounds, mirroring the kernel convert caches' policy
 #: (clear wholesale on entry-count or byte overflow, count the
-#: eviction): entries are ``((outputs, p), candidate) -> score`` tuples.
+#: eviction): entries are ``((outputs, p), candidate) -> score`` tuples
+#: and one ``((outputs, p), "greedy", support) -> pick`` per ranking.
 _SCORE_MEMO_LIMIT = 50000
 _SCORE_MEMO_BYTES = 32 * 1024 * 1024
 
@@ -188,6 +189,12 @@ class DecompositionStats:
     #: Times the bound-set score memo overflowed its entry/byte budget
     #: and was cleared wholesale (the convert-cache policy).
     score_memo_evictions: int = 0
+    #: Bound-set score memo lookups: candidate scores, and greedy picks
+    #: (one per ranking), found in the memo or computed.
+    score_memo_hits: int = 0
+    score_memo_misses: int = 0
+    greedy_memo_hits: int = 0
+    greedy_memo_misses: int = 0
 
     def phase_profile(self) -> Dict[str, Dict[str, float]]:
         """``{phase: {"time_s": ..., "calls": ...}}`` for this run."""
@@ -217,6 +224,11 @@ class DecompositionStats:
                               for key, value in sorted(
                                   self.submemo.items()))
             lines.append(f"sub-ISF memo        : {parts}")
+        if self.score_memo_hits or self.score_memo_misses:
+            lines.append(f"score memo          : {self.score_memo_hits} "
+                         f"hits / {self.score_memo_misses} misses; greedy "
+                         f"picks {self.greedy_memo_hits} hits / "
+                         f"{self.greedy_memo_misses} misses")
         if self.score_memo_evictions:
             lines.append(f"score memo evictions: "
                          f"{self.score_memo_evictions}")
@@ -1319,8 +1331,9 @@ class DecompositionEngine:
                         for o in outputs]
         # Convert-cache policy for the score memo: clear wholesale on
         # entry-count or byte overflow, count the eviction.  Entries
-        # are ((outputs, p), candidate) -> score tuples; the estimate
-        # charges the key tuples, which dominate.
+        # are ((outputs, p), candidate) -> score tuples, plus one
+        # ((outputs, p), "greedy", support) -> greedy pick per ranking;
+        # the estimate charges the key tuples, which dominate.
         if (len(self._score_memo) > _SCORE_MEMO_LIMIT
                 or self._score_memo_bytes > _SCORE_MEMO_BYTES):
             self._score_memo.clear()
@@ -1332,7 +1345,8 @@ class DecompositionEngine:
             ranked = rank_bound_sets(bdd, ranking_view, support, p,
                                      groups, max_candidates,
                                      score_memo=self._score_memo,
-                                     memo_key=memo_key)
+                                     memo_key=memo_key,
+                                     memo_stats=self.stats)
         added = len(self._score_memo) - before
         if added > 0:
             self._score_memo_bytes += added * (

@@ -152,10 +152,10 @@ def _dedup(vectors: List[MaskVector]
     """First-occurrence dedup of the vertex cofactor vectors.
 
     Returns ``(unique_vectors, members, all_complete)`` — the partition
-    the cover (and the incremental refinement in
-    :mod:`repro.kernel.refine`) operates on.  Group order is by first
-    occurrence, which equals ascending minimum member; members are
-    appended in ascending vertex order.
+    the cover operates on, and the one :mod:`repro.kernel.refine`
+    reproduces by splitting.  Group order is by first occurrence, which
+    equals ascending minimum member; members are appended in ascending
+    vertex order.
     """
     rep_of: dict = {}
     unique_vectors: List[MaskVector] = []
@@ -174,49 +174,28 @@ def _dedup(vectors: List[MaskVector]
     return unique_vectors, members, all_complete
 
 
-def _cover(vectors: List[MaskVector]
-           ) -> Tuple[List[List[int]], List[int], List[MaskVector]]:
-    """The clique cover of :func:`repro.decomp.compat._compute_classes`,
-    step for step, over mask vectors.  Returns
-    ``(classes, class_of, merged_mask_vectors)``."""
-    unique_vectors, members, all_complete = _dedup(vectors)
-    return _cover_from_partition(unique_vectors, members, all_complete,
-                                 len(vectors))
-
-
-def _cover_from_partition(unique_vectors: List[MaskVector],
-                          members: List[List[int]], all_complete: bool,
-                          num_vertices: int
-                          ) -> Tuple[List[List[int]], List[int],
-                                     List[MaskVector]]:
-    """Clique cover over an already-deduplicated vertex partition."""
-    if all_complete:
-        pairs = sorted(zip(members, unique_vectors),
-                       key=lambda pair: min(pair[0]))
-        classes = [sorted(m) for m, _ in pairs]
-        merged = [list(vec) for _, vec in pairs]
-        class_of = [0] * num_vertices
-        for c, vertices in enumerate(classes):
-            for v in vertices:
-                class_of[v] = c
-        return classes, class_of, merged
-
+def _cliques(unique_vectors: List[MaskVector]
+             ) -> Tuple[List[List[int]], List[MaskVector]]:
+    """The greedy clique cover of an incompletely specified partition:
+    onset-keyed seeds, then first fit in decreasing conflict degree.
+    Returns ``(cliques, intersections)``; ``cliques[c]`` lists the
+    indices of the ``unique_vectors`` clique ``c`` covers."""
     seed_of: dict = {}
-    seed_members: List[List[int]] = []
+    seed_vectors: List[List[int]] = []
     seed_intersection: List[MaskVector] = []
     for i, vec in enumerate(unique_vectors):
         lo_key = tuple(lo for lo, _ in vec)
         s = seed_of.get(lo_key)
         if s is None:
-            seed_of[lo_key] = len(seed_members)
-            seed_members.append(list(members[i]))
+            seed_of[lo_key] = len(seed_vectors)
+            seed_vectors.append([i])
             seed_intersection.append(list(vec))
         else:
-            seed_members[s].extend(members[i])
+            seed_vectors[s].append(i)
             # Cannot be None: intervals sharing a lo always intersect.
             seed_intersection[s] = _intersect(seed_intersection[s], vec)
 
-    n = len(seed_members)
+    n = len(seed_vectors)
     if n > 1:
         degree = [0] * n
         for i in range(n):
@@ -229,27 +208,53 @@ def _cover_from_partition(unique_vectors: List[MaskVector],
     else:
         order = list(range(n))
 
-    clique_members: List[List[int]] = []
+    cliques: List[List[int]] = []
     clique_intersection: List[MaskVector] = []
     for i in order:
         vec = seed_intersection[i]
         placed = False
-        for c in range(len(clique_members)):
+        for c in range(len(cliques)):
             merged = _intersect(clique_intersection[c], vec)
             if merged is not None:
-                clique_members[c].extend(seed_members[i])
+                cliques[c].extend(seed_vectors[i])
                 clique_intersection[c] = merged
                 placed = True
                 break
         if not placed:
-            clique_members.append(list(seed_members[i]))
+            cliques.append(list(seed_vectors[i]))
             clique_intersection.append(list(vec))
+    return cliques, clique_intersection
 
-    pairs = sorted(zip(clique_members, clique_intersection),
-                   key=lambda pair: min(pair[0]))
-    classes = [sorted(m) for m, _ in pairs]
-    merged = [inter for _, inter in pairs]
-    class_of = [0] * num_vertices
+
+def _cover_count(unique_vectors: List[MaskVector], all_complete: bool
+                 ) -> int:
+    """``len(classes)`` of :func:`_cover` over any vertices whose dedup
+    gives these vectors: :func:`_cliques` never reads the members."""
+    if all_complete:
+        return len(unique_vectors)
+    return len(_cliques(unique_vectors)[0])
+
+
+def _cover(vectors: List[MaskVector]
+           ) -> Tuple[List[List[int]], List[int], List[MaskVector]]:
+    """The clique cover of :func:`repro.decomp.compat._compute_classes`,
+    step for step, over mask vectors.  Returns
+    ``(classes, class_of, merged_mask_vectors)``."""
+    unique_vectors, members, all_complete = _dedup(vectors)
+    if all_complete:
+        pairs = sorted(zip(members, unique_vectors),
+                       key=lambda pair: min(pair[0]))
+        classes = [sorted(m) for m, _ in pairs]
+        merged = [list(vec) for _, vec in pairs]
+    else:
+        cliques, intersections = _cliques(unique_vectors)
+        pairs = sorted(
+            zip([[m for i in clique for m in members[i]]
+                 for clique in cliques], intersections),
+            key=lambda pair: min(pair[0]))
+        classes = [sorted(m) for m, _ in pairs]
+        merged = [inter for _, inter in pairs]
+    class_of = [0] * len(vectors)
     for c, vertices in enumerate(classes):
         for v in vertices:
             class_of[v] = c

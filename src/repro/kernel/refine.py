@@ -6,42 +6,59 @@ sets: :func:`repro.decomp.bound_set.greedy_bound_set` scores
 :func:`repro.decomp.bound_set.rank_bound_sets` scores sliding windows
 that share long sorted prefixes.  Recomputing ``classes_for`` from
 scratch re-extracts and re-deduplicates the full ``2**n`` truth table
-per candidate; this module instead *refines* a cached vertex partition:
+per candidate; this module instead *refines* a cached vertex partition.
 
-appending ``v`` to a bound ``B`` makes it the least significant vertex
+A :class:`Partition` keeps each output's *alphabet* — its distinct
+``(lo, hi)`` cofactor masks — once, and each group of equal-cofactor
+vertices as a tuple of small ints, one alphabet index per output.
+Appending ``v`` to a bound ``B`` makes it the least significant vertex
 bit (``bound[0]`` is the MSB), so every old vertex ``β`` splits into
 ``2β`` (``v = 0``) and ``2β + 1`` (``v = 1``), and the cofactor table
-of each new vertex is one *half* of its parent's — obtained by slicing
-the packed mask at ``v``'s bit stride, never touching the full table.
-Equal-cofactor groups of ``B ∪ {v}`` are re-deduplicated among the (at
-most ``2·u``) split group vectors, ``u`` the parent's group count.
+of each new vertex is one *half* of its parent's.  A refinement
+therefore splits every alphabet entry once — slicing the packed mask
+at ``v``'s bit stride, never touching the full table — interns the
+halves per output, and maps each group to its two child keys by index
+lookup; the groups of ``B ∪ {v}`` are the distinct child keys.
 
 Each output keeps its own table domain (its live support, see
 :func:`repro.kernel.compat._fit_variables`): an output that does not
 depend on ``v`` has equal cofactors at ``v = 0`` and ``v = 1``, so its
-masks pass through the split unchanged — exactly the masks a
+alphabet passes through the split unchanged — exactly the masks a
 from-scratch extraction over that output's ``support ∪ B ∪ {v}``
 produces.
 
-Bit-identicality: ordering the refined groups by minimum member index
-reproduces the first-occurrence order of a from-scratch dedup exactly
-(a group's first occurrence *is* its minimum member), members map
-monotonically (``β -> 2β + b``), and completeness is preserved by
-splitting — so the refined partition is *equal* to the from-scratch
-partition and the shared clique cover
-(:func:`repro.kernel.compat._cover_from_partition`) then runs step for
-step identically.  Scores derived here are therefore byte-identical to
+Counting: every alphabet entry is the cofactor of some group, and
+splitting preserves completeness.  On a completely specified partition
+the joint compatible-class count is therefore the number of groups and
+output ``k``'s is the size of its alphabet, so scoring runs no clique
+cover, and the greedy growth counts a candidate's distinct child keys
+without building its partition (:meth:`PartitionCache.count_split`).
+The engine ranks completed views only, so that is its whole search.
+Incompletely specified partitions are projected per output and run the
+clique cover's class count (:func:`repro.kernel.compat._cover_count`),
+which needs the distinct vectors in order but not their members.
+
+Bit-identicality: parent groups come in ascending minimum vertex ``m``
+and each splits into ``2m`` then ``2m + 1``, so the first-occurrence
+order of the child keys is ascending minimum vertex — the group order
+of a from-scratch dedup, with no sort.  Completeness is preserved, so
+the refined partition has the from-scratch partition's distinct
+vectors in its order, and the shared clique step runs step for step
+identically.  Scores derived here are therefore byte-identical to
 :func:`repro.decomp.bound_set.reduction_score`; the property suite in
 ``tests/kernel/test_refine.py`` enforces it.
 
-Every refinement is counted under the ``kernel_refine`` op (and
-fallbacks to full recomputation under ``classes_from_scratch``), so
-``--profile`` shows the search performing O(1) refinements per
-candidate variable instead of full ``classes_for`` calls.
+Every refinement and every count-only split is counted under the
+``kernel_refine`` op (and fallbacks to full recomputation under
+``classes_from_scratch``), so ``--profile`` shows the search performing
+O(1) refinements per candidate variable instead of full
+``classes_for`` calls.
 """
 
 from __future__ import annotations
 
+from itertools import chain
+from operator import getitem
 from time import perf_counter
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -51,8 +68,7 @@ from repro.kernel.bitset import split_int
 from repro.kernel.compat import (
     Domains,
     MaskVector,
-    _cover_from_partition,
-    _dedup,
+    _cover_count,
     _fit_variables,
     _min_r,
     _vertex_masks,
@@ -64,38 +80,77 @@ from repro.obs.profiler import profile_phase
 #: root).
 CACHE_BYTES_LIMIT = 128 * 1024 * 1024
 
+#: One output's distinct cofactor masks, ``(lo, hi)`` per entry.
+Alphabet = List[Tuple[int, int]]
+
 
 class Partition:
     """Dedup partition of the ``2**p`` bound-set vertices of ``bound``.
 
-    ``unique_vectors[i]`` is the cofactor mask vector shared by the
-    vertices in ``members[i]`` (ascending); groups are ordered by their
-    minimum member — exactly the state after the dedup stage of
+    ``alphabets[k]`` lists output ``k``'s distinct cofactor masks, and
+    ``groups[i]`` holds one index into each alphabet: the cofactor
+    vector shared by one group of vertices.  Groups are ordered by
+    their minimum vertex — exactly the state after the dedup stage of
     :func:`repro.kernel.compat._cover`.  ``free[k]`` is the variable
     tuple output ``k``'s masks range over.
+
+    Which vertices form a group is not kept: every score is a count,
+    and a clique cover's class count does not depend on the members
+    (:func:`repro.kernel.compat._cover_count`).  ``unique_vectors`` is
+    built from the alphabets on each read, since count-only scoring of
+    a complete partition never reads it.
     """
 
-    __slots__ = ("bound", "free", "unique_vectors", "members",
-                 "all_complete")
+    __slots__ = ("bound", "free", "alphabets", "groups", "all_complete",
+                 "nbytes")
 
     def __init__(self, bound: Tuple[int, ...], free: Domains,
-                 unique_vectors: List[MaskVector],
-                 members: List[List[int]], all_complete: bool) -> None:
+                 alphabets: List[Alphabet], groups: List[Tuple[int, ...]],
+                 all_complete: bool) -> None:
         self.bound = bound
         self.free = free
-        self.unique_vectors = unique_vectors
-        self.members = members
+        self.alphabets = alphabets
+        self.groups = groups
         self.all_complete = all_complete
+        #: Rough retained footprint, for the cache byte budget.
+        self.nbytes = len(groups) * 8 * (len(free) + 2) + sum(
+            len(alphabet) * 2 * max(1, (1 << len(domain)) >> 3)
+            for alphabet, domain in zip(alphabets, free))
 
     @property
-    def num_vertices(self) -> int:
-        return 1 << len(self.bound)
+    def unique_vectors(self) -> List[MaskVector]:
+        alphabets = self.alphabets
+        return [list(map(getitem, alphabets, group))
+                for group in self.groups]
 
-    def nbytes(self) -> int:
-        """Rough retained-mask footprint (for the cache byte budget)."""
-        per_vector = sum(max(1, (1 << len(free)) >> 3)
-                         for free in self.free)
-        return len(self.unique_vectors) * 2 * per_vector
+
+def _split_alphabet(alphabet: Alphabet, nbits: int, stride: int,
+                    complete: bool
+                    ) -> Tuple[dict, List[int], List[int]]:
+    """Split every entry of one output's alphabet at a variable of bit
+    ``stride``.  Returns the interned halves (insertion-ordered dict:
+    half -> new index; a half is the ``lo`` mask when ``complete``,
+    else the ``(lo, hi)`` pair) and, per old entry, the new index of
+    its ``0``- and ``1``-half."""
+    intern: dict = {}
+    setdefault = intern.setdefault
+    map0: List[int] = []
+    map1: List[int] = []
+    if complete:
+        for lo, _ in alphabet:
+            lo0, lo1 = split_int(lo, nbits, stride)
+            map0.append(setdefault(lo0, len(intern)))
+            map1.append(setdefault(lo1, len(intern)))
+        return intern, map0, map1
+    for lo, hi in alphabet:
+        lo0, lo1 = split_int(lo, nbits, stride)
+        if hi is lo or hi == lo:
+            hi0, hi1 = lo0, lo1
+        else:
+            hi0, hi1 = split_int(hi, nbits, stride)
+        map0.append(setdefault((lo0, hi0), len(intern)))
+        map1.append(setdefault((lo1, hi1), len(intern)))
+    return intern, map0, map1
 
 
 class PartitionCache:
@@ -118,6 +173,9 @@ class PartitionCache:
         self.bdd = bdd
         self.outputs = list(outputs)
         self.domains = domains
+        #: Output ``k``'s support as a set, for the score's
+        #: ``|S_k ∩ B|`` term.
+        self._supports = [frozenset(domain) for domain in domains]
         self._chains: Dict[Tuple[int, ...], Partition] = {}
         self._bytes = 0
 
@@ -139,21 +197,22 @@ class PartitionCache:
     # -- chain management -------------------------------------------------
 
     def _remember(self, part: Partition) -> None:
-        nbytes = part.nbytes()
-        if self._bytes + nbytes > CACHE_BYTES_LIMIT:
+        if self._bytes + part.nbytes > CACHE_BYTES_LIMIT:
             self._chains.clear()
             self._bytes = 0
         self._chains[part.bound] = part
-        self._bytes += nbytes
+        self._bytes += part.nbytes
 
     def _root(self) -> Partition:
         part = self._chains.get(())
         if part is None:
             with profile_phase("cofactors"):
-                vectors = _vertex_masks(self.bdd, self.outputs, (),
-                                        self.domains)
-            uniq, mem, complete = _dedup(vectors)
-            part = Partition((), self.domains, uniq, mem, complete)
+                (vector,) = _vertex_masks(self.bdd, self.outputs, (),
+                                          self.domains)
+            part = Partition((), self.domains,
+                             [[pair] for pair in vector],
+                             [(0,) * len(vector)],
+                             all(lo == hi for lo, hi in vector))
             self._remember(part)
         return part
 
@@ -176,60 +235,69 @@ class PartitionCache:
 
     # -- the refinement step ----------------------------------------------
 
+    def _split(self, part: Partition, var: int):
+        """Split ``part``'s alphabets at ``var``.  Returns the new free
+        tuples, the interned halves per output (``None`` where the
+        domain lacks ``var``) and the index columns of the ``0``- and
+        ``1``-children, one per output, in group order."""
+        columns = list(zip(*part.groups))
+        free: List[Tuple[int, ...]] = []
+        halves: List[Optional[dict]] = []
+        cols0: List[Sequence[int]] = []
+        cols1: List[Sequence[int]] = []
+        for alphabet, domain, column in zip(part.alphabets, part.free,
+                                            columns):
+            if var not in domain:
+                free.append(domain)
+                halves.append(None)
+                cols0.append(column)
+                cols1.append(column)
+                continue
+            fidx = domain.index(var)
+            free.append(domain[:fidx] + domain[fidx + 1:])
+            intern, map0, map1 = _split_alphabet(
+                alphabet, 1 << len(domain), 1 << (len(domain) - 1 - fidx),
+                part.all_complete)
+            halves.append(intern)
+            cols0.append(list(map(map0.__getitem__, column)))
+            cols1.append(list(map(map1.__getitem__, column)))
+        return free, halves, cols0, cols1
+
     def refine(self, part: Partition, var: int) -> Partition:
         """Partition of ``part.bound + (var,)`` by splitting each group
         at ``var``'s cofactor axis (outputs whose domain lacks ``var``
         keep their masks)."""
         start = perf_counter()
-        # Per output: (nbits, stride) of its split at var, or None when
-        # its domain lacks var.
-        splits: List[Optional[Tuple[int, int]]] = []
-        free: List[Tuple[int, ...]] = []
-        for domain in part.free:
-            if var not in domain:
-                splits.append(None)
-                free.append(domain)
-                continue
-            fidx = domain.index(var)
-            splits.append((1 << len(domain), 1 << (len(domain) - 1 - fidx)))
-            free.append(domain[:fidx] + domain[fidx + 1:])
-
-        rep: dict = {}
-        uniq: List[MaskVector] = []
-        mem: List[List[int]] = []
-        for vec, members in zip(part.unique_vectors, part.members):
-            halves0: MaskVector = []
-            halves1: MaskVector = []
-            for pair, split in zip(vec, splits):
-                if split is None:
-                    halves0.append(pair)
-                    halves1.append(pair)
-                    continue
-                lo, hi = pair
-                lo0, lo1 = split_int(lo, *split)
-                if hi is lo or hi == lo:
-                    hi0, hi1 = lo0, lo1
-                else:
-                    hi0, hi1 = split_int(hi, *split)
-                halves0.append((lo0, hi0))
-                halves1.append((lo1, hi1))
-            for b, newvec in ((0, halves0), (1, halves1)):
-                key = tuple(newvec)
-                idx = rep.get(key)
-                if idx is None:
-                    rep[key] = len(uniq)
-                    uniq.append(newvec)
-                    mem.append([2 * m + b for m in members])
-                else:
-                    mem[idx].extend(2 * m + b for m in members)
-        for members in mem:
-            members.sort()
-        order = sorted(range(len(uniq)), key=lambda i: mem[i][0])
-        new = Partition(part.bound + (var,), tuple(free),
-                        [uniq[i] for i in order], [mem[i] for i in order],
-                        part.all_complete)
+        free, halves, cols0, cols1 = self._split(part, var)
+        alphabets: List[Alphabet] = []
+        for alphabet, intern in zip(part.alphabets, halves):
+            if intern is None:
+                alphabets.append(alphabet)
+            elif part.all_complete:
+                alphabets.append([(lo, lo) for lo in intern])
+            else:
+                alphabets.append(list(intern))
+        keys0 = list(zip(*cols0))
+        keys1 = list(zip(*cols1))
+        # First occurrence over (group 0 at var=0, at var=1, group 1
+        # ...) is ascending minimum vertex: see the module docstring.
+        groups = list(dict.fromkeys(chain.from_iterable(zip(keys0,
+                                                            keys1))))
+        new = Partition(part.bound + (var,), tuple(free), alphabets,
+                        groups, part.all_complete)
         STATS.record_hit("kernel_refine", perf_counter() - start)
         return new
+
+    def count_split(self, part: Partition, var: int) -> int:
+        """Joint ``ncc`` of ``part.bound + (var,)`` for a completely
+        specified ``part``: the number of distinct child keys, without
+        building the refined partition."""
+        start = perf_counter()
+        _, _, cols0, cols1 = self._split(part, var)
+        keys = set(zip(*cols0))
+        keys.update(zip(*cols1))
+        STATS.record_hit("kernel_refine", perf_counter() - start)
+        return len(keys)
 
     # -- scoring ----------------------------------------------------------
 
@@ -237,65 +305,47 @@ class PartitionCache:
         """Joint compatible-class count of ``bound`` — the greedy growth
         metric — via one refinement per new variable."""
         part = self.partition_for(bound)
+        if part.all_complete:
+            return len(part.groups)
         with profile_phase("clique_cover"):
-            classes, _, _ = _cover_from_partition(
-                part.unique_vectors, part.members, part.all_complete,
-                part.num_vertices)
-        return len(classes)
+            return _cover_count(part.unique_vectors, False)
 
     def score_for(self, bound: Tuple[int, ...]) -> Tuple[int, int, int]:
         """The ranking score of
         :func:`repro.decomp.bound_set.reduction_score`, byte-identical,
-        from the refined partition (joint cover + per-output projected
-        covers)."""
+        from the refined partition: counts on a completely specified
+        one, else the joint cover and per-output projected covers."""
         part = self.partition_for(bound)
         start = perf_counter()
-        with profile_phase("clique_cover"):
-            bound_set = set(bound)
-            reduction = 0
-            for k, isf in enumerate(self.outputs):
-                inter = len(isf.support(self.bdd) & bound_set)
-                if inter == 0:
-                    continue
-                uniq, mem, complete = _project(part, k)
-                classes, _, _ = _cover_from_partition(
-                    uniq, mem, complete, part.num_vertices)
-                reduction += max(0, inter - _min_r(len(classes)))
-            joint_classes, _, _ = _cover_from_partition(
-                part.unique_vectors, part.members, part.all_complete,
-                part.num_vertices)
-            ncc = len(joint_classes)
-            score = (-reduction, _min_r(ncc), ncc)
-        STATS.record_hit("reduction_score", perf_counter() - start)
-        return score
-
-
-def _project(part: Partition, k: int
-             ) -> Tuple[List[MaskVector], List[List[int]], bool]:
-    """The single-output partition for output ``k``: joint groups whose
-    ``k``-components agree merge (no mask copying).  Iterating joint
-    groups in stored order keeps first-occurrence (= ascending minimum
-    member) group order, matching a from-scratch column dedup."""
-    rep: dict = {}
-    uniq: List[MaskVector] = []
-    mem: List[List[int]] = []
-    all_complete = True
-    for vec, members in zip(part.unique_vectors, part.members):
-        pair = vec[k]
-        idx = rep.get(pair)
-        if idx is None:
-            rep[pair] = len(uniq)
-            uniq.append([pair])
-            mem.append(list(members))
-            if all_complete:
-                lo, hi = pair
-                if not (hi is lo or hi == lo):
-                    all_complete = False
+        bound_set = set(bound)
+        reduction = 0
+        if part.all_complete:
+            for support, alphabet in zip(self._supports, part.alphabets):
+                inter = len(support & bound_set)
+                if inter:
+                    reduction += max(0, inter - _min_r(len(alphabet)))
+            ncc = len(part.groups)
         else:
-            mem[idx].extend(members)
-    for members in mem:
-        members.sort()
-    return uniq, mem, all_complete
+            with profile_phase("clique_cover"):
+                for k, support in enumerate(self._supports):
+                    inter = len(support & bound_set)
+                    if inter:
+                        reduction += max(
+                            0, inter - _min_r(_projected_ncc(part, k)))
+                ncc = _cover_count(part.unique_vectors, False)
+        STATS.record_hit("reduction_score", perf_counter() - start)
+        return (-reduction, _min_r(ncc), ncc)
+
+
+def _projected_ncc(part: Partition, k: int) -> int:
+    """Compatible-class count of output ``k`` alone.  Its alphabet is
+    its projected partition, in order: every entry is some group's
+    cofactor, and a split interns the halves in the order the groups
+    first reach them (ascending minimum vertex), which is the group
+    order of a from-scratch single-output dedup."""
+    alphabet = part.alphabets[k]
+    return _cover_count([[pair] for pair in alphabet],
+                        all(hi is lo or hi == lo for lo, hi in alphabet))
 
 
 __all__ = ["Partition", "PartitionCache"]

@@ -21,6 +21,11 @@ from typing import Any, Dict, Optional
 #: Version of the ``--metrics-out`` JSON document layout.
 SCHEMA_VERSION = 1
 
+#: Bound-set score memo counters of a run (engine section and
+#: ``--profile``), reported beside ``score_memo_evictions``.
+_SCORE_MEMO_KEYS = ("score_memo_hits", "score_memo_misses",
+                   "greedy_memo_hits", "greedy_memo_misses")
+
 
 @dataclass
 class BddMetrics:
@@ -93,6 +98,9 @@ def run_metrics(*, command: str, source: str, stats: Any,
     score_evictions = getattr(stats, "score_memo_evictions", 0)
     if score_evictions:
         doc["engine"]["score_memo_evictions"] = score_evictions
+    memo_counts = _score_memo_counts(stats)
+    if any(memo_counts.values()):
+        doc["engine"].update(memo_counts)
     faults_fired = getattr(stats, "fault_metrics", None)
     if faults_fired:
         doc["faults"] = dict(faults_fired)
@@ -161,6 +169,10 @@ def serve_metrics(stats: Dict[str, Any],
     return doc
 
 
+def _score_memo_counts(stats: Any) -> Dict[str, int]:
+    return {name: getattr(stats, name, 0) for name in _SCORE_MEMO_KEYS}
+
+
 def write_metrics(path: str, doc: Dict[str, Any]) -> None:
     """Write a metrics document as pretty-printed JSON."""
     with open(path, "w") as handle:
@@ -218,7 +230,7 @@ def profile_report(stats: Any,
         scratch = kernel.get("classes_from_scratch", 0)
         if refines or scratch:
             lines.append(f"  bound-set scoring   : {refines} partition "
-                         f"refinements / {scratch} from-scratch")
+                         f"splits / {scratch} from-scratch")
         for op, entry in kernel.get("ops", {}).items():
             lines.append(f"  {op:<20s}: {entry['time_s']:9.4f} s "
                          f"x{entry['hits']}"
@@ -233,6 +245,15 @@ def profile_report(stats: Any,
         pairs = ", ".join(f"{key}={submemo[key]}"
                           for key in sorted(submemo))
         lines.append(f"sub-ISF memo          : {pairs}")
+    memo = _score_memo_counts(stats)
+    if any(memo.values()):
+        lines.append(f"score memo            : "
+                     f"{memo['score_memo_hits']} hits / "
+                     f"{memo['score_memo_misses']} misses; greedy picks "
+                     f"{memo['greedy_memo_hits']} hits / "
+                     f"{memo['greedy_memo_misses']} misses; "
+                     f"{getattr(stats, 'score_memo_evictions', 0)} "
+                     f"evictions")
     fallbacks = getattr(stats, "exact_cover_fallbacks", 0)
     if fallbacks:
         lines.append(f"exact-cover fallbacks : {fallbacks} "

@@ -39,6 +39,19 @@ class TestMetricsOut:
             assert {"time_s", "calls"} <= set(entry)
             assert entry["time_s"] >= 0.0
 
+    def test_map_counts_score_memo_use(self, tmp_path, capsys):
+        """duke2 re-ranks identical bundles, so its run reports greedy
+        memo hits, in the engine section and in ``--profile``."""
+        out = tmp_path / "m.json"
+        assert main(["map", "duke2", "--profile",
+                     "--metrics-out", str(out)]) == 0
+        engine = json.loads(out.read_text())["engine"]
+        assert engine["greedy_memo_hits"] > 0
+        assert engine["score_memo_hits"] > 0
+        assert engine["greedy_memo_misses"] > 0
+        assert engine["score_memo_misses"] > 0
+        assert "score memo            :" in capsys.readouterr().out
+
     def test_gates_metrics(self, tmp_path, capsys):
         out = tmp_path / "g.json"
         assert main(["gates", "pm2", "--metrics-out", str(out)]) == 0

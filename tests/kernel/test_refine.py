@@ -2,10 +2,12 @@
 
 The bound-set search derives ``B ∪ {v}`` partitions by splitting the
 cached partition of ``B`` (one ``kernel_refine`` op per new variable)
-instead of re-extracting the full table.  These tests pin the refined
+instead of re-extracting the full table, and on completely specified
+outputs scores them by counts alone.  These tests pin the refined
 partition *equal* to a from-scratch dedup across DC densities, pin the
-search results identical kernel on/off, and pin the profiler counters:
-a served greedy search performs O(1) refinements per candidate and zero
+count-only class counts equal to a from-scratch cover, pin the search
+results identical kernel on/off, and pin the profiler counters: a
+served greedy search performs O(1) refinements per candidate and zero
 ``classes_from_scratch`` fallbacks.
 """
 
@@ -20,8 +22,15 @@ from repro.decomp.bound_set import (
     rank_bound_sets,
     reduction_score,
 )
+from repro.decomp.recursive import DecompositionStats
 from repro.kernel import STATS, reset_kernel_stats
-from repro.kernel.compat import _dedup, _fit_variables, _vertex_masks
+from repro.kernel.compat import (
+    _cover,
+    _cover_count,
+    _dedup,
+    _fit_variables,
+    _vertex_masks,
+)
 from repro.kernel.refine import PartitionCache
 
 
@@ -40,13 +49,12 @@ def random_isf(bdd, rng, variables, dc_density):
                       bdd.from_truth_table(hi_bits, variables))
 
 
-def scratch_partition(bdd, outputs, bound):
-    """From-scratch dedup of ``bound``'s vertices, over the per-output
-    domains a ``classes_for`` of ``bound`` would slice."""
+def scratch_vectors(bdd, outputs, bound):
+    """From-scratch vertex cofactor vectors of ``bound``, over the
+    per-output domains a ``classes_for`` of ``bound`` would slice."""
     domains = _fit_variables(bdd, outputs, bound, "test")
     assert domains is not None
-    vectors = _vertex_masks(bdd, outputs, tuple(bound), domains)
-    return _dedup(vectors)
+    return _vertex_masks(bdd, outputs, tuple(bound), domains)
 
 
 #: Output supports of the refinement property: all outputs over every
@@ -71,11 +79,14 @@ def test_refined_partition_equals_scratch(density, monkeypatch):
             for p in (1, 2, 3, 4):
                 bound = tuple(rng.sample(variables, p))
                 part = cache.partition_for(bound)
-                uniq, mem, complete = scratch_partition(bdd, outputs,
-                                                        bound)
-                assert part.members == mem
+                vectors = scratch_vectors(bdd, outputs, bound)
+                uniq, _, complete = _dedup(vectors)
                 assert part.unique_vectors == uniq
                 assert part.all_complete == complete
+                # Each alphabet is its output's own dedup, in order.
+                for k, alphabet in enumerate(part.alphabets):
+                    column, _, _ = _dedup([[vec[k]] for vec in vectors])
+                    assert [[pair] for pair in alphabet] == column
 
 
 @pytest.mark.parametrize("density", [0.0, 0.3, 0.7])
@@ -93,7 +104,56 @@ def test_refined_scores_equal_reduction_score(density, monkeypatch):
             reduction_score(bdd, outputs, bound)
 
 
-@pytest.mark.parametrize("density", [0.2, 0.6])
+def test_count_split_equals_scratch_cover(monkeypatch):
+    """On completely specified outputs the greedy growth scores a
+    candidate by counting its split's distinct keys; that count is the
+    class count of a from-scratch clique cover."""
+    monkeypatch.setenv("REPRO_KERNEL", "on")
+    rng = random.Random(61)
+    bdd = BDD(7)
+    variables = list(range(7))
+    for supports in SUPPORTS:
+        for _ in range(3):
+            outputs = [random_isf(bdd, rng, list(support), 0.0)
+                       for support in supports]
+            cache = PartitionCache.for_call(bdd, outputs, "test")
+            for p in (0, 1, 2, 3):
+                bound = tuple(rng.sample(variables, p))
+                part = cache.partition_for(bound)
+                assert part.all_complete
+                for var in variables:
+                    if var in bound:
+                        continue
+                    classes, _, _ = _cover(
+                        scratch_vectors(bdd, outputs, bound + (var,)))
+                    assert cache.count_split(part, var) == len(classes)
+                    assert cache.ncc_for(bound + (var,)) == len(classes)
+
+
+@pytest.mark.parametrize("density", [0.3, 0.7])
+def test_cover_count_equals_scratch_cover(density, monkeypatch):
+    """Incompletely specified partitions are scored by the clique
+    cover's class count alone, without members; it equals the class
+    count of a from-scratch cover."""
+    monkeypatch.setenv("REPRO_KERNEL", "on")
+    rng = random.Random(int(density * 100) + 97)
+    bdd = BDD(7)
+    variables = list(range(7))
+    for supports in SUPPORTS:
+        for _ in range(3):
+            outputs = [random_isf(bdd, rng, list(support), density)
+                       for support in supports]
+            cache = PartitionCache.for_call(bdd, outputs, "test")
+            for p in (1, 2, 3, 4):
+                bound = tuple(rng.sample(variables, p))
+                vectors = scratch_vectors(bdd, outputs, bound)
+                classes, _, _ = _cover(vectors)
+                uniq, _, complete = _dedup(vectors)
+                assert _cover_count(uniq, complete) == len(classes)
+                assert cache.ncc_for(bound) == len(classes)
+
+
+@pytest.mark.parametrize("density", [0.0, 0.2, 0.6])
 def test_greedy_bound_set_differential(density, monkeypatch):
     rng = random.Random(int(density * 100) + 67)
     bdd = BDD(7)
@@ -107,6 +167,25 @@ def test_greedy_bound_set_differential(density, monkeypatch):
         monkeypatch.setenv("REPRO_KERNEL", "on")
         assert greedy_bound_set(bdd, outputs, variables, 4) == ref
         assert rank_bound_sets(bdd, outputs, variables, 3) == ref_rank
+
+
+@pytest.mark.parametrize("density", [0.0, 0.3])
+def test_multi_output_ranking_differential(density, monkeypatch):
+    """A ranking of four outputs over different supports scores every
+    candidate through one cache of all four; it ranks identically
+    kernel on/off, count-only (density 0) and covered alike."""
+    rng = random.Random(int(density * 100) + 71)
+    bdd = BDD(8)
+    variables = list(range(8))
+    outputs = [random_isf(bdd, rng, list(support), density)
+               for support in (range(8), range(0, 5), range(3, 8),
+                               (1, 4, 6))]
+    monkeypatch.setenv("REPRO_KERNEL", "off")
+    refs = [rank_bound_sets(bdd, outputs, variables, p)
+            for p in (3, 4, 5)]
+    monkeypatch.setenv("REPRO_KERNEL", "on")
+    for p, ref in zip((3, 4, 5), refs):
+        assert rank_bound_sets(bdd, outputs, variables, p) == ref
 
 
 def test_served_search_counts_refines_not_scratch(monkeypatch):
@@ -137,15 +216,45 @@ def test_score_memo_short_circuits_ranking(monkeypatch):
     variables = list(range(6))
     outputs = [random_isf(bdd, rng, variables, 0.4) for _ in range(2)]
     memo = {}
+    stats = DecompositionStats()
     key = (tuple((o.lo, o.hi) for o in outputs), 3)
     first = rank_bound_sets(bdd, outputs, variables, 3,
-                            score_memo=memo, memo_key=key)
+                            score_memo=memo, memo_key=key,
+                            memo_stats=stats)
     assert memo
+    assert (stats.greedy_memo_hits, stats.greedy_memo_misses) == (0, 1)
+    assert stats.score_memo_hits == 0 and stats.score_memo_misses > 0
     reset_kernel_stats()
     second = rank_bound_sets(bdd, outputs, variables, 3,
-                             score_memo=memo, memo_key=key)
+                             score_memo=memo, memo_key=key,
+                             memo_stats=stats)
     assert second == first
-    # Every score came out of the memo; the only remaining table work
-    # is the greedy candidate's own ncc growth (not score-memoizable —
-    # its intermediate prefixes never produce ranking scores).
+    # Every score and the greedy pick came out of the memo: no table
+    # work at all, not even the greedy growth's refinements.
     assert STATS.op_hits.get("reduction_score", 0) == 0
+    assert STATS.op_hits.get("kernel_refine", 0) == 0
+    assert (stats.greedy_memo_hits, stats.greedy_memo_misses) == (1, 1)
+    assert stats.score_memo_hits == stats.score_memo_misses
+
+
+def test_score_memo_keys_greedy_pick_by_pool(monkeypatch):
+    """The greedy pick depends on the variable pool, so another pool
+    misses the memo and grows afresh: its ranking and pick equal those
+    of a search without a memo."""
+    monkeypatch.setenv("REPRO_KERNEL", "on")
+    rng = random.Random(89)
+    bdd = BDD(7)
+    variables = list(range(7))
+    outputs = [random_isf(bdd, rng, variables, 0.0) for _ in range(3)]
+    memo = {}
+    stats = DecompositionStats()
+    key = (tuple((o.lo, o.hi) for o in outputs), 3)
+    rank_bound_sets(bdd, outputs, variables, 3, score_memo=memo,
+                    memo_key=key, memo_stats=stats)
+    pool = variables[2:]
+    ranked = rank_bound_sets(bdd, outputs, pool, 3, score_memo=memo,
+                             memo_key=key, memo_stats=stats)
+    assert (stats.greedy_memo_hits, stats.greedy_memo_misses) == (0, 2)
+    assert memo[(key, "greedy", tuple(pool))] == \
+        greedy_bound_set(bdd, outputs, pool, 3)
+    assert ranked == rank_bound_sets(bdd, outputs, pool, 3)
