@@ -20,8 +20,6 @@ bench-fast:
 examples:
 	$(PYTHON) examples/quickstart.py
 	$(PYTHON) examples/dontcare_symmetry.py
-	$(PYTHON) examples/two_level_flow.py
-	$(PYTHON) examples/netlist_flow.py
 	$(PYTHON) examples/adder_synthesis.py 2 4
 	$(PYTHON) examples/multiplier_scheme.py 3
 	$(PYTHON) examples/ecc_decoder.py

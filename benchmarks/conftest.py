@@ -66,7 +66,7 @@ def verify_network(func, net, samples: int = 100) -> bool:
     if getattr(net, "lut_count", 10**9) <= 3000:
         from repro.verify.equiv import check_extension
         return bool(check_extension(func, net))
-    from repro.network.bitsim import sample_check
+    from repro.verify.bitsim import sample_check
     return sample_check(func, net, patterns=max(samples, 128))
 
 

@@ -5,7 +5,7 @@ Subpackages
 -----------
 ``repro.bdd``
     From-scratch ROBDD manager (unique/computed tables, ITE, cofactors,
-    quantification, sifting, symmetric sifting, symmetry detection).
+    quantification, symmetry detection).
 ``repro.boolfunc``
     Incompletely specified functions (interval ``[lo, hi]``), cube
     lists, PLA and BLIF I/O.

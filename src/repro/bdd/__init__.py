@@ -6,11 +6,12 @@ decomposition flow of Scholl (DATE 1998) needs:
 * a :class:`~repro.bdd.manager.BDD` manager with unique and computed
   tables, ITE-based Boolean operations, cofactors, composition and
   quantification (:mod:`repro.bdd.manager`, :mod:`repro.bdd.ops`);
-* static variable-ordering heuristics including sifting and *symmetric
-  sifting* (:mod:`repro.bdd.reorder`);
 * symmetry detection for completely specified functions
   (:mod:`repro.bdd.symmetry`);
-* export helpers (:mod:`repro.bdd.io`).
+* functional reordering by rebuild (:mod:`repro.bdd.reorder`), used by
+  the cut-count reference for ``ncc``;
+* serialisation of node graphs for the wire format
+  (:mod:`repro.bdd.serialize`).
 
 Nodes are plain integers owned by their manager; ``BDD.FALSE == 0`` and
 ``BDD.TRUE == 1`` are the terminals.
@@ -22,14 +23,10 @@ from repro.bdd.symmetry import (
     equivalence_symmetric_in,
     symmetry_groups,
 )
-from repro.bdd.reorder import sift, symmetric_sift, window_permute
 
 __all__ = [
     "BDD",
     "symmetric_in",
     "equivalence_symmetric_in",
     "symmetry_groups",
-    "sift",
-    "symmetric_sift",
-    "window_permute",
 ]

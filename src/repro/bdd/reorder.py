@@ -1,16 +1,13 @@
-"""Variable ordering heuristics: sifting and symmetric sifting.
+"""Functional variable reordering.
 
-The paper uses *symmetric sifting* (Moller/Molitor/Drechsler; Panda/
-Somenzi/Plessier) to find a variable order whose adjacent windows are
-good bound-set candidates: symmetric variables are kept together and the
-groups are sifted as blocks.
-
-Reordering here is *functional*: :func:`rebuild` snapshots the structure
-of the root functions, installs the new order (which resets the node
-store) and reconstructs the functions bottom-up.  This is slower than
-in-place level swapping but simple and obviously correct, and the
-decomposition flow itself is order-independent (cofactors are computed
-per bound-set vertex), so reordering is only a search heuristic here.
+:func:`rebuild` snapshots the structure of the root functions, installs
+the new order (which resets the node store) and reconstructs the
+functions bottom-up.  This is slower than in-place level swapping but
+simple and obviously correct.  The decomposition flow itself is
+order-independent (cofactors are computed per bound-set vertex) and
+never reorders a manager; :func:`rebuild` is what the cut-count
+reference (:mod:`repro.decomp.cut_count`) uses to move a bound set to
+the top of the order.
 """
 
 from __future__ import annotations
@@ -18,7 +15,6 @@ from __future__ import annotations
 from typing import List, Sequence, Tuple
 
 from repro.bdd.manager import BDD
-from repro.bdd.symmetry import symmetry_groups
 
 
 def _extract(bdd: BDD, roots: Sequence[int]) -> Tuple[list, list]:
@@ -60,131 +56,3 @@ def rebuild(bdd: BDD, roots: Sequence[int],
     for node, var, low, high in nodes:
         remap[node] = bdd.ite(bdd.var(var), remap[high], remap[low])
     return [remap[r] for r in old_roots]
-
-
-def _total_size(bdd: BDD, roots: Sequence[int]) -> int:
-    return bdd.node_count(*roots)
-
-
-def sift(bdd: BDD, roots: Sequence[int],
-         max_vars: int = 16) -> List[int]:
-    """Rudell-style sifting by exhaustive per-variable repositioning.
-
-    Each variable is tried at every position of the order (via rebuild)
-    and left at the best one.  Quadratic in the number of variables times
-    the rebuild cost, so it is guarded by ``max_vars``; for larger inputs
-    the current order is returned unchanged.
-    """
-    if bdd.num_vars > max_vars:
-        return list(roots)
-    roots = list(roots)
-    for var in range(bdd.num_vars):
-        best_size = _total_size(bdd, roots)
-        best_order = bdd.order()
-        base = [v for v in bdd.order() if v != var]
-        for pos in range(len(base) + 1):
-            candidate = base[:pos] + [var] + base[pos:]
-            if candidate == bdd.order():
-                continue
-            roots = rebuild(bdd, roots, candidate)
-            size = _total_size(bdd, roots)
-            if size < best_size:
-                best_size = size
-                best_order = candidate
-        if bdd.order() != best_order:
-            roots = rebuild(bdd, roots, best_order)
-    return roots
-
-
-def window_permute(bdd: BDD, roots: Sequence[int], window: int = 3,
-                   passes: int = 1) -> List[int]:
-    """Window permutation reordering.
-
-    Slides a window of ``window`` adjacent levels over the order and
-    installs the best permutation of each window (classic complement to
-    sifting: cheap, local, often catches what per-variable moves miss).
-    Returns the new root ids.
-    """
-    from itertools import permutations
-
-    roots = list(roots)
-    if bdd.num_vars < 2 or window < 2:
-        return roots
-    window = min(window, bdd.num_vars)
-    for _ in range(passes):
-        for start in range(bdd.num_vars - window + 1):
-            order = bdd.order()
-            head, mid, tail = (order[:start], order[start:start + window],
-                               order[start + window:])
-            best_perm = tuple(mid)
-            best_size = _total_size(bdd, roots)
-            for perm in permutations(mid):
-                if list(perm) == mid:
-                    continue
-                candidate = head + list(perm) + tail
-                roots = rebuild(bdd, roots, candidate)
-                size = _total_size(bdd, roots)
-                if size < best_size:
-                    best_size = size
-                    best_perm = perm
-            final = head + list(best_perm) + tail
-            if bdd.order() != final:
-                roots = rebuild(bdd, roots, final)
-    return roots
-
-
-def group_contiguous_order(bdd: BDD, groups: Sequence[Sequence[int]]) -> List[int]:
-    """An order placing each symmetry group contiguously.
-
-    Groups are laid out largest-first (large symmetric groups make the
-    best bound sets), preserving in-group order.  Variables not covered
-    by any group keep their relative order at the end.
-    """
-    covered = {v for g in groups for v in g}
-    order: List[int] = []
-    for group in sorted(groups, key=len, reverse=True):
-        order.extend(group)
-    order.extend(v for v in bdd.order() if v not in covered)
-    return order
-
-
-def symmetric_sift(bdd: BDD, roots: Sequence[int],
-                   max_groups: int = 12) -> Tuple[List[int], List[List[int]]]:
-    """Symmetric sifting: group symmetric variables, sift groups as blocks.
-
-    Returns the new root ids and the symmetry groups (in terms of variable
-    ids).  Symmetry groups are computed for the *common* symmetries of all
-    roots, matching how the paper keeps groups intact across a multi-output
-    decomposition.
-    """
-    roots = list(roots)
-    variables = sorted(set().union(*(bdd.support(r) for r in roots))
-                       if roots else set())
-    if not variables:
-        return roots, []
-    groups = symmetry_groups(bdd, roots, variables)
-    order = group_contiguous_order(bdd, groups)
-    roots = rebuild(bdd, roots, order)
-    if len(groups) > max_groups:
-        return roots, groups
-    # Block sifting: move each group through all block positions.
-    blocks = [list(g) for g in sorted(groups, key=len, reverse=True)]
-    tail = [v for v in order if not any(v in g for g in blocks)]
-    for i in range(len(blocks)):
-        best_size = _total_size(bdd, roots)
-        best_blocks = [list(b) for b in blocks]
-        moving = blocks[i]
-        rest = blocks[:i] + blocks[i + 1:]
-        for pos in range(len(rest) + 1):
-            candidate_blocks = rest[:pos] + [moving] + rest[pos:]
-            candidate = [v for b in candidate_blocks for v in b] + tail
-            roots = rebuild(bdd, roots, candidate)
-            size = _total_size(bdd, roots)
-            if size < best_size:
-                best_size = size
-                best_blocks = [list(b) for b in candidate_blocks]
-        blocks = best_blocks
-        final = [v for b in blocks for v in b] + tail
-        if bdd.order() != final:
-            roots = rebuild(bdd, roots, final)
-    return roots, groups

@@ -32,6 +32,7 @@ from repro.boolfunc.blif import BlifError, parse_blif
 from repro.boolfunc.pla import parse_pla
 from repro.boolfunc.spec import MultiFunction
 from repro.core.api import map_to_xc3000, synthesize_two_input_gates
+from repro.decomp.dsd import dsd_enabled
 from repro.obs import (
     SCHEMA_VERSION,
     batch_metrics,
@@ -168,7 +169,8 @@ def _cmd_map(args) -> int:
     if cache is not None:
         from repro.runtime.cache import cache_key
         key = cache_key(func.canonical_key(), "map",
-                        {"use_dontcares": not args.no_dc})
+                        {"use_dontcares": not args.no_dc},
+                        dsd=dsd_enabled())
         record = cache.get(key)
         if record is not None:
             wall = perf_counter() - start
@@ -239,7 +241,8 @@ def _cmd_compare(args) -> int:
     start = perf_counter()
     if cache is not None:
         from repro.runtime.cache import cache_key
-        key = cache_key(func.canonical_key(), "compare", {})
+        key = cache_key(func.canonical_key(), "compare", {},
+                        dsd=dsd_enabled())
         record = cache.get(key)
         if record is not None:
             wall = perf_counter() - start

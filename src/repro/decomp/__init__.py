@@ -42,7 +42,6 @@ from repro.decomp.dsd import (
     shatter,
 )
 from repro.decomp.recursive import DecompositionEngine, decompose
-from repro.decomp.single import SingleDecomposition, decompose_single
 from repro.decomp.cover import classes_for_exact
 from repro.decomp.cut_count import ncc_via_cut
 
@@ -70,8 +69,6 @@ __all__ = [
     "shatter",
     "DecompositionEngine",
     "decompose",
-    "SingleDecomposition",
-    "decompose_single",
     "classes_for_exact",
     "ncc_via_cut",
 ]

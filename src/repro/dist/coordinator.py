@@ -5,11 +5,12 @@ The coordinator owns everything a single-host ``repro batch`` parent
 owns — the manifest, the cache, the journal — and delegates only
 *execution*:
 
-1. **Prepare** — every job's function is built parent-side (under
-   :func:`repro.faults.suppressed`, like the scheduler's cache path);
-   its :func:`~repro.runtime.cache.cache_key` both addresses the shared
-   store and, hashed, picks the job's home shard, so shard placement is
-   content-stable across runs.  Cache hits settle here and never ship.
+1. **Prepare** — every job goes through the batch cache pre-pass
+   (:func:`~repro.runtime.scheduler.prepare_job`), with or without a
+   cache: its :func:`~repro.runtime.cache.cache_key` both addresses the
+   shared store and, hashed, picks the job's home shard, so shard
+   placement is content-stable across runs.  Cache hits settle here
+   and never ship.
 2. **Shard + window** — remaining jobs split into per-node deques by
    key hash.  Each node holds a small in-flight *window* (twice its
    worker count), refilled one job per result — pull-based flow
@@ -69,7 +70,6 @@ import time
 from collections import deque
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro import faults
 from repro.dist.cachenet import CacheServer
 from repro.dist.wire import (
     WireError,
@@ -79,11 +79,10 @@ from repro.dist.wire import (
     retry_backoff,
     send_frame,
 )
-from repro.runtime import jobspec
-from repro.runtime.cache import ResultCache, cache_key
+from repro.runtime.cache import ResultCache
 from repro.runtime.journal import BatchJournal
 from repro.runtime.pool import EventSink, ProgressEvent, emit_event
-from repro.runtime.scheduler import BatchScheduler, JobResult
+from repro.runtime.scheduler import BatchScheduler, prepare_job
 
 #: In-flight window per node, as a multiple of its worker count.
 WINDOW_FACTOR = 2
@@ -249,38 +248,17 @@ class DistCoordinator:
         for index, job in enumerate(jobs):
             if index in self._rows:
                 continue
-            try:
-                with faults.suppressed():
-                    func = jobspec.build_function(job["source"])
-            except Exception as exc:  # noqa: BLE001 — bad source
-                self._settle_local(index, JobResult(
-                    job_id=job["job_id"],
-                    source=jobspec.source_label(job["source"]),
-                    flow=job["flow"], status="failed",
-                    error=f"{type(exc).__name__}: {exc}"))
+            # Built even without a cache: the key picks the home shard.
+            settled, _, key = prepare_job(index, job, self.cache)
+            if settled is not None:
+                emit_event(self._on_event, ProgressEvent(
+                    kind="result", job_id=settled.job_id, index=index,
+                    status=settled.status, detail=settled.error))
+                self._record_row(index, settled.as_dict())
                 continue
-            key = cache_key(func.canonical_key(), job["flow"],
-                            job["config"])
             job["_dist_key"] = key
-            record = self.cache.get(key) if self.cache is not None \
-                else None
-            if record is not None:
-                self._settle_local(index, JobResult(
-                    job_id=job["job_id"],
-                    source=jobspec.source_label(job["source"]),
-                    flow=job["flow"], status="ok", result=record,
-                    cache_hit=True))
-                continue
-            job["wire"] = func.to_wire()
             to_run.append(index)
         return to_run
-
-    def _settle_local(self, index: int, result: JobResult) -> None:
-        result.index = index
-        emit_event(self._on_event, ProgressEvent(
-            kind="result", job_id=result.job_id, index=index,
-            status=result.status, detail=result.error))
-        self._record_row(index, result.as_dict())
 
     def _record_row(self, index: int, row: Dict[str, Any]) -> None:
         self._rows[index] = row

@@ -6,7 +6,6 @@ from repro.mapping.clb import clb_count, merge_luts_xc3000
 from repro.mapping.gatelevel import GateNetwork, to_gates
 from repro.mapping.baselines import mux_tree_map, structural_cut_map
 from repro.mapping.flowmap import flowmap
-from repro.mapping.xc4000 import clb_count_xc4000, pack_xc4000
 
 __all__ = [
     "LutNetwork",
@@ -17,6 +16,4 @@ __all__ = [
     "mux_tree_map",
     "structural_cut_map",
     "flowmap",
-    "clb_count_xc4000",
-    "pack_xc4000",
 ]

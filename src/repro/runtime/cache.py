@@ -34,7 +34,6 @@ from pathlib import Path
 from time import perf_counter
 from typing import Any, Dict, Optional
 
-from repro.decomp.dsd import dsd_enabled
 from repro.faults import FaultInjected, fault_point
 
 #: Bump to invalidate every persisted entry (layout changes).
@@ -102,12 +101,15 @@ def default_cache_dir() -> Path:
     return Path.home() / ".cache" / "repro"
 
 
-def cache_key(func_key: str, flow: str, config: Dict[str, Any]) -> str:
+def cache_key(func_key: str, flow: str, config: Dict[str, Any],
+              dsd: bool = True) -> str:
     """Combine function content, flow and engine config into one key.
 
-    The DSD pre-pass switch (``REPRO_DSD`` / ``--no-dsd``) changes the
-    mapping, so a DSD-off run keys apart; the switch joins the key only
-    when off, so default keys (and existing caches) are unchanged.
+    ``dsd`` is the DSD pre-pass switch the result was mapped under (a
+    job's ``dsd`` stamp, see :func:`repro.runtime.jobspec.make_job`).
+    It changes the mapping, so a DSD-off run keys apart; the switch
+    joins the key only when off, so default keys (and existing caches)
+    are unchanged.
     """
     fields = {
         "func": func_key,
@@ -115,7 +117,7 @@ def cache_key(func_key: str, flow: str, config: Dict[str, Any]) -> str:
         "config": config,
         "code": CACHE_CODE_VERSION,
     }
-    if not dsd_enabled():
+    if not dsd:
         fields["dsd"] = False
     blob = json.dumps(fields, sort_keys=True,
                       separators=(",", ":")).encode()

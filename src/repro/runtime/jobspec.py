@@ -42,6 +42,7 @@ from typing import Any, Callable, Dict, List, Optional
 
 from repro import faults
 from repro.boolfunc.spec import MultiFunction
+from repro.decomp.dsd import dsd_enabled
 from repro.obs.profiler import current_phase_snapshot, pulse, pulse_count
 
 #: Networks above this LUT count are verified by random simulation
@@ -54,16 +55,24 @@ _GENERATOR_PREFIXES = ("adder", "pm")
 def make_job(source: Dict[str, Any], *, job_id: Optional[str] = None,
              flow: str = "map", config: Optional[Dict[str, Any]] = None,
              test_hook: Optional[str] = None) -> Dict[str, Any]:
-    """Assemble a job dict (the scheduler's input unit)."""
+    """Assemble a job dict (the scheduler's input unit).
+
+    A job made while the DSD pre-pass is off (``REPRO_DSD=off`` /
+    ``--no-dsd``) carries ``"dsd": False``: workers, dist nodes and the
+    cache key follow the stamp, not their own environment.
+    """
     if flow not in ("map", "compare"):
         raise ValueError(f"unknown flow {flow!r} (use 'map' or 'compare')")
-    return {
+    job = {
         "job_id": job_id or source_label(source),
         "source": source,
         "flow": flow,
         "config": dict(config or {}),
         "test_hook": test_hook,
     }
+    if not dsd_enabled():
+        job["dsd"] = False
+    return job
 
 
 def source_label(source: Dict[str, Any]) -> str:
@@ -229,7 +238,7 @@ def _verify_record(func: MultiFunction, result) -> bool:
     if result.lut_count <= VERIFY_FORMAL_LIMIT:
         from repro.verify.equiv import check_extension
         return bool(check_extension(func, result.network))
-    from repro.network.bitsim import sample_check
+    from repro.verify.bitsim import sample_check
     return sample_check(func, result.network, patterns=256)
 
 
@@ -263,6 +272,7 @@ def execute_job(job: Dict[str, Any], attempt: int = 1,
     verify = config.get("verify", True)
     engine_cfg = {k: config[k] for k in
                   ("time_budget", "node_budget") if config.get(k)}
+    engine_cfg["use_dsd"] = job.get("dsd", True)
     from repro.core.api import map_to_xc3000
     submemo_counts: Dict[str, int] = {}
 

@@ -204,6 +204,36 @@ def _result(job: Dict[str, Any], **fields: Any) -> JobResult:
                      flow=job["flow"], **fields)
 
 
+def prepare_job(index: int, job: Dict[str, Any],
+                cache: Optional[ResultCache]
+                ) -> Tuple[Optional[JobResult], Any, Optional[str]]:
+    """The parent-side cache pre-pass of batch and dist:
+    ``(settled row or None, function, key)``.
+
+    Builds the function, settles a bad source as ``failed`` and a cache
+    hit as ``ok``; otherwise attaches the ``wire`` payload so the worker
+    does not rebuild, and returns the function and key for the ladder.
+    """
+    try:
+        # The parent-side build walks the same BDD/kernel code as a
+        # worker; suppress injected faults so worker-targeted chaos
+        # (bdd.ite, kernel.dispatch) cannot crash the parent.
+        with faults.suppressed():
+            func = jobspec.build_function(job["source"])
+    except Exception as exc:  # noqa: BLE001 — bad source: report it
+        failed = _result(job, status="failed", index=index,
+                         error=f"{type(exc).__name__}: {exc}")
+        return failed, None, None
+    key = cache_key(func.canonical_key(), job["flow"], job["config"],
+                    dsd=job.get("dsd", True))
+    record = cache.get(key) if cache is not None else None
+    if record is not None:
+        return _result(job, status="ok", result=record,
+                       cache_hit=True, index=index), func, key
+    job["wire"] = func.to_wire()
+    return None, func, key
+
+
 #: Ladder fallbacks run here, off the pool's dispatcher thread.
 _FALLBACKS = ThreadPoolExecutor(1, thread_name_prefix="repro-fallback")
 
@@ -496,28 +526,11 @@ class BatchScheduler:
 
     def _prepare(self, index: int, job: Dict[str, Any]
                  ) -> Tuple[Optional[JobResult], Any, Optional[str]]:
-        """Cache lookup: ``(settled row or None, function, key)``.  On a
-        miss the built function and key ride along so nothing builds
-        twice; without a cache nothing is built parent-side."""
+        """:func:`prepare_job` when a cache is attached; without one
+        nothing is built parent-side."""
         if self.cache is None:
             return None, None, None
-        try:
-            # The parent-side build walks the same BDD/kernel code as a
-            # worker; suppress injected faults so worker-targeted chaos
-            # (bdd.ite, kernel.dispatch) cannot crash the scheduler.
-            with faults.suppressed():
-                func = jobspec.build_function(job["source"])
-        except Exception as exc:  # noqa: BLE001 — bad source: report it
-            failed = _result(job, status="failed", index=index,
-                             error=f"{type(exc).__name__}: {exc}")
-            return failed, None, None
-        key = cache_key(func.canonical_key(), job["flow"], job["config"])
-        record = self.cache.get(key)
-        if record is not None:
-            return _result(job, status="ok", result=record,
-                           cache_hit=True, index=index), func, key
-        job["wire"] = func.to_wire()
-        return None, func, key
+        return prepare_job(index, job, self.cache)
 
     def _execute(self, pool: WorkerPool, index: int, job: Dict[str, Any],
                  func: Any, started: float,
@@ -567,7 +580,8 @@ def degraded_record(job: Dict[str, Any],
     if func is None:
         func = jobspec.build_function(job["source"])
     config = job.get("config") or {}
-    mapped = map_to_xc3000(func, use_dontcares=False, time_budget=0.0)
+    mapped = map_to_xc3000(func, use_dontcares=False, time_budget=0.0,
+                           use_dsd=job.get("dsd", True))
     record = mapped.to_record()
     record["degraded"] = True
     if job.get("flow") == "compare":

@@ -175,7 +175,8 @@ class DecompositionService:
             self.counters["errors"] += 1
             from repro.serve.protocol import BadSource
             raise BadSource(f"{type(exc).__name__}: {exc}") from exc
-        key = cache_key(func_key, job["flow"], job["config"])
+        key = cache_key(func_key, job["flow"], job["config"],
+                        dsd=job.get("dsd", True))
 
         # Read-through cache: a repeat request never touches a worker.
         if self.cache is not None:

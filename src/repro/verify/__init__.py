@@ -7,6 +7,10 @@ specified) and an implementation (a
 :class:`~repro.mapping.gatelevel.GateNetwork`).  Because ROBDDs are
 canonical, equivalence is pointer equality once both sides live in one
 manager — the checks are exact, not sampled.
+
+:mod:`repro.verify.bitsim` is the sampled counterpart for networks too
+large to simulate symbolically: it packs 64 random input patterns per
+pass into Python ints.
 """
 
 from repro.verify.equiv import (

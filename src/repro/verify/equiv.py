@@ -106,32 +106,6 @@ def gate_network_bdds(net: GateNetwork, bdd: BDD,
             for out, (sig, neg) in net.outputs.items()}
 
 
-def _structural_network_bdds(net, bdd: BDD,
-                             input_vars: Dict[str, int]
-                             ) -> Dict[str, int]:
-    """Symbolic simulation of a structural SOP network."""
-    values: Dict[str, int] = {name: bdd.var(var)
-                              for name, var in input_vars.items()}
-    for name in net.topological():
-        node = net.nodes[name]
-        cover = BDD.FALSE
-        for pattern, _ in node.rows:
-            term = BDD.TRUE
-            for ch, s in zip(pattern, node.fanins):
-                if ch == "1":
-                    term = bdd.apply_and(term, values[s])
-                elif ch == "0":
-                    term = bdd.apply_and(term, bdd.apply_not(values[s]))
-            cover = bdd.apply_or(cover, term)
-        if not node.rows:
-            values[name] = BDD.FALSE
-        elif node.polarity == "0":
-            values[name] = bdd.apply_not(cover)
-        else:
-            values[name] = cover
-    return {out: values[out] for out in net.outputs}
-
-
 def _counterexample(bdd: BDD, diff: int,
                     func: MultiFunction) -> Dict[str, int]:
     model = bdd.pick(diff) or {}
@@ -147,16 +121,12 @@ def check_extension(func: MultiFunction, net) -> EquivResult:
     Exact (BDD-based).  For completely specified functions this is plain
     equivalence.  Accepts LUT and gate networks.
     """
-    from repro.network.netlist import Network
-
     bdd = func.bdd
     input_vars = dict(zip(func.input_names, func.inputs))
     if isinstance(net, LutNetwork):
         impl = lut_network_bdds(net, bdd, input_vars)
     elif isinstance(net, GateNetwork):
         impl = gate_network_bdds(net, bdd, input_vars)
-    elif isinstance(net, Network):
-        impl = _structural_network_bdds(net, bdd, input_vars)
     else:
         raise TypeError(f"unsupported network type {type(net)!r}")
     for name, isf in zip(func.output_names, func.outputs):

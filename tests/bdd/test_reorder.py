@@ -1,4 +1,4 @@
-"""Tests for reordering: rebuild, sifting, symmetric sifting."""
+"""Tests for functional reordering by rebuild."""
 
 import random
 
@@ -45,91 +45,3 @@ class TestRebuild:
         [f_int] = reorder.rebuild(bdd, [f_sep], [0, 3, 1, 4, 2, 5])
         size_int = bdd.node_count(f_int)
         assert size_int < size_sep
-
-
-class TestSift:
-    def test_sift_improves_equality_function(self, bdd):
-        f = interleaved_equality(bdd, [(0, 3), (1, 4), (2, 5)])
-        [f] = reorder.rebuild(bdd, [f], [0, 1, 2, 3, 4, 5])
-        before = bdd.node_count(f)
-        [f] = reorder.sift(bdd, [f])
-        after = bdd.node_count(f)
-        assert after <= before
-        # Optimal interleaved size for 3 pairs is 3*3 + 2 terminals + root
-        # structure; just check we got close to the interleaved size.
-        [f_best] = reorder.rebuild(bdd, [f], [0, 3, 1, 4, 2, 5])
-        assert after <= bdd.node_count(f_best) + 2
-
-    def test_sift_preserves_semantics(self, bdd):
-        rng = random.Random(21)
-        table = [rng.randint(0, 1) for _ in range(64)]
-        f = bdd.from_truth_table(table, [0, 1, 2, 3, 4, 5])
-        [g] = reorder.sift(bdd, [f])
-        assert bdd.to_truth_table(g, [0, 1, 2, 3, 4, 5]) == table
-
-    def test_sift_skips_large_managers(self):
-        bdd = BDD(20)
-        f = bdd.var(0)
-        assert reorder.sift(bdd, [f], max_vars=16) == [f]
-
-
-class TestSymmetricSift:
-    def test_groups_contiguous(self, bdd):
-        # f = (x0 sym x2 sym x4 via AND) | (x1 sym x3 via XOR)
-        f = bdd.apply_or(
-            bdd.conjoin([bdd.var(0), bdd.var(2), bdd.var(4)]),
-            bdd.apply_xor(bdd.var(1), bdd.var(3)))
-        roots, groups = reorder.symmetric_sift(bdd, [f])
-        as_sets = [set(g) for g in groups]
-        assert {0, 2, 4} in as_sets
-        assert {1, 3} in as_sets
-        # Each group occupies contiguous levels in the final order.
-        order = bdd.order()
-        for group in groups:
-            positions = sorted(order.index(v) for v in group)
-            assert positions == list(range(positions[0],
-                                           positions[0] + len(group)))
-
-    def test_semantics_preserved(self, bdd):
-        rng = random.Random(13)
-        table = [rng.randint(0, 1) for _ in range(32)]
-        f = bdd.from_truth_table(table, [0, 1, 2, 3, 4])
-        [g], _ = reorder.symmetric_sift(bdd, [f])
-        assert bdd.to_truth_table(g, [0, 1, 2, 3, 4]) == table
-
-    def test_empty_roots(self, bdd):
-        roots, groups = reorder.symmetric_sift(bdd, [])
-        assert roots == []
-        assert groups == []
-
-    def test_constant_roots(self, bdd):
-        roots, groups = reorder.symmetric_sift(bdd, [BDD.TRUE])
-        assert roots == [BDD.TRUE]
-
-
-class TestGroupContiguousOrder:
-    def test_largest_group_first(self, bdd):
-        order = reorder.group_contiguous_order(bdd, [[0], [1, 2, 3], [4, 5]])
-        assert order[:3] == [1, 2, 3]
-        assert order[3:5] == [4, 5]
-        assert set(order) == set(range(6))
-
-
-class TestWindowPermute:
-    def test_semantics_preserved(self, bdd):
-        rng = random.Random(521)
-        table = [rng.randint(0, 1) for _ in range(64)]
-        f = bdd.from_truth_table(table, [0, 1, 2, 3, 4, 5])
-        [g] = reorder.window_permute(bdd, [f], window=3)
-        assert bdd.to_truth_table(g, [0, 1, 2, 3, 4, 5]) == table
-
-    def test_improves_or_keeps_size(self, bdd):
-        f = interleaved_equality(bdd, [(0, 3), (1, 4), (2, 5)])
-        [f] = reorder.rebuild(bdd, [f], [0, 1, 2, 3, 4, 5])
-        before = bdd.node_count(f)
-        [f] = reorder.window_permute(bdd, [f], window=3, passes=2)
-        assert bdd.node_count(f) <= before
-
-    def test_degenerate_windows(self):
-        small = reorder.window_permute(BDD(1), [], window=3)
-        assert small == []

@@ -9,6 +9,7 @@ matter which nodes executed what or died when.
 import json
 import os
 import socket
+import subprocess
 import threading
 import time
 
@@ -22,6 +23,7 @@ from repro.runtime import jobspec
 from repro.runtime.cache import ResultCache, cache_key
 from repro.runtime.jobspec import make_job, source_from_name
 from repro.runtime.scheduler import BatchScheduler
+from tests.dist.test_membership import spawn_node
 
 pytestmark = pytest.mark.filterwarnings(
     "ignore::DeprecationWarning")  # fork-in-multithreaded on 3.12
@@ -234,6 +236,35 @@ class TestNodeLoss:
         reference = single_host_rows(
             names, cache=ResultCache(tmp_path / "single-cache"))
         assert json.dumps(stable(rows)) == json.dumps(stable(reference))
+
+
+class TestDsdSwitch:
+    def test_node_follows_the_jobs_dsd_switch(self, monkeypatch, tmp_path):
+        # The node starts with DSD on; the batch is made with it off.
+        # The switch rides on each job, so the node maps and keys the
+        # jobs exactly as a single-host DSD-off run does (rd84 and alu2
+        # both map differently with DSD on).
+        names = ("rd84", "alu2")
+        monkeypatch.delenv("REPRO_DSD", raising=False)
+        proc, address = spawn_node()
+        monkeypatch.setenv("REPRO_DSD", "off")
+        cache = ResultCache(tmp_path / "dist-cache")
+        try:
+            coordinator = DistCoordinator([address], cache=cache)
+            rows = coordinator.run(make_jobs(names))
+        finally:
+            proc.terminate()
+            try:
+                proc.wait(timeout=10.0)
+            except subprocess.TimeoutExpired:
+                proc.kill()
+        assert coordinator.stats()["nodes"][0]["executed"] == len(names)
+        assert json.dumps(stable(rows)) == \
+            json.dumps(stable(single_host_rows(names)))
+        for name in names:
+            func = jobspec.build_function(source_from_name(name))
+            key = cache_key(func.canonical_key(), "map", {}, dsd=False)
+            assert cache.get(key) is not None
 
 
 class TestSessionSubmemoRemote:

@@ -170,7 +170,9 @@ class TestReconnect:
             coordinator = DistCoordinator(
                 [static_addr],
                 on_listen=lambda host, port: addresses.put((host, port)))
-            rows = coordinator.run(make_jobs())
+            # The sleep keeps the static node busy past the joiner's
+            # rejoin; a batch that drains first never sees the reconnect.
+            rows = coordinator.run(make_jobs(hook="sleep:0.5"))
         finally:
             monkeypatch.delenv(faults.ENV_VAR)
             static_proc.terminate()

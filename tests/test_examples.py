@@ -47,19 +47,7 @@ class TestExamples:
         assert "Wallace" in result.stdout
         assert "paper: +75%" in result.stdout
 
-    def test_two_level_flow(self):
-        result = run_example("two_level_flow.py")
-        assert result.returncode == 0, result.stderr
-        assert "espresso" in result.stdout
-        assert "0 care-set mismatches" in result.stdout
-
     def test_ecc_decoder(self):
         result = run_example("ecc_decoder.py")
         assert result.returncode == 0, result.stderr
         assert "40/40" in result.stdout
-
-    def test_netlist_flow(self):
-        result = run_example("netlist_flow.py")
-        assert result.returncode == 0, result.stderr
-        assert "EQUIVALENT" in result.stdout
-        assert "0 mismatches" in result.stdout

@@ -134,33 +134,3 @@ class TestArithmeticFormal:
         func = adder_function(5)
         net = synthesize_two_input_gates(func)
         assert check_extension(func, net)
-
-
-class TestStructuralNetworkSupport:
-    def test_network_extension_check(self):
-        from repro.network.netlist import Network
-        blif = """\
-.model t
-.inputs a b c
-.outputs y
-.names a b t1
-11 1
-.names t1 c y
-1- 1
--1 1
-.end
-"""
-        net = Network.from_blif(blif)
-        func = net.collapse()
-        assert check_extension(func, net)
-
-    def test_network_mismatch_detected(self):
-        from repro.network.netlist import Network
-        net = Network.from_blif(
-            ".model t\n.inputs a\n.outputs y\n.names a y\n1 1\n.end\n")
-        other = Network.from_blif(
-            ".model t\n.inputs a\n.outputs y\n.names a y\n0 1\n.end\n")
-        func = net.collapse()
-        result = check_extension(func, other)
-        assert not result.equivalent
-        assert result.counterexample is not None
