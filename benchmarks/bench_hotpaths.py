@@ -585,11 +585,10 @@ def main(argv=None) -> int:
           f"{doc['summary']['geomean_speedup']:.2f}x -> {args.out}")
 
     if args.check_speedup is not None:
-        # Below the symmetry crossover (16 vars) only symmetry_assign is
-        # gated: the density rule keeps the kernel off unless the joint
-        # BDD is dense enough to win, so >=1.0x is a promise there —
-        # while the search ops at small widths legitimately hover
-        # around parity and are measured, not gated.
+        # Below 16 vars only symmetry_assign is gated: every width runs
+        # it on the kernel, and at 10 vars the masks must still beat the
+        # BDD predicates — while the search ops at small widths
+        # legitimately hover around parity and are measured, not gated.
         gated = [r for r in cases if r["nvars"] in set(args.check_nvars)
                  and (r["nvars"] >= 16 or r["op"] == "symmetry_assign")]
         slow = [r for r in gated if r["speedup"] < args.check_speedup]

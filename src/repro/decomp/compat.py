@@ -28,7 +28,11 @@ from typing import List, Optional, Sequence, Tuple
 from repro.bdd.manager import BDD
 from repro.bdd.ops import vertex_bits
 from repro.boolfunc.spec import ISF
-from repro.kernel.compat import kernel_assign_by_classes, kernel_classes_for
+from repro.kernel.compat import (
+    kernel_assign_by_classes,
+    kernel_classes_for,
+    merged_isfs,
+)
 from repro.obs.profiler import profile_phase
 
 
@@ -65,28 +69,34 @@ class Classes:
 
 
 class LazyClasses(Classes):
-    """A :class:`Classes` whose merged intervals materialise on demand.
+    """A :class:`Classes` built by the kernel cover, whose merged
+    intervals stay packed masks until someone reads ``merged``.
 
-    The kernel cover computes ``classes``/``class_of`` from packed
-    masks; most callers (the bound-set scoring loops) only read ``ncc``
-    and ``min_r``, so the mask-to-BDD conversion of the merged intervals
-    is deferred behind a thunk and paid at most once, on first
-    ``merged`` access.
+    ``masks[c][k]`` is class ``c``'s merged ``(lo, hi)`` interval for
+    output ``k`` over ``frees[k]``, that output's free variables.  The
+    bound-set scoring loops read only ``ncc`` and ``min_r``, and the
+    steps 2/3 narrowing (:func:`assign_by_classes`) reads the masks
+    directly; only composition building reads ``merged``, which lowers
+    the masks to BDD nodes once, on first access.
     """
 
-    def __init__(self, bound: Tuple[int, ...], classes: List[List[int]],
-                 class_of: List[int], thunk) -> None:
+    def __init__(self, bdd: BDD, bound: Tuple[int, ...],
+                 classes: List[List[int]], class_of: List[int],
+                 masks: List[List[Tuple[int, int]]],
+                 frees: List[Tuple[int, ...]]) -> None:
         self.bound = bound
         self.classes = classes
         self.class_of = class_of
-        self._thunk = thunk
+        self.masks = masks
+        self.frees = frees
+        self._bdd = bdd
         self._materialised: Optional[List[List[ISF]]] = None
 
     @property
     def merged(self) -> List[List[ISF]]:
         if self._materialised is None:
-            self._materialised = self._thunk()
-            self._thunk = None
+            self._materialised = merged_isfs(self._bdd, self.masks,
+                                             self.frees)
         return self._materialised
 
 
@@ -268,8 +278,7 @@ def classes_for(bdd: BDD, outputs: Sequence[ISF],
     """
     hit = kernel_classes_for(bdd, outputs, bound)
     if hit is not None:
-        bound_t, classes, class_of, thunk = hit
-        return LazyClasses(bound_t, classes, class_of, thunk)
+        return LazyClasses(bdd, *hit)
     return compute_classes(bdd, vertex_cofactors(bdd, outputs, bound), bound)
 
 
@@ -289,13 +298,15 @@ def assign_by_classes(bdd: BDD, outputs: Sequence[ISF],
 
     Completely specified outputs are returned as-is (the narrowing is the
     identity there) — an important fast path, since the recursion's top
-    levels are complete.
+    levels are complete.  Kernel-built classes narrow on their masks;
+    any other :class:`Classes` takes the BDD path.
     """
     if all(isf.is_complete() for isf in outputs):
         return list(outputs)
-    hit = kernel_assign_by_classes(bdd, outputs, classes)
-    if hit is not None:
-        return hit
+    if isinstance(classes, LazyClasses):
+        hit = kernel_assign_by_classes(bdd, outputs, classes)
+        if hit is not None:
+            return hit
     p = len(classes.bound)
     new_outputs = []
     for k in range(len(outputs)):

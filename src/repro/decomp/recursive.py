@@ -552,6 +552,10 @@ class DecompositionEngine:
         return self._add_lut(net, [signal_of[v] for v in support],
                              table)
 
+    def _past_deadline(self) -> bool:
+        return self._deadline is not None \
+            and time.monotonic() >= self._deadline
+
     # -- tier-0 DSD pre-pass -------------------------------------------
 
     def _dsd_bump(self, key: str, n: int = 1) -> None:
@@ -1065,7 +1069,10 @@ class DecompositionEngine:
                                                         signal_of)
                     continue
                 plan = None
-                if self._dsd_active and name not in plans:
+                # Past the deadline the level falls back to the MUX walk
+                # below, so a probe would only add to the overrun.
+                if self._dsd_active and name not in plans \
+                        and not self._past_deadline():
                     plan = self._dsd_probe(bdd, isf,
                                            multi=len(pending) > 1)
                 if plan is None:
@@ -1097,8 +1104,7 @@ class DecompositionEngine:
                         bdd, component, net, signal_of, depth + 1))
                 return signals
 
-            over_time = (self._deadline is not None
-                         and time.monotonic() > self._deadline)
+            over_time = self._past_deadline()
             over_nodes = (self.node_budget is not None
                           and len(bdd) > self.node_budget)
             if over_time or over_nodes:
@@ -1280,8 +1286,7 @@ class DecompositionEngine:
         word-parallel kernel domain when the support fits (identical
         decisions either way — only the predicate evaluation changes).
         """
-        ops, handles = symmetry_domain(bdd, outputs, support,
-                                       "symmetry_groups")
+        ops, handles = symmetry_domain(bdd, outputs, "symmetry_groups")
         start = time.perf_counter()
         merged: List[List[int]] = []
         checks = 0

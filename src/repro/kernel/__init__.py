@@ -26,22 +26,18 @@ library:
 * :mod:`repro.kernel.dsd` — the DSD pre-pass split predicates.
 
 Dispatch is transparent: the call sites in :mod:`repro.decomp.compat`,
-:mod:`repro.decomp.bound_set`, :mod:`repro.decomp.dsd` and
-:mod:`repro.symmetry.groups` route through the kernel when the live
-support has at most :data:`MAX_VARS` variables and take the BDD path
-otherwise, counted as a ``too_wide`` miss.  The compatible-class ops
-measure that support *per output*: each output gets its own table
-domain (its live support plus the bound set), so a multi-output bundle
-is served whenever its widest single output fits, however wide the
-union of the outputs' supports.  ``REPRO_KERNEL=off`` disables the
-kernel entirely (the oracle switch: the differential suite in
-``tests/kernel/`` proves both paths produce identical results).
-
-The symmetry ops additionally apply a *measured crossover*
-(:data:`SYMMETRY_MIN_VARS`): below it the BDD path is usually faster
-(the table<->BDD conversion at the wrapper boundary dominates the
-predicate algebra), so dispatch declines without counting a miss —
-unless the operands are dense (:data:`SYMMETRY_DENSITY_FACTOR`).
+:mod:`repro.decomp.bound_set`, :mod:`repro.decomp.dsd`,
+:mod:`repro.symmetry.groups` and the engine's common-group check route
+through the kernel when the live support has at most :data:`MAX_VARS`
+variables and take the BDD path otherwise, counted as a ``too_wide``
+miss.  Both the compatible-class and the symmetry ops measure that
+support *per output*: each output gets its own table domain (for the
+class ops its live support plus the bound set, for the symmetry ops its
+live support), so a multi-output bundle is served whenever its widest
+single output fits, however wide the union of the outputs' supports.
+``REPRO_KERNEL=off`` disables the kernel entirely (the oracle switch:
+the differential suite in ``tests/kernel/`` proves both paths produce
+identical results).
 
 Every dispatch decision is counted in a module-level
 :class:`KernelStats` (reset per engine run): hits by operation, misses
@@ -58,24 +54,6 @@ from typing import Any, Dict
 #: Live-support cap for kernel dispatch: tables of at most 2**16 bits.
 #: Wider supports take the BDD path as a ``too_wide`` miss.
 MAX_VARS = 16
-
-#: Measured crossover for the symmetry ops: below this live-support
-#: width the BDD path is *usually* faster than lift/predicate/lower
-#: through the kernel (the conversion at the wrapper boundary
-#: dominates), so symmetry dispatch declines without counting a miss —
-#: unless the operands are dense enough that the BDD path pays per-node
-#: costs rivalling the whole packed table (see
-#: :data:`SYMMETRY_DENSITY_FACTOR`).
-SYMMETRY_MIN_VARS = 16
-
-#: Below-crossover profitability factor for the symmetry ops: a
-#: sub-``SYMMETRY_MIN_VARS`` support is still served word-parallel when
-#: ``node_count * factor >= 2**num_live`` (table bits).  Dense small
-#: functions (a 10-var random table is ~400 joint nodes against 1024
-#: bits) win on masks — measured 1.2-1.3x over the BDD path — while
-#: sparse ones (where the BDD path is near-free) keep declining.  ``0``
-#: disables the rule, restoring the pure threshold crossover.
-SYMMETRY_DENSITY_FACTOR = 3
 
 #: Why a dispatch fell back to the BDD path (``KernelStats`` miss
 #: causes): the widest table is past :data:`MAX_VARS`, or a
@@ -154,7 +132,6 @@ class KernelStats:
         return {
             "enabled": kernel_enabled(),
             "max_vars": MAX_VARS,
-            "symmetry_min_vars": SYMMETRY_MIN_VARS,
             "kernel_hits": self.hits,
             "kernel_misses": self.misses,
             "kernel_misses_by_cause": {
@@ -194,8 +171,6 @@ __all__ = [
     "MISS_MISMATCH",
     "MISS_TOO_WIDE",
     "STATS",
-    "SYMMETRY_DENSITY_FACTOR",
-    "SYMMETRY_MIN_VARS",
     "fits",
     "kernel_enabled",
     "kernel_metrics",

@@ -10,10 +10,12 @@ instead of BDD nodes:
   ``2**p * outputs`` chains of ``bdd.restrict``;
 * interval compatibility, running intersection and the cover's guards
   are bignum AND/OR over ``(lo, hi)`` mask pairs;
-* only the few *merged* class intervals (and narrowed outputs) are
-  converted back to BDD nodes, through the canonical
-  :func:`repro.kernel.convert.mask_to_bdd`, so the resulting
-  ``Classes`` carries exactly the node ids the BDD path would produce.
+* the steps 2/3 narrowing ORs each class's merged mask row in at its
+  vertices' offsets and lowers each output once; only the narrowed
+  outputs (and, for composition building, the merged class intervals)
+  are converted back to BDD nodes, through the canonical
+  :func:`repro.kernel.convert.mask_to_bdd`, so every node id is the
+  one the BDD path would produce.
 
 Each output gets its own table domain — its live support plus the
 bound set — since compatibility is decided output by output (two
@@ -22,15 +24,17 @@ the cover only ever compares an output's masks with masks of the same
 output.  A wide multi-output bundle whose union support is far past
 the cap is therefore served as long as every single output fits.
 
-Every entry point returns ``None`` when the kernel is disabled or the
-widest output's domain exceeds :data:`repro.kernel.MAX_VARS`; callers
-then take the BDD path (and the miss is counted).
+``kernel_classes_for`` and ``kernel_reduction_score`` return ``None``
+when the kernel is disabled or the widest output's domain exceeds
+:data:`repro.kernel.MAX_VARS`; callers then take the BDD path (and the
+miss is counted).  The narrowing serves exactly the classes
+``kernel_classes_for`` built.
 """
 
 from __future__ import annotations
 
 from time import perf_counter
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.boolfunc.spec import ISF
 from repro.faults import fault_point
@@ -47,9 +51,6 @@ from repro.obs.profiler import profile_phase
 #: A vertex's cofactor vector: ``[(lo_mask, hi_mask)] * outputs``.
 MaskVector = List[Tuple[int, int]]
 
-#: Deferred mask->ISF conversion of the merged class intervals.
-MergedThunk = Callable[[], List[List[ISF]]]
-
 #: Per-output table domains: ``domains[k]`` is the sorted variable
 #: tuple output ``k``'s tables range over.
 Domains = Tuple[Tuple[int, ...], ...]
@@ -63,26 +64,18 @@ def _isf_support(bdd, isf: ISF) -> set:
 
 
 def _fit_variables(bdd, outputs: Sequence[ISF], bound: Sequence[int],
-                   op: str,
-                   columns: Optional[Sequence[Sequence[ISF]]] = None
-                   ) -> Optional[Domains]:
+                   op: str) -> Optional[Domains]:
     """The per-output table domains of the call, or ``None`` (miss
     counted) when the kernel is off or the widest domain is too wide.
 
     ``domains[k]`` is output ``k``'s own table domain: the sorted live
-    support of the output (and of ``columns[k]``, ISFs the call builds
-    over the same table) plus ``bound``, which :func:`_vertex_masks`
+    support of the output plus ``bound``, which :func:`_vertex_masks`
     slices.
     """
     if not kernel_enabled():
         return None
-    domains = []
-    for k, isf in enumerate(outputs):
-        group = [isf] if columns is None else [isf, *columns[k]]
-        live = set(bound)
-        for member in group:
-            live |= _isf_support(bdd, member)
-        domains.append(tuple(sorted(live)))
+    domains = [tuple(sorted(_isf_support(bdd, isf) | set(bound)))
+               for isf in outputs]
     if not fits(op, max(map(len, domains), default=len(bound))):
         return None
     fault_point("kernel.dispatch")  # chaos site: armed kernel hand-off
@@ -263,14 +256,17 @@ def _cover(vectors: List[MaskVector]
 
 def kernel_classes_for(bdd, outputs: Sequence[ISF], bound: Sequence[int]
                        ) -> Optional[Tuple[Tuple[int, ...], List[List[int]],
-                                           List[int], "MergedThunk"]]:
-    """Cofactors + clique cover; ``(bound, classes, class_of, thunk)``
-    or ``None`` on fallback.
+                                           List[int], List[MaskVector],
+                                           List[Tuple[int, ...]]]]:
+    """Cofactors + clique cover; ``(bound, classes, class_of, masks,
+    frees)`` or ``None`` on fallback.
 
-    ``thunk()`` converts the merged class intervals back to real
-    (canonical) ISFs.  The conversion is deferred because the bulk of
-    the callers — bound-set scoring — only read the class *counts*; the
-    few callers that narrow or encode pay for it exactly once (see
+    ``masks[c][k]`` is class ``c``'s merged ``(lo, hi)`` interval for
+    output ``k`` as masks over ``frees[k]``, that output's free
+    variables.  They stay masks: the bulk of the callers — bound-set
+    scoring — only read the class *counts*, the narrowing reads the
+    masks (:func:`kernel_assign_by_classes`), and only composition
+    building lowers them (:func:`merged_isfs`, see
     :class:`repro.decomp.compat.LazyClasses`).
     """
     domains = _fit_variables(bdd, outputs, bound, "classes_for")
@@ -289,28 +285,30 @@ def kernel_classes_for(bdd, outputs: Sequence[ISF], bound: Sequence[int]
         return None
     STATS.record_hit("classes_for", perf_counter() - start)
     bound_set = set(bound)
-    frees = [[v for v in domain if v not in bound_set]
+    frees = [tuple(v for v in domain if v not in bound_set)
              for domain in domains]
+    return tuple(bound), classes, class_of, merged_masks, frees
 
-    def materialise() -> List[List[ISF]]:
-        # Each output's intervals convert over its own free variables;
-        # mask_to_bdd is canonical, so the node ids do not depend on
-        # which covering variable tuple the table used.
-        begin = perf_counter()
-        with profile_phase("clique_cover"):
-            merged: List[List[ISF]] = []
-            for vec in merged_masks:
-                row = []
-                for (lo_mask, hi_mask), free in zip(vec, frees):
-                    lo = mask_to_bdd(bdd, lo_mask, free)
-                    hi = lo if hi_mask == lo_mask else \
-                        mask_to_bdd(bdd, hi_mask, free)
-                    row.append(ISF(lo, hi))
-                merged.append(row)
-        STATS.record_hit("merged_convert", perf_counter() - begin)
-        return merged
 
-    return tuple(bound), classes, class_of, materialise
+def merged_isfs(bdd, masks: Sequence[MaskVector],
+                frees: Sequence[Tuple[int, ...]]) -> List[List[ISF]]:
+    """The merged class intervals of :func:`kernel_classes_for` as
+    canonical ISFs: each output's masks lower over its own free
+    variables, and :func:`mask_to_bdd` is canonical, so the node ids do
+    not depend on which covering variable tuple the table used."""
+    begin = perf_counter()
+    with profile_phase("clique_cover"):
+        merged: List[List[ISF]] = []
+        for vec in masks:
+            row = []
+            for (lo_mask, hi_mask), free in zip(vec, frees):
+                lo = mask_to_bdd(bdd, lo_mask, free)
+                hi = lo if hi_mask == lo_mask else \
+                    mask_to_bdd(bdd, hi_mask, free)
+                row.append(ISF(lo, hi))
+            merged.append(row)
+    STATS.record_hit("merged_convert", perf_counter() - begin)
+    return merged
 
 
 def kernel_reduction_score(bdd, outputs: Sequence[ISF],
@@ -355,42 +353,26 @@ def kernel_assign_by_classes(bdd, outputs: Sequence[ISF],
     """The narrowing of :func:`repro.decomp.compat.assign_by_classes`:
     every vertex's cofactor is replaced by its class's merged interval.
 
-    ``classes`` is a :class:`repro.decomp.compat.Classes` (duck-typed).
-    The caller handles the all-complete early return.  Each output is
-    rebuilt over its own domain: its support, its merged column's and
-    the bound.
+    ``classes`` is a kernel-built
+    :class:`repro.decomp.compat.LazyClasses` (duck-typed: ``bound``,
+    ``classes``, ``masks``, ``frees``); the caller handles the
+    all-complete early return and any other ``Classes``.  Each output's
+    table is laid out bound-first over ``bound + frees[k]``: class
+    ``c``'s merged row is ORed in at every vertex ``v`` of the class,
+    at bit ``v * 2**len(frees[k])``, and the table lowers once.
     """
-    columns = [[row[k] for row in classes.merged]
-               for k in range(len(outputs))]
-    domains = _fit_variables(bdd, outputs, classes.bound,
-                             "assign_by_classes", columns)
-    if domains is None:
+    if not kernel_enabled():
         return None
-    bound = tuple(classes.bound)
-    bound_set = set(bound)
-    # Merged intervals normally live over the free variables only; a
-    # hand-built Classes violating that goes down the BDD path instead.
-    for column in columns:
-        for isf in column:
-            if _isf_support(bdd, isf) & bound_set:
-                STATS.record_miss("assign_by_classes", MISS_MISMATCH)
-                return None
+    fault_point("kernel.dispatch")  # chaos site: armed kernel hand-off
     start = perf_counter()
-
+    bound = tuple(classes.bound)
     new_outputs = []
-    for table_vars, column in zip(domains, columns):
-        # Bound-first layout: vertex v's row sits at bit v * width.
-        free = tuple(v for v in table_vars if v not in bound_set)
+    for k in range(len(outputs)):
+        free = classes.frees[k]
         width = 1 << len(free)
         lo_mask = hi_mask = 0
-        for merged, vertices in zip(column, classes.classes):
-            try:
-                lo_row = bdd_to_mask(bdd, merged.lo, free)
-                hi_row = lo_row if merged.hi == merged.lo else \
-                    bdd_to_mask(bdd, merged.hi, free)
-            except TableMismatchError:
-                STATS.record_miss("assign_by_classes", MISS_MISMATCH)
-                return None
+        for vec, vertices in zip(classes.masks, classes.classes):
+            lo_row, hi_row = vec[k]
             for v in vertices:
                 lo_mask |= lo_row << (v * width)
                 hi_mask |= hi_row << (v * width)

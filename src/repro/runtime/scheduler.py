@@ -572,16 +572,16 @@ def degraded_record(job: Dict[str, Any],
     """The graceful-degradation result: the trivial Shannon/MUX mapping.
 
     A :class:`DecompositionEngine` with a zero time budget skips the
-    bound-set search entirely and walks the output BDDs into MUX trees —
-    bounded by BDD size, deterministic, and never subject to the hang
-    the real run may have hit (test hooks only fire inside workers).
+    DSD pre-pass and the bound-set search entirely and walks the output
+    BDDs into MUX trees — bounded by BDD size, deterministic, and never
+    subject to the hang the real run may have hit (test hooks only fire
+    inside workers).
     """
     from repro.core.api import map_to_xc3000
     if func is None:
         func = jobspec.build_function(job["source"])
     config = job.get("config") or {}
-    mapped = map_to_xc3000(func, use_dontcares=False, time_budget=0.0,
-                           use_dsd=job.get("dsd", True))
+    mapped = map_to_xc3000(func, use_dontcares=False, time_budget=0.0)
     record = mapped.to_record()
     record["degraded"] = True
     if job.get("flow") == "compare":

@@ -21,7 +21,10 @@ The algorithms are generic over an *ops adapter* — either the BDD-domain
 :class:`repro.kernel.symmetry.BitsIsfOps` — selected per call by
 :func:`symmetry_domain`; both domains execute the identical decision
 sequence, so the narrowed ISFs and groups are bit-identical (the
-differential suite in ``tests/kernel/`` enforces this).
+differential suite in ``tests/kernel/`` enforces this).  The kernel
+adapter holds every ISF over its own live support, so a multi-output
+bundle runs word-parallel whenever its widest single output fits the
+kernel, however wide the union of the outputs' supports.
 """
 
 from __future__ import annotations
@@ -31,7 +34,6 @@ from typing import Any, List, Optional, Sequence, Tuple
 
 from repro.bdd.manager import BDD
 from repro.boolfunc.spec import ISF
-from repro import kernel
 from repro.kernel import STATS as KERNEL_STATS
 from repro.kernel.symmetry import bits_domain
 from repro.symmetry.isf_symmetry import (
@@ -41,23 +43,18 @@ from repro.symmetry.isf_symmetry import (
 )
 
 
-def symmetry_domain(bdd: BDD, isfs: Sequence[ISF],
-                    variables: Sequence[int], op: str
+def symmetry_domain(bdd: BDD, isfs: Sequence[ISF], op: str
                     ) -> Tuple[Any, List[Any]]:
     """Pick the execution domain for a step-1 style computation.
 
-    Returns ``(ops, handles)``: the kernel adapter with lifted handles
-    when the live support of ``isfs`` plus ``variables`` fits the
-    kernel's cap *and* clears the measured crossover
-    (:data:`repro.kernel.SYMMETRY_MIN_VARS` — below it the BDD path
-    usually wins because the lift/lower conversion dominates, unless
-    the operands are dense enough that per-node BDD cost rivals the
-    packed table; see :data:`repro.kernel.SYMMETRY_DENSITY_FACTOR`),
-    otherwise the BDD adapter with the ISFs unchanged.  Misses are
-    counted under ``op``; declining below the crossover is not a miss.
+    Returns ``(ops, handles)``: the kernel adapter with one handle per
+    ISF, each over its own live support, when the widest of those
+    supports fits the kernel's cap; otherwise the BDD adapter with the
+    ISFs unchanged (a ``too_wide`` miss counted under ``op`` while the
+    kernel is on).  Symmetry ops dispatch by the same rule as the
+    compatible-class ops.
     """
-    domain = bits_domain(bdd, isfs, variables, op,
-                         min_vars=kernel.SYMMETRY_MIN_VARS)
+    domain = bits_domain(bdd, isfs, op)
     if domain is not None:
         return domain
     return BddIsfOps(bdd), list(isfs)
@@ -69,8 +66,7 @@ def isf_symmetry_groups(bdd: BDD, isf: ISF,
                         ) -> List[List[int]]:
     """Partition ``variables`` into groups that are *strongly* pairwise
     symmetric in the ISF (no assignment performed)."""
-    ops, handles = symmetry_domain(bdd, [isf], variables,
-                                   "symmetry_groups")
+    ops, handles = symmetry_domain(bdd, [isf], "symmetry_groups")
     start = perf_counter()
     groups = _symmetry_groups(ops, handles[0], variables, kind)
     if ops.domain == "kernel":
@@ -144,7 +140,8 @@ def _assign_for_symmetry(ops: Any, f: Any, variables: Sequence[int],
                          protected_groups: Sequence[Sequence[int]]
                          ) -> Tuple[Any, List[List[int]]]:
     """Domain-generic body of :func:`assign_for_symmetry`."""
-    variables = [v for v in variables if v in ops.support(f)]
+    support = ops.support(f)
+    variables = [v for v in variables if v in support]
     if len(variables) < 2:
         return f, [[v] for v in variables]
 
@@ -223,8 +220,7 @@ def assign_for_symmetry(bdd: BDD, isf: ISF, variables: Sequence[int],
     survive every accepted assignment (used to keep the common groups of a
     multi-output step intact — the compatibility requirement of the paper).
     """
-    ops, handles = symmetry_domain(bdd, [isf], variables,
-                                   "symmetry_assign")
+    ops, handles = symmetry_domain(bdd, [isf], "symmetry_assign")
     start = perf_counter()
     f, groups = _assign_for_symmetry(ops, handles[0], variables, kinds,
                                      max_pair_checks, protected_groups)
@@ -326,8 +322,7 @@ def assign_for_symmetry_multi(bdd: BDD, outputs: Sequence[ISF],
     *common* symmetry groups — these are the groups the shared bound-set
     selection can exploit.
     """
-    ops, handles = symmetry_domain(bdd, list(outputs), variables,
-                                   "symmetry_assign")
+    ops, handles = symmetry_domain(bdd, list(outputs), "symmetry_assign")
     start = perf_counter()
     refined, groups = _assign_for_symmetry_multi(ops, handles, variables,
                                                  kinds, max_pair_checks)

@@ -42,3 +42,19 @@ def test_generous_budget_matches_unbudgeted():
     a = DecompositionEngine(n_lut=4).run(func)
     b = DecompositionEngine(n_lut=4, time_budget=3600).run(func)
     assert a.lut_count == b.lut_count
+
+
+def test_expired_budget_skips_the_dsd_probe():
+    """Past the deadline every level falls back to the MUX walk, so the
+    DSD pre-pass never probes and its switch changes nothing."""
+    from repro.bench.registry import benchmark
+    from repro.core.api import map_to_xc3000
+
+    func = benchmark("rd84")
+    on = map_to_xc3000(func, use_dontcares=False, time_budget=0.0,
+                       use_dsd=True)
+    off = map_to_xc3000(func, use_dontcares=False, time_budget=0.0,
+                        use_dsd=False)
+    assert on.stats.budget_exhausted
+    assert not on.stats.dsd
+    assert on.to_record() == off.to_record()

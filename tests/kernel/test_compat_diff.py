@@ -226,6 +226,9 @@ def test_disjoint_wide_bundle_served_per_output(monkeypatch):
         assert STATS.misses == 0
         for op in ("classes_for", "reduction_score", "assign_by_classes"):
             assert STATS.op_hits.get(op, 0) == 1, op
+        # The narrowing reads the cover's masks: no merged interval was
+        # lowered to a BDD on the way.
+        assert STATS.op_hits.get("merged_convert", 0) == 0
         assert isinstance(hit, LazyClasses)
         assert hit.classes == ref.classes
         assert hit.class_of == ref.class_of

@@ -87,7 +87,7 @@ class TestMetricsDocument:
         assert kernel["kernel_hits"] > 0
         assert kernel["max_vars"] == 16
         for dropped in ("kernel_hits_by_tier", "tier1_max_vars",
-                        "cost_model"):
+                        "cost_model", "symmetry_min_vars"):
             assert dropped not in kernel
         assert sum(kernel["kernel_misses_by_cause"].values()) == \
             kernel["kernel_misses"]

@@ -5,9 +5,10 @@ import random
 
 import pytest
 
-from repro import kernel
 from repro.bdd.manager import BDD
 from repro.boolfunc.spec import ISF
+from repro.decomp.recursive import DecompositionEngine
+from repro.kernel import STATS, reset_kernel_stats
 from repro.kernel.symmetry import bits_domain
 from repro.symmetry.groups import (
     assign_for_symmetry,
@@ -72,7 +73,7 @@ class TestOpsDifferential:
                 isf = symmetric_isf(bdd, rng, variables, (1, 3), density)
             else:
                 isf = random_isf(bdd, rng, variables, density)
-            domain = bits_domain(bdd, [isf], variables, "test")
+            domain = bits_domain(bdd, [isf], "test")
             assert domain is not None
             kops, (f,) = domain
             assert kops.support(f) == isf.support(bdd)
@@ -102,7 +103,7 @@ class TestOpsDifferential:
         bdd = BDD(4)
         variables = list(range(4))
         isf = random_isf(bdd, rng, variables, 0.4)
-        kops, (f,) = bits_domain(bdd, [isf], variables, "test")
+        kops, (f,) = bits_domain(bdd, [isf], "test")
         for kind in KINDS:
             for i, j in itertools.combinations(variables, 2):
                 assert kops.strongly_symmetric(f, i, j, kind) == \
@@ -116,12 +117,7 @@ class TestWrapperDifferential:
         monkeypatch.setenv("REPRO_KERNEL", "off")
         ref = fn()
         monkeypatch.setenv("REPRO_KERNEL", "on")
-        # Defeat the measured crossover: these supports are far below
-        # the default symmetry minimum, and the point here is the
-        # kernel-vs-BDD differential, not the dispatch policy.
-        with monkeypatch.context() as patch:
-            patch.setattr(kernel, "SYMMETRY_MIN_VARS", 0)
-            hit = fn()
+        hit = fn()
         return ref, hit
 
     @pytest.mark.parametrize("density", [0.0, 0.4])
@@ -165,3 +161,98 @@ class TestWrapperDifferential:
             assert [(i.lo, i.hi) for i in hit[0]] == \
                 [(i.lo, i.hi) for i in ref[0]]
             assert hit[1] == ref[1]
+
+
+def isf_pairs(isfs):
+    return [(isf.lo, isf.hi) for isf in isfs]
+
+
+def test_disjoint_wide_bundle_served_per_output(monkeypatch):
+    """Three outputs over disjoint 12/13/14-variable supports: the
+    union (39 variables) is far past the cap, yet every handle is laid
+    out over its own support, so the symmetry ops run on the kernel
+    without a miss, node for node equal to the BDD path."""
+    rng = random.Random(89)
+    bdd = BDD(39)
+    supports = [list(range(0, 12)), list(range(12, 25)),
+                list(range(25, 39))]
+    outputs = [random_isf(bdd, rng, support, 0.3) for support in supports]
+    assert all(isf.support(bdd) == set(support)
+               for isf, support in zip(outputs, supports))
+    union = list(range(39))
+    engine = DecompositionEngine()
+
+    def run():
+        reset_kernel_stats()
+        multi = assign_for_symmetry_multi(bdd, outputs, union,
+                                          max_pair_checks=600)
+        groups = [isf_symmetry_groups(bdd, isf, union, kind)
+                  for isf in outputs for kind in KINDS]
+        common = engine._common_groups(bdd, outputs, union)
+        return isf_pairs(multi[0]), multi[1], groups, common
+
+    monkeypatch.setenv("REPRO_KERNEL", "off")
+    ref = run()
+    monkeypatch.setenv("REPRO_KERNEL", "on")
+    hit = run()
+    assert STATS.misses == 0
+    assert STATS.op_hits["symmetry_assign"] == 1
+    assert STATS.op_hits["symmetry_groups"] == 2 * len(outputs) + 1
+    assert hit == ref
+
+
+class TestWidening:
+    """A pair with one variable outside a handle's support: the merge
+    makes the result depend on that variable."""
+
+    def make_outputs(self, bdd):
+        # x0 is removable from the first output (its cofactor intervals
+        # on x0 intersect), x1 from the second, and neither output
+        # depends on the other's variable.
+        x = [bdd.var(v) for v in range(5)]
+        first = ISF.create(bdd, bdd.apply_and(x[0], x[2]),
+                           bdd.apply_or(x[2], x[3]))
+        second = ISF.create(bdd, bdd.apply_and(x[1], x[4]),
+                            bdd.apply_or(x[4], x[3]))
+        return [first, second]
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_make_symmetric_one_outside(self, kind, monkeypatch):
+        monkeypatch.setenv("REPRO_KERNEL", "on")
+        bdd = BDD(5)
+        first, _ = self.make_outputs(bdd)
+        kops, (f,) = bits_domain(bdd, [first], "test")
+        bops = BddIsfOps(bdd)
+        for i, j in ((0, 1), (1, 0), (1, 4)):
+            assert kops.strongly_symmetric(f, i, j, kind) == \
+                bops.strongly_symmetric(first, i, j, kind)
+            assert kops.potentially_symmetric(f, i, j, kind) == \
+                bops.potentially_symmetric(first, i, j, kind)
+        for i, j in ((0, 1), (1, 0)):
+            m_k = kops.lower(kops.make_symmetric(f, i, j, kind))
+            m_b = bops.make_symmetric(first, i, j, kind)
+            assert (m_k.lo, m_k.hi) == (m_b.lo, m_b.hi)
+            assert 1 in m_b.support(bdd)
+        # Both variables outside: the handle comes back unchanged.
+        assert kops.make_symmetric(f, 1, 4, kind) is f
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_multi_merges_across_outputs(self, kind, monkeypatch):
+        # Phase 1 merges (x0, x1) in both outputs, widening each handle
+        # by the other output's variable; phase 2 then runs `kind`.
+        bdd = BDD(5)
+        outputs = self.make_outputs(bdd)
+        variables = list(range(5))
+        monkeypatch.setenv("REPRO_KERNEL", "off")
+        ref = assign_for_symmetry_multi(bdd, outputs, variables, (kind,))
+        monkeypatch.setenv("REPRO_KERNEL", "on")
+        reset_kernel_stats()
+        hit = assign_for_symmetry_multi(bdd, outputs, variables, (kind,))
+        assert STATS.op_hits["symmetry_assign"] == 1
+        assert any({0, 1} <= set(group) for group in ref[1])
+        if kind is SymmetryKind.NONEQUIVALENCE:
+            # A T2 phase 2 also merges the (0, 0) and (1, 1) cofactors,
+            # which drops x0 and x1 again.
+            assert 1 in ref[0][0].support(bdd)
+        assert isf_pairs(hit[0]) == isf_pairs(ref[0])
+        assert hit[1] == ref[1]

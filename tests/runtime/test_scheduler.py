@@ -148,6 +148,18 @@ class TestCacheIntegration:
         assert clean.status == "ok"
 
 
+class TestDegradedRecord:
+    def test_dsd_stamp_changes_nothing(self):
+        # The fallback is a zero-budget run: the engine skips the DSD
+        # probe once the deadline has passed.
+        from repro.runtime.scheduler import degraded_record
+
+        job = make_job(source_from_name("rd84"))
+        job.pop("dsd", None)
+        assert degraded_record(job) == degraded_record(dict(job,
+                                                            dsd=False))
+
+
 class TestCompareFlow:
     def test_compare_records_both_drivers(self):
         jobs = [make_job(source_from_name("rd73"), flow="compare")]
