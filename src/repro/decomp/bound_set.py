@@ -31,6 +31,11 @@ from repro.kernel.convert import TableMismatchError
 from repro.kernel.refine import PartitionCache
 
 
+#: ``rank_bound_sets``'s default ``cache``: build one if a score is
+#: missing.
+_BUILD_CACHE = object()
+
+
 def candidate_bound_sets(variables: Sequence[int], p: int,
                          groups: Optional[Sequence[Sequence[int]]] = None,
                          max_candidates: int = 24) -> List[Tuple[int, ...]]:
@@ -211,7 +216,8 @@ def rank_bound_sets(bdd: BDD, outputs: Sequence[ISF],
                     max_candidates: int = 24,
                     score_memo: Optional[Dict] = None,
                     memo_key: Optional[Tuple] = None,
-                    memo_stats: Optional[Any] = None
+                    memo_stats: Optional[Any] = None,
+                    cache: Any = _BUILD_CACHE
                     ) -> List[Tuple[Tuple[int, ...], Tuple[int, int, int]]]:
     """Candidates with positive total support reduction, best first.
 
@@ -223,7 +229,11 @@ def rank_bound_sets(bdd: BDD, outputs: Sequence[ISF],
     Candidates are sorted tuples, so when the kernel serves the support
     they are scored through one :class:`repro.kernel.refine.PartitionCache`
     — overlapping windows extend each other's longest shared sorted
-    prefix instead of recomputing from scratch.
+    prefix instead of recomputing from scratch.  ``cache``, when given,
+    is that cache (``PartitionCache.for_call`` of ``outputs``, or
+    ``None`` when the kernel cannot serve); left out, one is built when
+    a score is missing.  The engine passes its own so the candidates it
+    evaluates read their classes off the partitions scored here.
 
     ``score_memo`` lets the engine reuse work across repeated rankings
     of the same outputs within one run: it holds each candidate's score
@@ -247,9 +257,11 @@ def rank_bound_sets(bdd: BDD, outputs: Sequence[ISF],
         candidates.insert(0, greedy)
     keys = [(memo_key, cand) for cand in candidates]
     misses = sum(key not in memo for key in keys)
-    cache = None
-    if misses:
-        cache = PartitionCache.for_call(bdd, outputs, "reduction_score")
+    if cache is _BUILD_CACHE:
+        cache = None
+        if misses:
+            cache = PartitionCache.for_call(bdd, outputs,
+                                            "reduction_score")
     ranked = []
     for cand, key in zip(candidates, keys):
         score = memo.get(key)

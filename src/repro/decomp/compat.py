@@ -28,11 +28,14 @@ from typing import List, Optional, Sequence, Tuple
 from repro.bdd.manager import BDD
 from repro.bdd.ops import vertex_bits
 from repro.boolfunc.spec import ISF
+from repro.kernel import MISS_MISMATCH, STATS
 from repro.kernel.compat import (
-    kernel_assign_by_classes,
     kernel_classes_for,
+    kernel_single_classes,
     merged_isfs,
 )
+from repro.kernel.convert import TableMismatchError
+from repro.kernel.refine import PartitionCache
 from repro.obs.profiler import profile_phase
 
 
@@ -69,15 +72,15 @@ class Classes:
 
 
 class LazyClasses(Classes):
-    """A :class:`Classes` built by the kernel cover, whose merged
-    intervals stay packed masks until someone reads ``merged``.
+    """A :class:`Classes` built by the kernel, whose merged intervals
+    stay packed masks until someone reads ``merged``.
 
     ``masks[c][k]`` is class ``c``'s merged ``(lo, hi)`` interval for
     output ``k`` over ``frees[k]``, that output's free variables.  The
-    bound-set scoring loops read only ``ncc`` and ``min_r``, and the
-    steps 2/3 narrowing (:func:`assign_by_classes`) reads the masks
-    directly; only composition building reads ``merged``, which lowers
-    the masks to BDD nodes once, on first access.
+    candidate evaluation reads only the classes, ``ncc`` and ``min_r``,
+    and step 3 covers the masks directly (:meth:`single_classes`); only
+    composition building reads ``merged``, which lowers the masks to
+    BDD nodes once, on first access.
     """
 
     def __init__(self, bdd: BDD, bound: Tuple[int, ...],
@@ -98,6 +101,14 @@ class LazyClasses(Classes):
             self._materialised = merged_isfs(self._bdd, self.masks,
                                              self.frees)
         return self._materialised
+
+    def single_classes(self) -> List["LazyClasses"]:
+        """Each output's classes after narrowing it by these classes —
+        ``classes_for(bdd, [isf], bound)`` of every output of
+        :func:`assign_by_classes`, computed on the masks
+        (:func:`repro.kernel.compat.kernel_single_classes`)."""
+        return [LazyClasses(self._bdd, *hit) for hit in kernel_single_classes(
+            self.bound, self.class_of, self.masks, self.frees)]
 
 
 def min_r(num_classes: int) -> int:
@@ -282,6 +293,25 @@ def classes_for(bdd: BDD, outputs: Sequence[ISF],
     return compute_classes(bdd, vertex_cofactors(bdd, outputs, bound), bound)
 
 
+def partition_classes(bdd: BDD, cache: PartitionCache,
+                      bound: Tuple[int, ...]
+                      ) -> Optional[Tuple[LazyClasses, List[LazyClasses]]]:
+    """The joint and per-output classes of ``bound`` read off the
+    partitions of ``cache``, built on a completely specified view, or
+    ``None`` (then ask :func:`classes_for`).  Bit-identical to
+    :func:`classes_for` of the view and of each of its outputs."""
+    try:
+        hit = cache.classes_for(bound)
+    except TableMismatchError:
+        STATS.record_miss("classes_for", MISS_MISMATCH)
+        return None
+    if hit is None:
+        return None
+    joint, per_output = hit
+    return (LazyClasses(bdd, *joint),
+            [LazyClasses(bdd, *single) for single in per_output])
+
+
 def ncc(bdd: BDD, outputs: Sequence[ISF], bound: Sequence[int]) -> int:
     """Number of compatible classes of (the joint function of) ``outputs``
     w.r.t. ``bound``."""
@@ -298,15 +328,12 @@ def assign_by_classes(bdd: BDD, outputs: Sequence[ISF],
 
     Completely specified outputs are returned as-is (the narrowing is the
     identity there) — an important fast path, since the recursion's top
-    levels are complete.  Kernel-built classes narrow on their masks;
-    any other :class:`Classes` takes the BDD path.
+    levels are complete.  The engine never builds the narrowed outputs
+    of kernel-built classes: it needs only their classes
+    (:meth:`LazyClasses.single_classes`).
     """
     if all(isf.is_complete() for isf in outputs):
         return list(outputs)
-    if isinstance(classes, LazyClasses):
-        hit = kernel_assign_by_classes(bdd, outputs, classes)
-        if hit is not None:
-            return hit
     p = len(classes.bound)
     new_outputs = []
     for k in range(len(outputs)):

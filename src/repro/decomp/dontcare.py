@@ -26,8 +26,20 @@ the bound-set search maintains.
 All three steps ride the word-parallel kernel transparently when the
 functions fit (:mod:`repro.kernel`): step 1 through the symmetry ops
 adapter in :mod:`repro.symmetry.groups`, steps 2/3 through the class
-computation in :mod:`repro.decomp.compat`.  No dispatch logic lives
-here — the narrowings are bit-identical either way.
+computation in :mod:`repro.decomp.compat`.
+
+A decomposition step needs only the classes steps 2 and 3 settle on,
+not the narrowed outputs: composition building reads each class's
+merged interval.  :func:`dc_step_classes` returns just those classes.
+When the kernel built step 2's joint classes, step 3 covers each
+output's column of their merged mask rows
+(:meth:`repro.decomp.compat.LazyClasses.single_classes`) and no output
+is lowered to a BDD; otherwise it narrows through the BDD path and
+classes each narrowed output, the reference the kernel route equals
+bit for bit.  :func:`assign_step2_sharing` and
+:func:`assign_step3_single` build the narrowed outputs themselves, on
+the BDD path, for the step-ablation flags and for callers that want
+them.
 """
 
 from __future__ import annotations
@@ -38,6 +50,7 @@ from repro.bdd.manager import BDD
 from repro.boolfunc.spec import ISF
 from repro.decomp.compat import (
     Classes,
+    LazyClasses,
     assign_by_classes,
     classes_for,
 )
@@ -88,6 +101,26 @@ def assign_step3_single(bdd: BDD, outputs: Sequence[ISF],
             narrowed.append(new_isf)
             all_classes.append(classes)
         return narrowed, all_classes
+
+
+def dc_step_classes(bdd: BDD, outputs: Sequence[ISF],
+                    bound: Sequence[int]) -> Tuple[Classes, List[Classes]]:
+    """Steps 2 and 3's classes without their narrowed outputs.
+
+    Returns the joint classes of step 2 and each output's classes of
+    step 3 — the ``joint`` of :func:`assign_step2_sharing` and the
+    classes of :func:`assign_step3_single` run on its narrowed outputs,
+    bit for bit.
+    """
+    with profile_phase("dc_step2_sharing"):
+        joint = classes_for(bdd, outputs, bound)
+        chained = isinstance(joint, LazyClasses)
+        if not chained:
+            narrowed = assign_by_classes(bdd, outputs, joint)
+    with profile_phase("dc_step3_single"):
+        if chained:
+            return joint, joint.single_classes()
+        return joint, [classes_for(bdd, [isf], bound) for isf in narrowed]
 
 
 def assign_all_steps(bdd: BDD, outputs: Sequence[ISF],

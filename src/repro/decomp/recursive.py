@@ -35,11 +35,12 @@ from repro import faults
 from repro.bdd.manager import BDD
 from repro.boolfunc.spec import ISF, MultiFunction
 from repro.decomp.bound_set import rank_bound_sets
-from repro.decomp.compat import classes_for
+from repro.decomp.compat import classes_for, partition_classes
 from repro.decomp.dontcare import (
     assign_step1_symmetry,
     assign_step2_sharing,
     assign_step3_single,
+    dc_step_classes,
 )
 from repro.decomp.dsd import (
     DsdChain,
@@ -55,6 +56,7 @@ from repro.decomp.encoding import build_composition_for_output, sub_isf_key
 from repro.decomp.multi import select_common_alphas
 from repro.kernel import STATS as KERNEL_STATS
 from repro.kernel import kernel_metrics, reset_kernel_stats
+from repro.kernel.refine import PartitionCache
 from repro.mapping.lutnet import CONST0, CONST1, LutNetwork
 from repro.obs.metrics import BddMetrics
 from repro.obs.profiler import PhaseProfiler, activate_profiler, profile_phase
@@ -1347,11 +1349,15 @@ class DecompositionEngine:
         memo_key = (tuple((o.lo, o.hi) for o in ranking_view), p)
         before = len(self._score_memo)
         with profile_phase("rank_bound_sets"):
+            # Built even when the memo answers every score: the
+            # candidates evaluated below read their classes off it.
+            cache = PartitionCache.for_call(bdd, ranking_view,
+                                            "reduction_score")
             ranked = rank_bound_sets(bdd, ranking_view, support, p,
                                      groups, max_candidates,
                                      score_memo=self._score_memo,
                                      memo_key=memo_key,
-                                     memo_stats=self.stats)
+                                     memo_stats=self.stats, cache=cache)
         added = len(self._score_memo) - before
         if added > 0:
             self._score_memo_bytes += added * (
@@ -1360,7 +1366,7 @@ class DecompositionEngine:
         best: Optional[_Step] = None
         best_gain = 0
         for bound, _ in ranked[:try_candidates]:
-            step = self._evaluate_candidate(bdd, ranking_view, bound)
+            step = self._evaluate_candidate(bdd, ranking_view, bound, cache)
             if step is not None and (best is None
                                      or step.gain > best_gain):
                 best = step
@@ -1378,20 +1384,38 @@ class DecompositionEngine:
         return best
 
     def _evaluate_candidate(self, bdd: BDD, outputs: Sequence[ISF],
-                            bound: Sequence[int]) -> Optional[_Step]:
-        """Full pipeline (DC steps 2/3 + common alphas) for one bound."""
-        work = list(outputs)
-        joint_min_r = None
-        if self.use_sharing_step:
-            work, joint = assign_step2_sharing(bdd, work, bound)
-            joint_min_r = joint.min_r
-        if self.use_single_step:
-            work, per_output = assign_step3_single(bdd, work, bound)
+                            bound: Tuple[int, ...],
+                            cache: Optional[PartitionCache] = None
+                            ) -> Optional[_Step]:
+        """Full pipeline (DC steps 2/3 + common alphas) for one bound.
+
+        Only the classes are computed, never a narrowed output.  On the
+        completely specified ranking view, whose ``cache`` the ranking
+        scored with, steps 2/3 narrow nothing and the classes are read
+        off the candidate's refined partition.  Otherwise steps 2/3 run
+        through :func:`dc_step_classes`; the step-ablation flags keep
+        the narrowing reference path.
+        """
+        classes = None
+        if cache is not None:
+            classes = partition_classes(bdd, cache, bound)
+        if classes is not None:
+            joint, per_output = classes
+        elif self.use_sharing_step and self.use_single_step:
+            joint, per_output = dc_step_classes(bdd, outputs, bound)
         else:
-            per_output = [classes_for(bdd, [isf], bound)
-                          for isf in work]
-        if joint_min_r is None:
-            joint_min_r = classes_for(bdd, work, bound).min_r
+            work = list(outputs)
+            joint = None
+            if self.use_sharing_step:
+                work, joint = assign_step2_sharing(bdd, work, bound)
+            if self.use_single_step:
+                work, per_output = assign_step3_single(bdd, work, bound)
+            else:
+                per_output = [classes_for(bdd, [isf], bound)
+                              for isf in work]
+            if joint is None:
+                joint = classes_for(bdd, work, bound)
+        joint_min_r = joint.min_r
         with profile_phase("encoding"):
             pool, encodings = select_common_alphas(bdd, per_output)
         bound_set = set(bound)

@@ -10,10 +10,10 @@ instead of BDD nodes:
   ``2**p * outputs`` chains of ``bdd.restrict``;
 * interval compatibility, running intersection and the cover's guards
   are bignum AND/OR over ``(lo, hi)`` mask pairs;
-* the steps 2/3 narrowing ORs each class's merged mask row in at its
-  vertices' offsets and lowers each output once; only the narrowed
-  outputs (and, for composition building, the merged class intervals)
-  are converted back to BDD nodes, through the canonical
+* step 3's per-output classes are covered straight from step 2's
+  merged mask rows (:func:`kernel_single_classes`), so no narrowed
+  output is ever built; only composition building converts the merged
+  class intervals back to BDD nodes, through the canonical
   :func:`repro.kernel.convert.mask_to_bdd`, so every node id is the
   one the BDD path would produce.
 
@@ -27,8 +27,11 @@ the cap is therefore served as long as every single output fits.
 ``kernel_classes_for`` and ``kernel_reduction_score`` return ``None``
 when the kernel is disabled or the widest output's domain exceeds
 :data:`repro.kernel.MAX_VARS`; callers then take the BDD path (and the
-miss is counted).  The narrowing serves exactly the classes
-``kernel_classes_for`` built.
+miss is counted).  ``kernel_single_classes`` chains exactly the classes
+``kernel_classes_for`` built.  The bound-set candidates the engine
+evaluates on a completely specified view read their classes off the
+ranking's refined partitions instead
+(:meth:`repro.kernel.refine.PartitionCache.classes_for`).
 """
 
 from __future__ import annotations
@@ -264,9 +267,9 @@ def kernel_classes_for(bdd, outputs: Sequence[ISF], bound: Sequence[int]
     ``masks[c][k]`` is class ``c``'s merged ``(lo, hi)`` interval for
     output ``k`` as masks over ``frees[k]``, that output's free
     variables.  They stay masks: the bulk of the callers — bound-set
-    scoring — only read the class *counts*, the narrowing reads the
-    masks (:func:`kernel_assign_by_classes`), and only composition
-    building lowers them (:func:`merged_isfs`, see
+    scoring — only read the class *counts*, step 3 covers the masks
+    (:func:`kernel_single_classes`), and only composition building
+    lowers them (:func:`merged_isfs`, see
     :class:`repro.decomp.compat.LazyClasses`).
     """
     domains = _fit_variables(bdd, outputs, bound, "classes_for")
@@ -348,37 +351,30 @@ def _min_r(num_classes: int) -> int:
     return max(0, (num_classes - 1).bit_length())
 
 
-def kernel_assign_by_classes(bdd, outputs: Sequence[ISF],
-                             classes) -> Optional[List[ISF]]:
-    """The narrowing of :func:`repro.decomp.compat.assign_by_classes`:
-    every vertex's cofactor is replaced by its class's merged interval.
+def kernel_single_classes(bound: Tuple[int, ...], class_of: Sequence[int],
+                          masks: Sequence[MaskVector],
+                          frees: Sequence[Tuple[int, ...]]
+                          ) -> List[Tuple[Tuple[int, ...], List[List[int]],
+                                          List[int], List[MaskVector],
+                                          List[Tuple[int, ...]]]]:
+    """Step 3's per-output classes after step 2's narrowing, from the
+    joint classes of :func:`kernel_classes_for` (``class_of``,
+    ``masks``, ``frees``), in its form, one entry per output.
 
-    ``classes`` is a kernel-built
-    :class:`repro.decomp.compat.LazyClasses` (duck-typed: ``bound``,
-    ``classes``, ``masks``, ``frees``); the caller handles the
-    all-complete early return and any other ``Classes``.  Each output's
-    table is laid out bound-first over ``bound + frees[k]``: class
-    ``c``'s merged row is ORed in at every vertex ``v`` of the class,
-    at bit ``v * 2**len(frees[k])``, and the table lowers once.
+    The narrowing gives every vertex its joint class's merged interval,
+    so row ``v`` of output ``k``'s narrowed table is
+    ``masks[class_of[v]][k]``.  Covering that column is
+    ``kernel_classes_for`` of the narrowed output: the narrowed support
+    lies inside ``frees[k]`` plus the bound, a variable outside it only
+    repeats every row, which changes no equality, compatibility or
+    intersection, and :func:`merged_isfs` lowers canonically.  Nothing
+    is lowered here.  Each output counts as a ``classes_for`` hit.
     """
-    if not kernel_enabled():
-        return None
-    fault_point("kernel.dispatch")  # chaos site: armed kernel hand-off
-    start = perf_counter()
-    bound = tuple(classes.bound)
-    new_outputs = []
-    for k in range(len(outputs)):
-        free = classes.frees[k]
-        width = 1 << len(free)
-        lo_mask = hi_mask = 0
-        for vec, vertices in zip(classes.masks, classes.classes):
-            lo_row, hi_row = vec[k]
-            for v in vertices:
-                lo_mask |= lo_row << (v * width)
-                hi_mask |= hi_row << (v * width)
-        layout = bound + free
-        lo = mask_to_bdd(bdd, lo_mask, layout)
-        hi = lo if hi_mask == lo_mask else mask_to_bdd(bdd, hi_mask, layout)
-        new_outputs.append(ISF.create(bdd, lo, hi))
-    STATS.record_hit("assign_by_classes", perf_counter() - start)
-    return new_outputs
+    per_output = []
+    for k, free in enumerate(frees):
+        start = perf_counter()
+        classes, single_of, merged = _cover([[masks[c][k]]
+                                             for c in class_of])
+        per_output.append((bound, classes, single_of, merged, [free]))
+        STATS.record_hit("classes_for", perf_counter() - start)
+    return per_output

@@ -38,6 +38,16 @@ Incompletely specified partitions are projected per output and run the
 clique cover's class count (:func:`repro.kernel.compat._cover_count`),
 which needs the distinct vectors in order but not their members.
 
+Evaluation: the engine evaluates the best few ranked candidates on the
+same completely specified view, so it keeps the ranking's cache and
+reads each candidate's classes off its partition
+(:meth:`PartitionCache.classes_for`): the groups are the joint classes
+and output ``k``'s alphabet is its classes.  Only these few reads need
+the members of each group, so a refinement keeps just its parent and
+its split's child keys, which it computed anyway, and
+:meth:`Partition.vertex_groups` derives the members from them on the
+first read; a count-only split keeps nothing.
+
 Bit-identicality: parent groups come in ascending minimum vertex ``m``
 and each splits into ``2m`` then ``2m + 1``, so the first-occurrence
 order of the child keys is ascending minimum vertex — the group order
@@ -52,7 +62,8 @@ Every refinement and every count-only split is counted under the
 ``kernel_refine`` op (and fallbacks to full recomputation under
 ``classes_from_scratch``), so ``--profile`` shows the search performing
 O(1) refinements per candidate variable instead of full
-``classes_for`` calls.
+``classes_for`` calls.  Every set of classes read off a partition
+counts as a ``classes_for`` hit.
 """
 
 from __future__ import annotations
@@ -94,26 +105,36 @@ class Partition:
     :func:`repro.kernel.compat._cover`.  ``free[k]`` is the variable
     tuple output ``k``'s masks range over.
 
-    Which vertices form a group is not kept: every score is a count,
-    and a clique cover's class count does not depend on the members
-    (:func:`repro.kernel.compat._cover_count`).  ``unique_vectors`` is
-    built from the alphabets on each read, since count-only scoring of
-    a complete partition never reads it.
+    Scoring never asks which vertices form a group: every score is a
+    count, and a clique cover's class count does not depend on the
+    members (:func:`repro.kernel.compat._cover_count`).  A refinement
+    therefore only keeps its ``parent`` and its ``children`` — per
+    parent group, the child keys at ``v = 0`` and ``v = 1``, which the
+    split computed anyway — and :meth:`vertex_groups` derives the
+    members from them on first read, for the few candidates the engine
+    evaluates.  ``unique_vectors`` is built from the alphabets on each
+    read, since count-only scoring of a complete partition never reads
+    it.
     """
 
     __slots__ = ("bound", "free", "alphabets", "groups", "all_complete",
-                 "nbytes")
+                 "nbytes", "parent", "children", "_vertex_groups")
 
     def __init__(self, bound: Tuple[int, ...], free: Domains,
                  alphabets: List[Alphabet], groups: List[Tuple[int, ...]],
-                 all_complete: bool) -> None:
+                 all_complete: bool, parent: Optional["Partition"] = None,
+                 children: Optional[Tuple[list, list]] = None) -> None:
         self.bound = bound
         self.free = free
         self.alphabets = alphabets
         self.groups = groups
         self.all_complete = all_complete
-        #: Rough retained footprint, for the cache byte budget.
-        self.nbytes = len(groups) * 8 * (len(free) + 2) + sum(
+        self.parent = parent
+        self.children = children
+        self._vertex_groups: Optional[List[int]] = None
+        #: Rough retained footprint (groups, the child keys and the
+        #: masks), for the cache byte budget.
+        self.nbytes = 3 * len(groups) * 8 * (len(free) + 2) + sum(
             len(alphabet) * 2 * max(1, (1 << len(domain)) >> 3)
             for alphabet, domain in zip(alphabets, free))
 
@@ -122,6 +143,26 @@ class Partition:
         alphabets = self.alphabets
         return [list(map(getitem, alphabets, group))
                 for group in self.groups]
+
+    def vertex_groups(self) -> List[int]:
+        """The group index of every vertex (vertex order =
+        ``vertex_bits``): vertex ``2β + b`` lies in the group of its
+        parent group's child key at ``b``."""
+        of = self._vertex_groups
+        if of is None:
+            if self.parent is None:
+                of = [0]
+            else:
+                index = {key: i for i, key in enumerate(self.groups)}
+                keys0, keys1 = self.children
+                child0 = [index[key] for key in keys0]
+                child1 = [index[key] for key in keys1]
+                of = []
+                for g in self.parent.vertex_groups():
+                    of.append(child0[g])
+                    of.append(child1[g])
+            self._vertex_groups = of
+        return of
 
 
 def _split_alphabet(alphabet: Alphabet, nbits: int, stride: int,
@@ -284,7 +325,7 @@ class PartitionCache:
         groups = list(dict.fromkeys(chain.from_iterable(zip(keys0,
                                                             keys1))))
         new = Partition(part.bound + (var,), tuple(free), alphabets,
-                        groups, part.all_complete)
+                        groups, part.all_complete, part, (keys0, keys1))
         STATS.record_hit("kernel_refine", perf_counter() - start)
         return new
 
@@ -335,6 +376,49 @@ class PartitionCache:
                 ncc = _cover_count(part.unique_vectors, False)
         STATS.record_hit("reduction_score", perf_counter() - start)
         return (-reduction, _min_r(ncc), ncc)
+
+    # -- classes ----------------------------------------------------------
+
+    def classes_for(self, bound: Tuple[int, ...]):
+        """The joint and per-output compatible classes of ``bound`` on a
+        completely specified cache, read off its refined partition, or
+        ``None`` on an incompletely specified one.
+
+        Returns ``(joint, per_output)`` in the form of
+        :func:`repro.kernel.compat.kernel_classes_for`, byte-identical
+        to it: on a complete partition the groups are the joint classes
+        and output ``k``'s alphabet is its classes, both in ascending
+        minimum vertex (see :func:`_projected_ncc`), which is the class
+        numbering of the cover.  Each output's free variables are its
+        support minus the bound, as there.  Every class set read counts
+        as a ``classes_for`` hit.
+        """
+        with profile_phase("cofactors"):
+            part = self.partition_for(bound)
+        if not part.all_complete:
+            return None
+        with profile_phase("clique_cover"):
+            start = perf_counter()
+            of = part.vertex_groups()
+            classes: List[List[int]] = [[] for _ in part.groups]
+            for v, g in enumerate(of):
+                classes[g].append(v)
+            joint = (part.bound, classes, list(of), part.unique_vectors,
+                     list(part.free))
+            STATS.record_hit("classes_for", perf_counter() - start)
+            per_output = []
+            for k, (alphabet, free) in enumerate(zip(part.alphabets,
+                                                     part.free)):
+                start = perf_counter()
+                column = [group[k] for group in part.groups]
+                class_of = [column[g] for g in of]
+                members: List[List[int]] = [[] for _ in alphabet]
+                for v, c in enumerate(class_of):
+                    members[c].append(v)
+                per_output.append((part.bound, members, class_of,
+                                   [[pair] for pair in alphabet], [free]))
+                STATS.record_hit("classes_for", perf_counter() - start)
+        return joint, per_output
 
 
 def _projected_ncc(part: Partition, k: int) -> int:

@@ -25,12 +25,14 @@ Source descriptor kinds
                 (``{"name", "inputs", "outputs", "seed"}``)
 ``wire``        an inline :meth:`to_wire` dump (``{"data": ...}``)
 
-Test hooks (``hang:<seconds>``, ``sleep:<seconds>``, ``crash`` /
-``crash:<n>``) fire inside the worker before any real work; they exist
-so the failure ladder's timeout, retry and degradation paths are
-testable end to end (``sleep`` continues afterwards — it makes a job
-wall-clock bound, which is what the distributed benchmarks scale
-against).
+Test hooks (``hang:<seconds>``, ``sleep:<seconds>``, ``busy:<seconds>``,
+``crash`` / ``crash:<n>``) fire inside the worker before any real work;
+they exist so the failure ladder's timeout, retry, hang-detection and
+degradation paths are testable end to end (``sleep`` and ``busy``
+continue afterwards — ``sleep`` makes a job wall-clock bound, which is
+what the distributed benchmarks scale against; ``busy`` is slow work
+that keeps the liveness pulse advancing, so a hang grace must not
+fire).
 """
 
 from __future__ import annotations
@@ -160,7 +162,8 @@ def parse_manifest_entry(entry: str) -> Dict[str, Any]:
 
     Grammar: a circuit name, ``pla:<path>``, ``blif:<path>`` or
     ``synth:<name>:<inputs>:<outputs>[:<seed>]``, optionally followed by
-    a ``!hang=<s>`` / ``!sleep=<s>`` / ``!crash[=<n>]`` test hook.
+    a ``!hang=<s>`` / ``!sleep=<s>`` / ``!busy=<s>`` / ``!crash[=<n>]``
+    test hook.
     """
     hook = None
     if "!" in entry:
@@ -224,6 +227,14 @@ def _apply_test_hook(hook: Optional[str], attempt: int) -> None:
         # benchmarks use it to make jobs wall-clock-bound so speedup
         # measures concurrency, not CPU count.
         time.sleep(float(arg) if arg else 0.1)
+    elif kind == "busy":
+        # Slow but alive: work that may outlast a hang grace many times
+        # over while the liveness pulse keeps advancing, as a long
+        # engine phase would.
+        deadline = time.monotonic() + (float(arg) if arg else 0.1)
+        while time.monotonic() < deadline:
+            pulse()
+            time.sleep(0.01)
     elif kind == "crash":
         # Crash the first <n> attempts (every attempt when unbounded);
         # os._exit sidesteps any exception handling, like a real segfault.

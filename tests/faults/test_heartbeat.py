@@ -35,9 +35,10 @@ class TestHangDetection:
         assert res.result["verified"] is True
 
     def test_slow_but_alive_worker_survives_grace(self):
-        # duke2 runs for several seconds — far longer than the grace —
-        # but keeps beating, so hang detection must not fire.
-        job = make_job(source_from_name("duke2"))
+        # The busy hook works for 3 s — twice the grace — before duke2
+        # maps, but the liveness pulse keeps advancing and the worker
+        # keeps beating, so hang detection must not fire.
+        job = make_job(source_from_name("duke2"), test_hook="busy:3")
         sched = BatchScheduler(workers=1, retries=0,
                                heartbeat_s=0.1, hang_grace_s=1.5)
         (res,) = sched.run([job])

@@ -2,7 +2,10 @@
 
 The kernel must be *bit-identical*: same classes, same vertex
 assignment, same merged-interval node ids, across DC densities and on
-either side of the support threshold.
+either side of the support threshold.  Step 3's per-output classes,
+which the kernel covers straight from step 2's merged masks without
+building the narrowed outputs, must equal the classes of the outputs
+the BDD path narrows.
 """
 
 import random
@@ -19,6 +22,11 @@ from repro.decomp.compat import (
     assign_by_classes,
     classes_for,
     vertex_cofactors,
+)
+from repro.decomp.dontcare import (
+    assign_step2_sharing,
+    assign_step3_single,
+    dc_step_classes,
 )
 from repro.kernel import STATS, reset_kernel_stats
 
@@ -40,6 +48,13 @@ def random_isf(bdd, rng, variables, dc_density):
 
 def isf_pairs(classes):
     return [[(isf.lo, isf.hi) for isf in row] for row in classes.merged]
+
+
+def assert_same_classes(hit, ref):
+    assert hit.bound == ref.bound
+    assert hit.classes == ref.classes
+    assert hit.class_of == ref.class_of
+    assert isf_pairs(hit) == isf_pairs(ref)
 
 
 @pytest.mark.parametrize("density", [0.0, 0.25, 0.75, 1.0])
@@ -76,13 +91,57 @@ def test_assign_by_classes_differential(density, monkeypatch):
         monkeypatch.setenv("REPRO_KERNEL", "off")
         ref_cls = classes_for(bdd, outputs, bound)
         ref = assign_by_classes(bdd, outputs, ref_cls)
+        ref_single = [classes_for(bdd, [isf], bound) for isf in ref]
         monkeypatch.setenv("REPRO_KERNEL", "on")
         hit_cls = classes_for(bdd, outputs, bound)
+        # The kernel side of the narrowing: each output's classes after
+        # it, covered on the masks, equal those of the narrowed output.
+        for single, ref_k in zip(hit_cls.single_classes(), ref_single):
+            assert_same_classes(single, ref_k)
         hit = assign_by_classes(bdd, outputs, hit_cls)
         assert [(i.lo, i.hi) for i in hit] == [(i.lo, i.hi) for i in ref]
         # The narrowing refines every output's interval.
         for before, after in zip(outputs, hit):
             assert after.refines(bdd, before)
+
+
+#: Output supports of the step 2 -> 3 chain: equal, overlapping,
+#: nested and single-variable, so some outputs miss the bound and a
+#: narrowing can shrink an output's support below its table domain.
+CHAIN_SUPPORTS = ([range(7), range(7)],
+                  [range(0, 4), range(3, 7), (1, 5), (6,)])
+
+
+@pytest.mark.parametrize("density", [0.3, 0.7])
+def test_chained_single_classes_equal_narrowed_steps(density, monkeypatch):
+    """Step 3's per-output classes chained from step 2's merged masks
+    equal the classes of ``assign_step3_single(assign_step2_sharing())``
+    on the BDD path, and the chain lowers nothing."""
+    rng = random.Random(int(density * 100) + 19)
+    bdd = BDD(7)
+    variables = list(range(7))
+    for supports in CHAIN_SUPPORTS:
+        for _ in range(3):
+            outputs = [random_isf(bdd, rng, list(support), density)
+                       for support in supports]
+            for p in (2, 3, 4):
+                bound = tuple(rng.sample(variables, p))
+                monkeypatch.setenv("REPRO_KERNEL", "off")
+                narrowed, ref_joint = assign_step2_sharing(bdd, outputs,
+                                                           bound)
+                _, ref_single = assign_step3_single(bdd, narrowed, bound)
+                monkeypatch.setenv("REPRO_KERNEL", "on")
+                reset_kernel_stats()
+                joint, single = dc_step_classes(bdd, outputs, bound)
+                assert isinstance(joint, LazyClasses)
+                assert STATS.op_hits["classes_for"] == 1 + len(outputs)
+                assert STATS.misses == 0
+                assert "merged_convert" not in STATS.op_hits
+                assert_same_classes(joint, ref_joint)
+                assert len(single) == len(ref_single)
+                for hit, ref in zip(single, ref_single):
+                    assert isinstance(hit, LazyClasses)
+                    assert_same_classes(hit, ref)
 
 
 @pytest.mark.parametrize("density", [0.25, 0.75])
@@ -218,15 +277,18 @@ def test_disjoint_wide_bundle_served_per_output(monkeypatch):
         ref = classes_for(bdd, outputs, bound)
         ref_score = reduction_score(bdd, outputs, bound)
         ref_narrowed = assign_by_classes(bdd, outputs, ref)
+        ref_single = [classes_for(bdd, [isf], bound)
+                      for isf in ref_narrowed]
         monkeypatch.setenv("REPRO_KERNEL", "on")
         reset_kernel_stats()
         hit = classes_for(bdd, outputs, bound)
         score = reduction_score(bdd, outputs, bound)
-        narrowed = assign_by_classes(bdd, outputs, hit)
+        single = hit.single_classes()
         assert STATS.misses == 0
-        for op in ("classes_for", "reduction_score", "assign_by_classes"):
-            assert STATS.op_hits.get(op, 0) == 1, op
-        # The narrowing reads the cover's masks: no merged interval was
+        assert STATS.op_hits.get("reduction_score", 0) == 1
+        # The joint classes, then one chained step-3 cover per output.
+        assert STATS.op_hits.get("classes_for", 0) == 1 + len(outputs)
+        # Step 3 reads the cover's masks: no merged interval was
         # lowered to a BDD on the way.
         assert STATS.op_hits.get("merged_convert", 0) == 0
         assert isinstance(hit, LazyClasses)
@@ -234,5 +296,8 @@ def test_disjoint_wide_bundle_served_per_output(monkeypatch):
         assert hit.class_of == ref.class_of
         assert isf_pairs(hit) == isf_pairs(ref)
         assert score == ref_score
+        for chained, ref_k in zip(single, ref_single):
+            assert_same_classes(chained, ref_k)
+        narrowed = assign_by_classes(bdd, outputs, hit)
         assert [(i.lo, i.hi) for i in narrowed] == \
             [(i.lo, i.hi) for i in ref_narrowed]

@@ -8,21 +8,32 @@ partition *equal* to a from-scratch dedup across DC densities, pin the
 count-only class counts equal to a from-scratch cover, pin the search
 results identical kernel on/off, and pin the profiler counters: a
 served greedy search performs O(1) refinements per candidate and zero
-``classes_from_scratch`` fallbacks.
+``classes_from_scratch`` fallbacks.  The classes the engine evaluates
+on a completely specified view are read off the refined partitions;
+they are pinned equal to ``kernel_classes_for`` and to the BDD
+``compute_classes``.
 """
 
 import random
+from itertools import combinations
 
 import pytest
 
 from repro.bdd.manager import BDD
 from repro.boolfunc.spec import ISF
+from repro.decomp import compat as decomp_compat
 from repro.decomp.bound_set import (
     greedy_bound_set,
     rank_bound_sets,
     reduction_score,
 )
-from repro.decomp.recursive import DecompositionStats
+from repro.decomp.compat import (
+    LazyClasses,
+    compute_classes,
+    partition_classes,
+    vertex_cofactors,
+)
+from repro.decomp.recursive import DecompositionEngine, DecompositionStats
 from repro.kernel import STATS, reset_kernel_stats
 from repro.kernel.compat import (
     _cover,
@@ -30,6 +41,7 @@ from repro.kernel.compat import (
     _dedup,
     _fit_variables,
     _vertex_masks,
+    kernel_classes_for,
 )
 from repro.kernel.refine import PartitionCache
 
@@ -258,3 +270,115 @@ def test_score_memo_keys_greedy_pick_by_pool(monkeypatch):
     assert memo[(key, "greedy", tuple(pool))] == \
         greedy_bound_set(bdd, outputs, pool, 3)
     assert ranked == rank_bound_sets(bdd, outputs, pool, 3)
+
+
+def merged_pairs(classes):
+    return [[(isf.lo, isf.hi) for isf in row] for row in classes.merged]
+
+
+def assert_classes_equal(hit, bdd, outputs, bound):
+    """``hit`` (classes read off a partition) equals the BDD
+    ``compute_classes`` of ``outputs`` and, where it serves,
+    ``kernel_classes_for``: classes, ``class_of`` and the lowered
+    merged intervals."""
+    ref = compute_classes(bdd, vertex_cofactors(bdd, outputs, bound), bound)
+    assert hit.bound == ref.bound
+    assert hit.classes == ref.classes
+    assert hit.class_of == ref.class_of
+    assert merged_pairs(hit) == merged_pairs(ref)
+    served = kernel_classes_for(bdd, outputs, bound)
+    if served is not None:
+        _, classes, class_of, masks, frees = served
+        assert (hit.classes, hit.class_of) == (classes, class_of)
+        assert (hit.masks, hit.frees) == (masks, frees)
+    return served is not None
+
+
+@pytest.mark.parametrize("supports", SUPPORTS, ids=["equal", "mixed"])
+def test_partition_classes_equal_cover(supports, monkeypatch):
+    """On a completely specified view the joint classes are the refined
+    groups and output ``k``'s are its alphabet: every bound of sizes
+    1-4, jointly and per output (outputs the bound misses included),
+    equals a from-scratch cover, counted as ``classes_for`` hits."""
+    monkeypatch.setenv("REPRO_KERNEL", "on")
+    rng = random.Random(101)
+    bdd = BDD(7)
+    outputs = [random_isf(bdd, rng, list(support), 0.0)
+               for support in supports]
+    cache = PartitionCache.for_call(bdd, outputs, "test")
+    for p in (1, 2, 3, 4):
+        bounds = list(combinations(range(7), p))
+        bounds += [tuple(rng.sample(range(7), p)) for _ in range(4)]
+        for bound in bounds:
+            reset_kernel_stats()
+            joint, per_output = partition_classes(bdd, cache, bound)
+            assert STATS.op_hits["classes_for"] == 1 + len(outputs)
+            assert isinstance(joint, LazyClasses)
+            assert_classes_equal(joint, bdd, outputs, bound)
+            for isf, single in zip(outputs, per_output):
+                assert_classes_equal(single, bdd, [isf], bound)
+
+
+def test_partition_classes_past_the_table_cap(monkeypatch):
+    """A cache sized by the outputs' own supports serves bounds whose
+    union with an output's support passes 16 variables, where
+    ``kernel_classes_for`` misses; its classes equal the BDD path's."""
+    monkeypatch.setenv("REPRO_KERNEL", "on")
+    rng = random.Random(103)
+    bdd = BDD(17)
+    supports = (range(0, 14), range(3, 17))
+    outputs = [random_isf(bdd, rng, list(support), 0.0)
+               for support in supports]
+    cache = PartitionCache.for_call(bdd, outputs, "test")
+    for bound in ((0, 14, 15, 16), (16, 1, 14, 15), (2, 1, 0),
+                  (15, 0, 1, 2)):
+        assert any(len(set(s) | set(bound)) > 16 for s in supports)
+        joint, per_output = partition_classes(bdd, cache, bound)
+        assert not assert_classes_equal(joint, bdd, outputs, bound)
+        for isf, single in zip(outputs, per_output):
+            assert_classes_equal(single, bdd, [isf], bound)
+
+
+def test_partition_classes_need_a_complete_view(monkeypatch):
+    monkeypatch.setenv("REPRO_KERNEL", "on")
+    rng = random.Random(107)
+    bdd = BDD(6)
+    outputs = [random_isf(bdd, rng, list(range(6)), 0.3)
+               for _ in range(2)]
+    cache = PartitionCache.for_call(bdd, outputs, "test")
+    assert partition_classes(bdd, cache, (0, 1, 2)) is None
+
+
+def test_memo_answered_ranking_evaluates_through_partitions(monkeypatch):
+    """A bound-set search whose every score (and greedy pick) the memo
+    answers still builds the ranking's cache, and its candidates read
+    their classes off its partitions instead of ``classes_for``."""
+    monkeypatch.setenv("REPRO_KERNEL", "on")
+    bdd = BDD(8)
+    support = list(range(8))
+    # The bits of the input weight (rd84): any 5 inputs decompose.
+    outputs = [ISF.complete(bdd.from_truth_table(
+        [bin(x).count("1") >> bit & 1 for x in range(256)], support))
+        for bit in range(4)]
+    engine = DecompositionEngine(use_dontcares=False)
+    groups = [[v] for v in support]
+    first = engine._find_step(bdd, outputs, support, 5, groups)
+    assert first is not None
+    misses = engine.stats.score_memo_misses
+
+    def refuse(*args):
+        raise AssertionError("candidate classes recomputed from scratch")
+
+    monkeypatch.setattr(decomp_compat, "kernel_classes_for", refuse)
+    reset_kernel_stats()
+    second = engine._find_step(bdd, outputs, support, 5, groups)
+    assert engine.stats.score_memo_misses == misses
+    assert engine.stats.greedy_memo_hits == 1
+    assert STATS.op_hits.get("reduction_score", 0) == 0
+    assert STATS.op_hits["kernel_refine"] > 0
+    assert STATS.op_hits["classes_for"] > 0
+    assert (second.bound, second.included, second.joint_min_r,
+            second.gain) == (first.bound, first.included,
+                             first.joint_min_r, first.gain)
+    assert [enc.alpha_indices for enc in second.encodings] == \
+        [enc.alpha_indices for enc in first.encodings]
