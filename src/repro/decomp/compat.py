@@ -78,9 +78,12 @@ class LazyClasses(Classes):
     ``masks[c][k]`` is class ``c``'s merged ``(lo, hi)`` interval for
     output ``k`` over ``frees[k]``, that output's free variables.  The
     candidate evaluation reads only the classes, ``ncc`` and ``min_r``,
-    and step 3 covers the masks directly (:meth:`single_classes`); only
-    composition building reads ``merged``, which lowers the masks to
-    BDD nodes once, on first access.
+    step 3 covers the masks directly (:meth:`single_classes`), and
+    composition building shifts them into one table per output
+    (:func:`repro.decomp.encoding.build_composition_for_output`).  Only
+    the BDD narrowing :func:`assign_by_classes` (the step-ablation
+    flags) reads ``merged``, which lowers the masks to BDD nodes once,
+    on first access.
     """
 
     def __init__(self, bdd: BDD, bound: Tuple[int, ...],

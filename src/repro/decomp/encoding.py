@@ -13,6 +13,8 @@ joint value vector is injective on the output's classes; the composition
 function ``g_i`` is then an ISF over the alpha variables and the free
 variables, with *unused codes as don't cares* — this is exactly where the
 incompletely specified functions of the recursion come from (Section 5).
+For kernel-built classes it is assembled from the classes' merged masks
+and lowered once (:func:`build_composition_for_output`).
 """
 
 from __future__ import annotations
@@ -20,11 +22,14 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
+from time import perf_counter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.bdd.manager import BDD
 from repro.boolfunc.spec import ISF
-from repro.decomp.compat import Classes
+from repro.decomp.compat import Classes, LazyClasses
+from repro.kernel import STATS
+from repro.kernel.convert import mask_to_bdd
 
 
 def sub_isf_key(bdd: BDD, isfs: Sequence[ISF], support: Sequence[int],
@@ -101,6 +106,13 @@ class AlphaFunction:
             values = tuple(1 - v for v in values)
         return AlphaFunction(values)
 
+    @staticmethod
+    def from_mask(mask: int, num_vertices: int) -> "AlphaFunction":
+        """The alpha whose value on vertex ``v`` is bit ``v`` of
+        ``mask`` (already normalised: bit 0 clear)."""
+        return AlphaFunction(tuple(mask >> v & 1
+                                   for v in range(num_vertices)))
+
     def is_strict_for(self, classes: Classes) -> bool:
         """Constant on each compatible class of the output?"""
         for members in classes.classes:
@@ -108,10 +120,6 @@ class AlphaFunction:
             if any(self.values[v] != first for v in members[1:]):
                 return False
         return True
-
-    def class_values(self, classes: Classes) -> Tuple[int, ...]:
-        """Value per class (requires strictness)."""
-        return tuple(self.values[members[0]] for members in classes.classes)
 
     def projection_var(self, bound: Sequence[int]) -> Optional[int]:
         """If the alpha is the projection onto one bound variable, return
@@ -161,38 +169,26 @@ def encode_output(classes: Classes, alphas: Sequence[AlphaFunction],
     return OutputEncoding(classes, list(alpha_indices), codes)
 
 
-def build_composition(bdd: BDD, encoding: OutputEncoding,
-                      alpha_vars: Dict[int, int]) -> ISF:
-    """The composition function ``g_i`` as an ISF.
+def build_composition_for_output(bdd: BDD, encoding: OutputEncoding,
+                                 output_index: int,
+                                 alpha_vars: Dict[int, int]) -> ISF:
+    """The composition function ``g_i`` of output ``output_index`` of
+    the encoded classes, as an ISF.
 
     ``alpha_vars`` maps alpha indices to their BDD variables.  For each
     class code the interval is the class's merged cofactor interval; all
     unused codes are don't cares (``lo=0, hi=1``) — the don't cares the
     recursion will exploit.
+
+    Kernel-built classes (:class:`~repro.decomp.compat.LazyClasses`)
+    are composed in mask space (:func:`_composition_from_masks`); plain
+    :class:`~repro.decomp.compat.Classes` take the BDD reference, one
+    ``cube AND merged`` OR-ed in per code.
     """
     variables = [alpha_vars[i] for i in encoding.alpha_indices]
-    lo = BDD.FALSE
-    hi = BDD.FALSE
-    used = BDD.FALSE
-    for c, code in enumerate(encoding.codes):
-        cube = bdd.cube(dict(zip(variables, code)))
-        merged = encoding.classes.merged[c][0] if len(
-            encoding.classes.merged[c]) == 1 else None
-        if merged is None:
-            raise ValueError(
-                "build_composition expects single-output class info")
-        lo = bdd.apply_or(lo, bdd.apply_and(cube, merged.lo))
-        hi = bdd.apply_or(hi, bdd.apply_and(cube, merged.hi))
-        used = bdd.apply_or(used, cube)
-    hi = bdd.apply_or(hi, bdd.apply_not(used))
-    return ISF.create(bdd, lo, hi)
-
-
-def build_composition_for_output(bdd: BDD, encoding: OutputEncoding,
-                                 output_index: int,
-                                 alpha_vars: Dict[int, int]) -> ISF:
-    """Like :func:`build_composition` but for multi-output class info."""
-    variables = [alpha_vars[i] for i in encoding.alpha_indices]
+    if isinstance(encoding.classes, LazyClasses):
+        return _composition_from_masks(bdd, encoding, output_index,
+                                       variables)
     lo = BDD.FALSE
     hi = BDD.FALSE
     used = BDD.FALSE
@@ -204,3 +200,45 @@ def build_composition_for_output(bdd: BDD, encoding: OutputEncoding,
         used = bdd.apply_or(used, cube)
     hi = bdd.apply_or(hi, bdd.apply_not(used))
     return ISF.create(bdd, lo, hi)
+
+
+def _composition_from_masks(bdd: BDD, encoding: OutputEncoding,
+                            output_index: int,
+                            variables: Sequence[int]) -> ISF:
+    """:func:`build_composition_for_output` on the classes' merged
+    masks, lowered once.
+
+    The table ranges over the alpha variables (in code order, the
+    first alpha the most significant) followed by the output's free
+    variables, so the code's row is the contiguous slice the class's
+    merged ``(lo, hi)`` mask shifts into; the ``hi`` rows of unused
+    codes are all ones.  ``r <= |S ∩ B|`` (``r < |S ∩ B|`` for every
+    output the engine composes), so the table is no wider than the
+    output's own kernel domain.  Each lowering counts as a
+    ``composition`` kernel hit.
+    """
+    start = perf_counter()
+    classes = encoding.classes
+    free = classes.frees[output_index]
+    width = 1 << len(free)
+    lo = hi = 0
+    used = set()
+    for code, vec in zip(encoding.codes, classes.masks):
+        at = 0
+        for bit in code:
+            at = at << 1 | bit
+        used.add(at)
+        row_lo, row_hi = vec[output_index]
+        lo |= row_lo << (at * width)
+        hi |= row_hi << (at * width)
+    row = (1 << width) - 1
+    for at in range(1 << len(variables)):
+        if at not in used:
+            hi |= row << (at * width)
+    if lo & ~hi:
+        raise ValueError("ISF requires lo <= hi")
+    table_vars = tuple(variables) + tuple(free)
+    lo_node = mask_to_bdd(bdd, lo, table_vars)
+    hi_node = lo_node if hi == lo else mask_to_bdd(bdd, hi, table_vars)
+    STATS.record_hit("composition", perf_counter() - start)
+    return ISF(lo_node, hi_node)

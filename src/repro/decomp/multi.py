@@ -17,6 +17,17 @@ greedy reuse heuristic:
    the within-group class indices; fresh alphas are normalised and
    deduplicated against the pool.
 
+The selection runs on vertex bitmasks: each class is the mask of its
+bound-set vertices (bit ``v`` = vertex ``v``) and each pool alpha the
+mask of the vertices where it is 1.  An alpha ``a`` is strict for a
+class ``m`` iff ``a & m`` is ``0`` or ``m``; its values on an output's
+classes form one int over the class ids; a fresh alpha is the OR of
+the classes whose within-group index has its bit set, normalised by
+complementing when vertex 0 is set; and the pool deduplicates by mask.
+The pool is handed out as :class:`~repro.decomp.encoding.AlphaFunction`
+value vectors, and :func:`~repro.decomp.encoding.encode_output`
+validates every output's encoding on them.
+
 The result is one :class:`~repro.decomp.encoding.OutputEncoding` per
 output over a shared alpha list whose length ``r`` satisfies
 ``max_i r_i <= r <= sum_i r_i`` — with equality at the lower end exactly
@@ -25,20 +36,46 @@ when the outputs can share everything.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.bdd.manager import BDD
 from repro.decomp.compat import Classes, min_r
 from repro.decomp.encoding import AlphaFunction, OutputEncoding, encode_output
 
 
+def _class_masks(classes: Classes) -> List[int]:
+    """Each class as the bitmask of its bound-set vertices."""
+    masks = []
+    for members in classes.classes:
+        mask = 0
+        for v in members:
+            mask |= 1 << v
+        masks.append(mask)
+    return masks
+
+
+def _class_values(alpha: int, class_masks: Sequence[int]) -> Optional[int]:
+    """The alpha's value on each class as a bitmask over class ids, or
+    ``None`` when the alpha is not strict (not constant on some
+    class)."""
+    values = 0
+    for c, mask in enumerate(class_masks):
+        hit = alpha & mask
+        if hit:
+            if hit != mask:
+                return None
+            values |= 1 << c
+    return values
+
+
 def _refine_groups(groups: List[List[int]],
-                   class_values: Sequence[int]) -> List[List[int]]:
-    """Split each group of class ids by the alpha's class values."""
+                   class_values: int) -> List[List[int]]:
+    """Split each group of class ids by the alpha's class values (bit
+    ``c`` of ``class_values`` is its value on class ``c``)."""
     refined: List[List[int]] = []
     for group in groups:
-        zeros = [c for c in group if class_values[c] == 0]
-        ones = [c for c in group if class_values[c] == 1]
+        zeros = [c for c in group if not class_values >> c & 1]
+        ones = [c for c in group if class_values >> c & 1]
         if zeros:
             refined.append(zeros)
         if ones:
@@ -46,10 +83,11 @@ def _refine_groups(groups: List[List[int]],
     return refined
 
 
-def _encode_within_groups(num_vertices: int, classes: Classes,
+def _encode_within_groups(num_vertices: int, class_masks: Sequence[int],
                           groups: List[List[int]],
-                          bits: int) -> List[AlphaFunction]:
-    """Fresh alphas giving classes distinct within-group codes.
+                          bits: int) -> List[int]:
+    """Fresh alphas (normalised vertex masks) giving classes distinct
+    within-group codes.
 
     Every group has at most ``2**bits`` members, so assigning each class
     its index within its group (in ``bits`` bits) completes the encoding.
@@ -58,14 +96,17 @@ def _encode_within_groups(num_vertices: int, classes: Classes,
     for group in groups:
         for idx, c in enumerate(group):
             index_of_class[c] = idx
+    full = (1 << num_vertices) - 1
     alphas = []
     for j in range(bits):
-        values = [0] * num_vertices
-        for c, members in enumerate(classes.classes):
-            bit = (index_of_class[c] >> (bits - 1 - j)) & 1
-            for v in members:
-                values[v] = bit
-        alphas.append(AlphaFunction.normalised(values))
+        shift = bits - 1 - j
+        alpha = 0
+        for c, mask in enumerate(class_masks):
+            if index_of_class[c] >> shift & 1:
+                alpha |= mask
+        if alpha & 1:
+            alpha ^= full  # polarity normalisation: vertex 0 maps to 0
+        alphas.append(alpha)
     return alphas
 
 
@@ -82,25 +123,35 @@ def select_common_alphas(bdd: BDD, per_output: Sequence[Classes]
         return [], []
     num_vertices = len(per_output[0].class_of)
     pool: List[AlphaFunction] = []
+    pool_masks: List[int] = []
+    index_of: Dict[int, int] = {}
     encodings: List[OutputEncoding] = [None] * len(per_output)  # type: ignore
+
+    def add(alpha: int) -> int:
+        pool.append(AlphaFunction.from_mask(alpha, num_vertices))
+        pool_masks.append(alpha)
+        index_of.setdefault(alpha, len(pool) - 1)
+        return len(pool) - 1
 
     order = sorted(range(len(per_output)),
                    key=lambda i: (-per_output[i].ncc, i))
     for i in order:
         classes = per_output[i]
+        class_masks = _class_masks(classes)
         r_i = min_r(classes.ncc)
         chosen: List[int] = []
         groups: List[List[int]] = [list(range(classes.ncc))]
         # Reuse pass over the existing pool (earliest first — those are
         # the most shared).
-        for idx, alpha in enumerate(pool):
+        for idx, alpha in enumerate(pool_masks):
             if len(chosen) == r_i:
                 break
             if max(len(g) for g in groups) == 1:
                 break
-            if not alpha.is_strict_for(classes):
+            values = _class_values(alpha, class_masks)
+            if values is None:
                 continue
-            refined = _refine_groups(groups, alpha.class_values(classes))
+            refined = _refine_groups(groups, values)
             remaining = r_i - len(chosen) - 1
             if max(len(g) for g in refined) > (1 << remaining):
                 continue
@@ -114,14 +165,11 @@ def select_common_alphas(bdd: BDD, per_output: Sequence[Classes]
         max_group = max(len(g) for g in groups)
         if max_group > 1:
             bits = min_r(max_group)
-            fresh = _encode_within_groups(num_vertices, classes, groups,
-                                          bits)
-            for alpha in fresh:
-                try:
-                    existing = pool.index(alpha)
-                except ValueError:
-                    pool.append(alpha)
-                    existing = len(pool) - 1
+            for alpha in _encode_within_groups(num_vertices, class_masks,
+                                               groups, bits):
+                existing = index_of.get(alpha)
+                if existing is None:
+                    existing = add(alpha)
                 if existing not in chosen:
                     chosen.append(existing)
         try:
@@ -132,11 +180,8 @@ def select_common_alphas(bdd: BDD, per_output: Sequence[Classes]
             # of the class index for this output (no sharing).
             bits = min_r(classes.ncc)
             private = _encode_within_groups(
-                num_vertices, classes, [list(range(classes.ncc))], bits)
-            chosen = []
-            for alpha in private:
-                pool.append(alpha)
-                chosen.append(len(pool) - 1)
+                num_vertices, class_masks, [list(range(classes.ncc))], bits)
+            chosen = [add(alpha) for alpha in private]
             encodings[i] = encode_output(classes, pool, chosen)
     return pool, encodings
 

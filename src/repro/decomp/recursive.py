@@ -56,6 +56,7 @@ from repro.decomp.encoding import build_composition_for_output, sub_isf_key
 from repro.decomp.multi import select_common_alphas
 from repro.kernel import STATS as KERNEL_STATS
 from repro.kernel import kernel_metrics, reset_kernel_stats
+from repro.kernel.convert import TableMismatchError
 from repro.kernel.refine import PartitionCache
 from repro.mapping.lutnet import CONST0, CONST1, LutNetwork
 from repro.obs.metrics import BddMetrics
@@ -264,6 +265,21 @@ class _Step:
     included: Set[int]
     joint_min_r: int
     gain: int = 0
+
+
+def _gain_bound(cache: Optional[PartitionCache], bound: Tuple[int, ...],
+                score: Tuple[int, int, int]) -> int:
+    """An upper bound on the gain of
+    :meth:`DecompositionEngine._evaluate_candidate` on the ranking view
+    for a ranked candidate: its reduction ``-score[0]``, tightened by
+    the alphas its outputs need when the ranking's partition cache is
+    at hand (:meth:`PartitionCache.gain_bound`)."""
+    if cache is None:
+        return -score[0]
+    try:
+        return cache.gain_bound(bound)
+    except TableMismatchError:
+        return -score[0]
 
 
 class DecompositionEngine:
@@ -1317,7 +1333,16 @@ class DecompositionEngine:
                    groups: Sequence[Sequence[int]]) -> Optional[_Step]:
         """Evaluate ranked bound-set candidates with the full don't-care
         pipeline; return the step with the largest actual support
-        reduction (None when nothing shrinks any output)."""
+        reduction (None when nothing shrinks any output).
+
+        The first candidate that yields a step is adopted; after it, a
+        candidate is evaluated only if its gain bound
+        (:func:`_gain_bound`) beats the best gain so far, and the search
+        stops at the first candidate whose ranking reduction does not.
+        A later candidate must gain strictly more to be adopted, so the
+        step is the one evaluating every candidate would return.  The
+        chosen bound is then refined on the true outputs.
+        """
         # Wide bundles get a narrower (cheaper) search.
         weight = len(support) * max(1, len(outputs))
         max_candidates = self.max_candidates
@@ -1365,7 +1390,16 @@ class DecompositionEngine:
         self._last_rank_empty = not ranked
         best: Optional[_Step] = None
         best_gain = 0
-        for bound, _ in ranked[:try_candidates]:
+        for bound, score in ranked[:try_candidates]:
+            # Adoption is strict, so once a step exists a candidate whose
+            # gain bound cannot beat it is skipped, and the first whose
+            # ranking reduction cannot ends the search: the ranking is
+            # sorted on that reduction.
+            if best is not None \
+                    and _gain_bound(cache, bound, score) <= best_gain:
+                if -score[0] <= best_gain:
+                    break
+                continue
             step = self._evaluate_candidate(bdd, ranking_view, bound, cache)
             if step is not None and (best is None
                                      or step.gain > best_gain):

@@ -92,8 +92,9 @@ class KernelStats:
     ``hits`` counts calls served by the kernel, ``misses`` calls that
     fell back to the BDD path while the kernel was enabled.  ``ops``
     breaks hits and wall time down by operation (``classes_for``,
-    ``reduction_score``, ``kernel_refine``, ``merged_convert``,
-    ``dsd_probe``, ``symmetry_assign``, ``symmetry_groups``);
+    ``reduction_score``, ``kernel_refine``, ``composition``,
+    ``merged_convert``, ``dsd_probe``, ``symmetry_assign``,
+    ``symmetry_groups``);
     ``miss_causes`` splits the misses by
     :data:`MISS_CAUSES`.
     """

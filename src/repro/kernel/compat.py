@@ -12,8 +12,8 @@ instead of BDD nodes:
   are bignum AND/OR over ``(lo, hi)`` mask pairs;
 * step 3's per-output classes are covered straight from step 2's
   merged mask rows (:func:`kernel_single_classes`), so no narrowed
-  output is ever built; only composition building converts the merged
-  class intervals back to BDD nodes, through the canonical
+  output is ever built; composition building shifts the merged masks
+  into one table per output and lowers it through the canonical
   :func:`repro.kernel.convert.mask_to_bdd`, so every node id is the
   one the BDD path would produce.
 
@@ -268,8 +268,9 @@ def kernel_classes_for(bdd, outputs: Sequence[ISF], bound: Sequence[int]
     output ``k`` as masks over ``frees[k]``, that output's free
     variables.  They stay masks: the bulk of the callers — bound-set
     scoring — only read the class *counts*, step 3 covers the masks
-    (:func:`kernel_single_classes`), and only composition building
-    lowers them (:func:`merged_isfs`, see
+    (:func:`kernel_single_classes`), composition building lowers one
+    table assembled from them, and only the BDD narrowing lowers them
+    one by one (:func:`merged_isfs`, see
     :class:`repro.decomp.compat.LazyClasses`).
     """
     domains = _fit_variables(bdd, outputs, bound, "classes_for")

@@ -46,7 +46,10 @@ and output ``k``'s alphabet is its classes.  Only these few reads need
 the members of each group, so a refinement keeps just its parent and
 its split's child keys, which it computed anyway, and
 :meth:`Partition.vertex_groups` derives the members from them on the
-first read; a count-only split keeps nothing.
+first read; a count-only split keeps nothing.  Before it evaluates a
+candidate that must beat an earlier step, the engine asks
+:meth:`PartitionCache.gain_bound` whether it can: the alphabet sizes
+bound the step's gain without reading a single class.
 
 Bit-identicality: parent groups come in ascending minimum vertex ``m``
 and each splits into ``2m`` then ``2m + 1``, so the first-occurrence
@@ -358,24 +361,50 @@ class PartitionCache:
         one, else the joint cover and per-output projected covers."""
         part = self.partition_for(bound)
         start = perf_counter()
-        bound_set = set(bound)
-        reduction = 0
         if part.all_complete:
-            for support, alphabet in zip(self._supports, part.alphabets):
-                inter = len(support & bound_set)
-                if inter:
-                    reduction += max(0, inter - _min_r(len(alphabet)))
+            shrinking = self._shrinking(part, bound)
             ncc = len(part.groups)
         else:
             with profile_phase("clique_cover"):
-                for k, support in enumerate(self._supports):
-                    inter = len(support & bound_set)
-                    if inter:
-                        reduction += max(
-                            0, inter - _min_r(_projected_ncc(part, k)))
+                shrinking = self._shrinking(part, bound)
                 ncc = _cover_count(part.unique_vectors, False)
+        reduction = sum(inter - r for inter, r in shrinking)
         STATS.record_hit("reduction_score", perf_counter() - start)
         return (-reduction, _min_r(ncc), ncc)
+
+    def gain_bound(self, bound: Tuple[int, ...]) -> int:
+        """An upper bound on the gain of the engine's decomposition step
+        on ``bound`` (``DecompositionEngine._evaluate_candidate`` in
+        :mod:`repro.decomp.recursive`), read off the alphabet sizes.
+
+        The step's gain is ``sum_k (|S_k ∩ B| - r_k)`` over its included
+        outputs, less half its alphas, rounded down.  ``r_k`` is at
+        least ``min_r(ncc_k)``, and an output is included only when
+        ``|S_k ∩ B| > r_k``, so the sum is at most :meth:`score_for`'s
+        reduction, and every included output brings at least ``m``
+        alphas, the least ``min_r(ncc_k)`` among the outputs that could
+        be included.  The bound is the reduction less ``m // 2``.
+        """
+        shrinking = self._shrinking(self.partition_for(bound), bound)
+        reduction = sum(inter - r for inter, r in shrinking)
+        return reduction - min((r for _, r in shrinking), default=0) // 2
+
+    def _shrinking(self, part: Partition, bound: Tuple[int, ...]
+                   ) -> List[Tuple[int, int]]:
+        """``(|S_k ∩ B|, min_r(ncc_k))`` of every output ``k`` the bound
+        shrinks, ``|S_k ∩ B| > min_r(ncc_k)``: ``ncc_k`` is the size of
+        the output's alphabet on a completely specified partition, else
+        its projected cover's class count."""
+        bound_set = set(bound)
+        shrinking = []
+        for k, support in enumerate(self._supports):
+            inter = len(support & bound_set)
+            if inter:
+                r = _min_r(len(part.alphabets[k]) if part.all_complete
+                           else _projected_ncc(part, k))
+                if inter > r:
+                    shrinking.append((inter, r))
+        return shrinking
 
     # -- classes ----------------------------------------------------------
 

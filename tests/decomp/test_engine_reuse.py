@@ -8,10 +8,20 @@ corrupts the next result.  These tests pin the reset-at-entry contract.
 
 import random
 
+import pytest
+
 from repro.bdd.manager import BDD
+from repro.core.api import map_to_xc3000
 from repro.decomp.recursive import DecompositionEngine
+from repro.runtime.jobspec import build_function, parse_manifest_entry
 from tests.decomp.test_recursive import random_mf
 from repro.verify.equiv import check_extension
+
+#: Table 1 rows and small synthetic sources (from perfbench's pool)
+#: mapped on a warm manager.
+WARM_SOURCES = ("rd84", "alu2", "apex7", "duke2", "synth:pb:8:4:c2",
+                "synth:pb:13:5:c28", "synth:pb:14:6:c34",
+                "synth:pb:10:6:c714")
 
 
 def _blif(func, engine):
@@ -68,3 +78,25 @@ class TestCrossRunIsolation:
         engine.run(func)
         assert (123456, 654321, False) not in engine._dsd_irreducible
         assert ("poison",) not in engine._score_memo
+
+
+class TestWarmManager:
+    """A serve worker keeps built functions warm, so a request for the
+    other driver maps on a BDD manager that has already run one map.
+    Its record must equal that of a map of a fresh build."""
+
+    @pytest.mark.parametrize("first", [False, True],
+                             ids=["mulopII-first", "mulop-dc-first"])
+    @pytest.mark.parametrize("entry", WARM_SOURCES)
+    def test_other_driver_on_warm_manager_matches_fresh(self, entry, first,
+                                                        monkeypatch):
+        # No sub-ISF memo: a splice would skip the search under test.
+        monkeypatch.setenv("REPRO_SUBMEMO", "off")
+        source = parse_manifest_entry(entry)["source"]
+        warm = build_function(source)
+        map_to_xc3000(warm, use_dontcares=first)
+        got = map_to_xc3000(warm, use_dontcares=not first).to_record()
+        fresh = map_to_xc3000(build_function(source),
+                              use_dontcares=not first).to_record()
+        assert got["blif"] == fresh["blif"]
+        assert got == fresh

@@ -8,6 +8,7 @@ from repro.bdd.manager import BDD
 from repro.boolfunc.spec import ISF
 from repro.decomp.compat import classes_for
 from repro.decomp.multi import (
+    _class_masks,
     _encode_within_groups,
     _refine_groups,
     select_common_alphas,
@@ -15,18 +16,23 @@ from repro.decomp.multi import (
 )
 
 
+def _ones(values):
+    """Class values as the bitmask ``_refine_groups`` takes."""
+    return sum(bit << c for c, bit in enumerate(values))
+
+
 class TestRefineGroups:
     def test_split(self):
         groups = [[0, 1, 2], [3, 4]]
         values = [0, 1, 0, 1, 1]
-        refined = _refine_groups(groups, values)
+        refined = _refine_groups(groups, _ones(values))
         assert [0, 2] in refined
         assert [1] in refined
         assert [3, 4] in refined
 
     def test_no_split(self):
         groups = [[0, 1]]
-        assert _refine_groups(groups, [1, 1]) == [[0, 1]]
+        assert _refine_groups(groups, _ones([1, 1])) == [[0, 1]]
 
 
 class TestSharedParityCase:
@@ -68,9 +74,9 @@ class TestEncodeWithinGroups:
         cls = classes_for(bdd, [isf], [0, 1])
         groups = [list(range(cls.ncc))]
         bits = max(1, (cls.ncc - 1).bit_length())
-        alphas = _encode_within_groups(4, cls, groups, bits)
+        alphas = _encode_within_groups(4, _class_masks(cls), groups, bits)
         codes = set()
         for c in range(cls.ncc):
             rep = cls.classes[c][0]
-            codes.add(tuple(a.values[rep] for a in alphas))
+            codes.add(tuple(a >> rep & 1 for a in alphas))
         assert len(codes) == cls.ncc

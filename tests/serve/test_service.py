@@ -59,6 +59,31 @@ class TestHappyPath:
         assert record["depth"] == ref["depth"]
         assert record["engine"] == ref["engine"]
 
+    @pytest.mark.parametrize("first", [False, True],
+                             ids=["mulopII-first", "mulop-dc-first"])
+    def test_other_driver_on_a_warm_worker_matches_repro_map(self, first):
+        # One worker keeps the built function warm, so the second
+        # request maps the other driver on a manager that has already
+        # run a map; its answer must equal a map of a fresh build.
+        async def scenario(service):
+            await service.handle(
+                req({"source": "alu2",
+                     "config": {"use_dontcares": first}}),
+                lambda frame: None)
+            final = await service.handle(
+                req({"source": "alu2", "include_blif": True,
+                     "config": {"use_dontcares": not first}}),
+                lambda frame: None)
+            return final, service.stats()["pool"]
+
+        final, pool = run_with_service(scenario, workers=1, warm_limit=2)
+        assert pool["warm_hits"] == 1
+        assert final["status"] == "ok" and final["cache_hit"] is False
+        assert final["result"]["verified"] is True
+        ref = map_to_xc3000(benchmark("alu2"),
+                            use_dontcares=not first).to_record()
+        assert final["result"]["blif"] == ref["blif"]
+
     def test_blif_dropped_unless_requested(self):
         async def scenario(service):
             return await service.handle(req({"source": "xor5"}),
