@@ -28,7 +28,7 @@ from repro.kernel import MISS_MISMATCH
 from repro.kernel import STATS as KERNEL_STATS
 from repro.kernel.compat import kernel_reduction_score
 from repro.kernel.convert import TableMismatchError
-from repro.kernel.refine import PartitionCache
+from repro.kernel.refine import CofactorStore, PartitionCache
 
 
 #: ``rank_bound_sets``'s default ``cache``: build one if a score is
@@ -147,7 +147,9 @@ def reduction_score(bdd: BDD, outputs: Sequence[ISF],
 
 def greedy_bound_set(bdd: BDD, outputs: Sequence[ISF],
                      variables: Sequence[int], p: int,
-                     pool_cap: int = 26) -> Optional[Tuple[int, ...]]:
+                     pool_cap: int = 26,
+                     store: Optional[CofactorStore] = None
+                     ) -> Optional[Tuple[int, ...]]:
     """Grow a bound set greedily by joint ``ncc``.
 
     Starting from the empty set, each round adds the variable that keeps
@@ -156,13 +158,15 @@ def greedy_bound_set(bdd: BDD, outputs: Sequence[ISF],
     it collects variables whose contribution patterns are linearly
     dependent, where ``ncc`` stays at ``2^rank`` instead of ``2^p``.
 
-    When the kernel serves the support, each round refines the cached
-    partition of the current ``B`` once (see :mod:`repro.kernel.refine`)
-    and scores every ``B ∪ {v}`` off it: on completely specified
-    outputs by counting the split's distinct cofactor keys, otherwise
-    by one refinement and the clique cover's class count per candidate
-    — identical ``ncc`` to a full ``classes_for``, so the grown set is
-    bit-identical either way.
+    When the kernel serves the support, each round scores every
+    ``B ∪ {v}`` from the outputs' cofactor states in ``store`` (a fresh
+    one when left out; see :mod:`repro.kernel.refine`) with
+    :meth:`~repro.kernel.refine.PartitionCache.split_counts`: on
+    completely specified outputs it assembles the groups of ``B`` once
+    and counts the distinct child keys of every pool variable's split,
+    otherwise it runs the clique cover's class count on each assembled
+    child — identical ``ncc`` to a full ``classes_for``, so the grown
+    set is bit-identical either way.
     """
     variables = list(variables)
     if p >= len(variables):
@@ -176,13 +180,14 @@ def greedy_bound_set(bdd: BDD, outputs: Sequence[ISF],
     # only consulted by the caller's scoring).
     if len(outputs) > 8:
         outputs = list(outputs)[:8]
-    cache = PartitionCache.for_call(bdd, outputs, "classes_for")
+    cache = PartitionCache.for_call(bdd, outputs, "classes_for", store)
     current: List[int] = []
     for _ in range(p):
-        part = None
+        pool = [var for var in variables if var not in current]
+        counts = None
         if cache is not None:
             try:
-                part = cache.partition_for(tuple(current))
+                counts = cache.split_counts(tuple(current), pool)
             except TableMismatchError:
                 # Stale/shrunk ordering behind the cache: degrade to
                 # the BDD route for the rest of the growth.
@@ -190,16 +195,12 @@ def greedy_bound_set(bdd: BDD, outputs: Sequence[ISF],
                 cache = None
         best_var = None
         best_key = None
-        for var in variables:
-            if var in current:
-                continue
-            if part is None:
+        for i, var in enumerate(pool):
+            if counts is None:
                 KERNEL_STATS.record_scratch()
                 ncc = classes_for(bdd, outputs, current + [var]).ncc
-            elif part.all_complete:
-                ncc = cache.count_split(part, var)
             else:
-                ncc = cache.ncc_for(part.bound + (var,))
+                ncc = counts[i]
             key = (ncc, var)
             if best_key is None or key < best_key:
                 best_key = key
@@ -217,7 +218,8 @@ def rank_bound_sets(bdd: BDD, outputs: Sequence[ISF],
                     score_memo: Optional[Dict] = None,
                     memo_key: Optional[Tuple] = None,
                     memo_stats: Optional[Any] = None,
-                    cache: Any = _BUILD_CACHE
+                    cache: Any = _BUILD_CACHE,
+                    store: Optional[CofactorStore] = None
                     ) -> List[Tuple[Tuple[int, ...], Tuple[int, int, int]]]:
     """Candidates with positive total support reduction, best first.
 
@@ -226,14 +228,18 @@ def rank_bound_sets(bdd: BDD, outputs: Sequence[ISF],
     the actual per-output reductions after the don't-care steps and moves
     down the list when a candidate falls short.
 
-    Candidates are sorted tuples, so when the kernel serves the support
-    they are scored through one :class:`repro.kernel.refine.PartitionCache`
-    — overlapping windows extend each other's longest shared sorted
-    prefix instead of recomputing from scratch.  ``cache``, when given,
-    is that cache (``PartitionCache.for_call`` of ``outputs``, or
-    ``None`` when the kernel cannot serve); left out, one is built when
-    a score is missing.  The engine passes its own so the candidates it
-    evaluates read their classes off the partitions scored here.
+    When the kernel serves the support, every candidate is scored
+    through one :class:`repro.kernel.refine.PartitionCache`, which
+    assembles its joint groups from each output's cofactor states over
+    its part of the candidate; the states live in ``store``, which the
+    engine keeps for a whole run, so overlapping candidates and later
+    rankings reuse each other's splits (left out, ``cache``'s store or
+    a fresh one serves this call, greedy pick included).  ``cache``,
+    when given, is that cache (``PartitionCache.for_call`` of
+    ``outputs``, or ``None`` when the kernel cannot serve); left out,
+    one is built when a score is missing.  The engine passes its own
+    so the candidates it evaluates read their classes off the same
+    states.
 
     ``score_memo`` lets the engine reuse work across repeated rankings
     of the same outputs within one run: it holds each candidate's score
@@ -245,14 +251,17 @@ def rank_bound_sets(bdd: BDD, outputs: Sequence[ISF],
     ``greedy_memo_misses`` attributes.
     """
     candidates = candidate_bound_sets(variables, p, groups, max_candidates)
+    if store is None:
+        store = cache.store if isinstance(cache, PartitionCache) \
+            else CofactorStore()
     memo = {} if score_memo is None else score_memo
     greedy_key = (memo_key, "greedy", tuple(variables))
     greedy_hit = greedy_key in memo
     if greedy_hit:
         greedy = memo[greedy_key]
     else:
-        greedy = memo[greedy_key] = greedy_bound_set(bdd, outputs,
-                                                     variables, p)
+        greedy = memo[greedy_key] = greedy_bound_set(
+            bdd, outputs, variables, p, store=store)
     if greedy is not None and greedy not in candidates:
         candidates.insert(0, greedy)
     keys = [(memo_key, cand) for cand in candidates]
@@ -261,7 +270,7 @@ def rank_bound_sets(bdd: BDD, outputs: Sequence[ISF],
         cache = None
         if misses:
             cache = PartitionCache.for_call(bdd, outputs,
-                                            "reduction_score")
+                                            "reduction_score", store)
     ranked = []
     for cand, key in zip(candidates, keys):
         score = memo.get(key)

@@ -300,7 +300,7 @@ def partition_classes(bdd: BDD, cache: PartitionCache,
                       bound: Tuple[int, ...]
                       ) -> Optional[Tuple[LazyClasses, List[LazyClasses]]]:
     """The joint and per-output classes of ``bound`` read off the
-    partitions of ``cache``, built on a completely specified view, or
+    cofactor states of ``cache``, built on a completely specified view, or
     ``None`` (then ask :func:`classes_for`).  Bit-identical to
     :func:`classes_for` of the view and of each of its outputs."""
     try:

@@ -57,7 +57,7 @@ from repro.decomp.multi import select_common_alphas
 from repro.kernel import STATS as KERNEL_STATS
 from repro.kernel import kernel_metrics, reset_kernel_stats
 from repro.kernel.convert import TableMismatchError
-from repro.kernel.refine import PartitionCache
+from repro.kernel.refine import CofactorStore, PartitionCache
 from repro.mapping.lutnet import CONST0, CONST1, LutNetwork
 from repro.obs.metrics import BddMetrics
 from repro.obs.profiler import PhaseProfiler, activate_profiler, profile_phase
@@ -272,8 +272,9 @@ def _gain_bound(cache: Optional[PartitionCache], bound: Tuple[int, ...],
     """An upper bound on the gain of
     :meth:`DecompositionEngine._evaluate_candidate` on the ranking view
     for a ranked candidate: its reduction ``-score[0]``, tightened by
-    the alphas its outputs need when the ranking's partition cache is
-    at hand (:meth:`PartitionCache.gain_bound`)."""
+    the alphas its outputs need when the ranking's cache is at hand
+    (:meth:`PartitionCache.gain_bound`, read off the run's cofactor
+    states)."""
     if cache is None:
         return -score[0]
     try:
@@ -384,6 +385,10 @@ class DecompositionEngine:
         #: Shannon split or shared-step regrouping; keyed by the
         #: ranking view's (lo, hi) node pairs the scores are exact.
         self._score_memo: Dict = {}
+        #: Per-output cofactor states of the bound-set search, shared by
+        #: every ranking, greedy growth and evaluation of the run (keyed
+        #: by node-id pairs, so per-run like every memo here).
+        self._cofactors = CofactorStore()
         #: Intervals the DSD probe already found irreducible (per run —
         #: keys are node-id pairs).
         self._dsd_irreducible: Set[Tuple[int, int]] = set()
@@ -1377,12 +1382,14 @@ class DecompositionEngine:
             # Built even when the memo answers every score: the
             # candidates evaluated below read their classes off it.
             cache = PartitionCache.for_call(bdd, ranking_view,
-                                            "reduction_score")
+                                            "reduction_score",
+                                            self._cofactors)
             ranked = rank_bound_sets(bdd, ranking_view, support, p,
                                      groups, max_candidates,
                                      score_memo=self._score_memo,
                                      memo_key=memo_key,
-                                     memo_stats=self.stats, cache=cache)
+                                     memo_stats=self.stats, cache=cache,
+                                     store=self._cofactors)
         added = len(self._score_memo) - before
         if added > 0:
             self._score_memo_bytes += added * (
@@ -1426,7 +1433,7 @@ class DecompositionEngine:
         Only the classes are computed, never a narrowed output.  On the
         completely specified ranking view, whose ``cache`` the ranking
         scored with, steps 2/3 narrow nothing and the classes are read
-        off the candidate's refined partition.  Otherwise steps 2/3 run
+        off the run's cofactor states.  Otherwise steps 2/3 run
         through :func:`dc_step_classes`; the step-ablation flags keep
         the narrowing reference path.
         """

@@ -94,15 +94,18 @@ class KernelStats:
     breaks hits and wall time down by operation (``classes_for``,
     ``reduction_score``, ``kernel_refine``, ``composition``,
     ``merged_convert``, ``dsd_probe``, ``symmetry_assign``,
-    ``symmetry_groups``);
-    ``miss_causes`` splits the misses by
+    ``symmetry_groups``); a ``kernel_refine`` op is one split of one
+    output's cofactor state in the bound-set search
+    (:mod:`repro.kernel.refine`), and a ``reduction_score`` op one
+    candidate's score, assembled from those states or computed from
+    scratch.  ``miss_causes`` splits the misses by
     :data:`MISS_CAUSES`.
     """
 
     hits: int = 0
     misses: int = 0
     #: Bound-set scores recomputed from scratch (full ``classes_for``)
-    #: because the incremental partition refinement could not serve.
+    #: because the bound-set search's cofactor states could not serve.
     scratch: int = 0
     op_time: Dict[str, float] = field(default_factory=dict)
     op_hits: Dict[str, int] = field(default_factory=dict)

@@ -30,7 +30,7 @@ when the kernel is disabled or the widest output's domain exceeds
 miss is counted).  ``kernel_single_classes`` chains exactly the classes
 ``kernel_classes_for`` built.  The bound-set candidates the engine
 evaluates on a completely specified view read their classes off the
-ranking's refined partitions instead
+ranking's per-output cofactor states instead
 (:meth:`repro.kernel.refine.PartitionCache.classes_for`).
 """
 
@@ -149,9 +149,9 @@ def _dedup(vectors: List[MaskVector]
 
     Returns ``(unique_vectors, members, all_complete)`` — the partition
     the cover operates on, and the one :mod:`repro.kernel.refine`
-    reproduces by splitting.  Group order is by first occurrence, which
-    equals ascending minimum member; members are appended in ascending
-    vertex order.
+    assembles from per-output cofactor states.  Group order is by first
+    occurrence, which equals ascending minimum member; members are
+    appended in ascending vertex order.
     """
     rep_of: dict = {}
     unique_vectors: List[MaskVector] = []

@@ -1,78 +1,85 @@
-"""Incremental bound-set partition refinement.
+"""Per-output cofactor states for the bound-set search.
 
-The bound-set search evaluates *families* of closely related candidate
-sets: :func:`repro.decomp.bound_set.greedy_bound_set` scores
-``B ∪ {v}`` for every pool variable ``v`` at every growth round, and
-:func:`repro.decomp.bound_set.rank_bound_sets` scores sliding windows
-that share long sorted prefixes.  Recomputing ``classes_for`` from
-scratch re-extracts and re-deduplicates the full ``2**n`` truth table
-per candidate; this module instead *refines* a cached vertex partition.
+The bound-set search scores many closely related candidate sets:
+:func:`repro.decomp.bound_set.greedy_bound_set` scores ``B ∪ {v}`` for
+every pool variable ``v`` at every growth round, and
+:func:`repro.decomp.bound_set.rank_bound_sets` scores windows that
+share most of their variables, ranking after ranking.  Two vertices of
+``B`` are jointly compatible iff they are compatible for every output
+(PAPER.md §1), so everything a score reads is a function of each
+output's cofactors on its own part of the bound, ``B_k = B ∩ S_k``
+(``S_k`` its live support).  This module keeps those per output, for a
+whole engine run, and assembles a candidate's joint groups only at the
+candidate itself.
 
-A :class:`Partition` keeps each output's *alphabet* — its distinct
-``(lo, hi)`` cofactor masks — once, and each group of equal-cofactor
-vertices as a tuple of small ints, one alphabet index per output.
-Appending ``v`` to a bound ``B`` makes it the least significant vertex
-bit (``bound[0]`` is the MSB), so every old vertex ``β`` splits into
-``2β`` (``v = 0``) and ``2β + 1`` (``v = 1``), and the cofactor table
-of each new vertex is one *half* of its parent's.  A refinement
-therefore splits every alphabet entry once — slicing the packed mask
-at ``v``'s bit stride, never touching the full table — interns the
-halves per output, and maps each group to its two child keys by index
-lookup; the groups of ``B ∪ {v}`` are the distinct child keys.
+A :class:`State` of output ``k`` over an ordered ``B_k`` holds its
+*alphabet* — its distinct ``(lo, hi)`` cofactor masks over its free
+variables, in first-occurrence order over the vertices — its free
+tuple, ``col`` (the alphabet index of each of the ``2**|B_k|``
+vertices, ``B_k[0]`` the most significant vertex bit) and the index
+maps of the split that built it.  The state of ``B_k + (v,)`` is one
+split of the state of ``B_k``: ``v`` becomes the least significant
+vertex bit, so vertex ``β`` splits into ``2β`` (``v = 0``) and
+``2β + 1`` (``v = 1``), and every alphabet entry splits once — slicing
+the packed mask at ``v``'s bit stride, never touching the full table —
+into two halves, interned in order; ``map0``/``map1`` send each old
+entry to its halves' new indices.  Every split counts as one
+``kernel_refine`` op.
 
-Each output keeps its own table domain (its live support, see
-:func:`repro.kernel.compat._fit_variables`): an output that does not
-depend on ``v`` has equal cofactors at ``v = 0`` and ``v = 1``, so its
-alphabet passes through the split unchanged — exactly the masks a
-from-scratch extraction over that output's ``support ∪ B ∪ {v}``
-produces.
+A :class:`CofactorStore` keys the states by the output's ``(lo, hi)``
+node pair and ``B_k``.  The engine creates one per run
+(``DecompositionEngine.reset``) and passes it down; a direct call of
+:func:`~repro.decomp.bound_set.rank_bound_sets`,
+:func:`~repro.decomp.bound_set.greedy_bound_set` or
+:meth:`PartitionCache.for_call` without one gets a fresh store for
+that call, so no state outlives its run.  The store is bounded by
+bytes and clears when it passes :data:`CACHE_BYTES_LIMIT`.
 
-Counting: every alphabet entry is the cofactor of some group, and
-splitting preserves completeness.  On a completely specified partition
-the joint compatible-class count is therefore the number of groups and
-output ``k``'s is the size of its alphabet, so scoring runs no clique
-cover, and the greedy growth counts a candidate's distinct child keys
-without building its partition (:meth:`PartitionCache.count_split`).
-The engine ranks completed views only, so that is its whole search.
-Incompletely specified partitions are projected per output and run the
-clique cover's class count (:func:`repro.kernel.compat._cover_count`),
-which needs the distinct vectors in order but not their members.
+Why the states of ``B_k`` serve any bound ``B``: a split on a variable
+outside ``S_k`` leaves output ``k``'s cofactors unchanged, so its
+alphabet and the alphabet's order depend only on ``B_k`` in bound
+order.  The first vertex of ``B`` that shows an entry has zero bits on
+every variable outside ``S_k``, and inserting zero bits keeps vertex
+order, so first occurrence over ``B``'s vertices equals first
+occurrence over ``B_k``'s.
+
+Leaf assembly (:class:`PartitionCache`): each output's ``col`` is
+projected onto ``B``'s vertex numbering by an index table cached per
+``(|B|, positions)``, and the joint groups of ``B`` are the distinct
+zipped projected columns of the outputs with more than one class, in
+first-occurrence order — ascending minimum vertex, the group order of
+a from-scratch dedup (:func:`repro.kernel.compat._dedup`).  On a
+completely specified view every score is a count: the joint ``ncc`` is
+the number of groups and output ``k``'s is its alphabet size, so no
+clique cover runs.  The engine ranks completed views only, so that is
+its whole search.  An incompletely specified view runs the clique
+cover's class count (:func:`repro.kernel.compat._cover_count`) over
+the joint unique vectors and over each alphabet, which needs the
+distinct vectors in order but no members.
+
+Greedy growth (:meth:`PartitionCache.split_counts`): on a completely
+specified view a round assembles the groups of the current bound once,
+then maps them through each candidate variable's child states' index
+maps; the distinct child keys are the groups of ``B ∪ {v}``.
 
 Evaluation: the engine evaluates the best few ranked candidates on the
-same completely specified view, so it keeps the ranking's cache and
-reads each candidate's classes off its partition
+same completely specified view and reads their classes off the states
 (:meth:`PartitionCache.classes_for`): the groups are the joint classes
-and output ``k``'s alphabet is its classes.  Only these few reads need
-the members of each group, so a refinement keeps just its parent and
-its split's child keys, which it computed anyway, and
-:meth:`Partition.vertex_groups` derives the members from them on the
-first read; a count-only split keeps nothing.  Before it evaluates a
-candidate that must beat an earlier step, the engine asks
-:meth:`PartitionCache.gain_bound` whether it can: the alphabet sizes
-bound the step's gain without reading a single class.
+and output ``k``'s alphabet is its classes.  Before it evaluates a
+candidate that must beat an earlier step, it asks
+:meth:`PartitionCache.gain_bound`, which reads only the alphabet sizes.
 
-Bit-identicality: parent groups come in ascending minimum vertex ``m``
-and each splits into ``2m`` then ``2m + 1``, so the first-occurrence
-order of the child keys is ascending minimum vertex — the group order
-of a from-scratch dedup, with no sort.  Completeness is preserved, so
-the refined partition has the from-scratch partition's distinct
-vectors in its order, and the shared clique step runs step for step
-identically.  Scores derived here are therefore byte-identical to
+Bit-identicality: the groups, alphabets and unique vectors are those
+of a from-scratch dedup, in its order, so the shared clique step runs
+step for step identically, and every score is byte-identical to
 :func:`repro.decomp.bound_set.reduction_score`; the property suite in
-``tests/kernel/test_refine.py`` enforces it.
-
-Every refinement and every count-only split is counted under the
-``kernel_refine`` op (and fallbacks to full recomputation under
-``classes_from_scratch``), so ``--profile`` shows the search performing
-O(1) refinements per candidate variable instead of full
-``classes_for`` calls.  Every set of classes read off a partition
-counts as a ``classes_for`` hit.
+``tests/kernel/test_refine.py`` enforces it.  Fallbacks to a full
+recomputation count under ``classes_from_scratch``, and every set of
+classes read off the states counts as a ``classes_for`` hit.
 """
 
 from __future__ import annotations
 
-from itertools import chain
-from operator import getitem
 from time import perf_counter
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -89,83 +96,40 @@ from repro.kernel.compat import (
 )
 from repro.obs.profiler import profile_phase
 
-#: Retained-mask byte budget per cache; past it the chain cache clears
-#: (correctness is unaffected — the next candidate re-refines from the
-#: root).
-CACHE_BYTES_LIMIT = 128 * 1024 * 1024
+#: Retained byte budget of one store; past it the store clears
+#: (correctness is unaffected — the next read splits from the root).
+CACHE_BYTES_LIMIT = 8 * 1024 * 1024
 
 #: One output's distinct cofactor masks, ``(lo, hi)`` per entry.
 Alphabet = List[Tuple[int, int]]
 
 
-class Partition:
-    """Dedup partition of the ``2**p`` bound-set vertices of ``bound``.
+class State:
+    """One output's cofactors over an ordered part ``B_k`` of a bound.
 
-    ``alphabets[k]`` lists output ``k``'s distinct cofactor masks, and
-    ``groups[i]`` holds one index into each alphabet: the cofactor
-    vector shared by one group of vertices.  Groups are ordered by
-    their minimum vertex — exactly the state after the dedup stage of
-    :func:`repro.kernel.compat._cover`.  ``free[k]`` is the variable
-    tuple output ``k``'s masks range over.
-
-    Scoring never asks which vertices form a group: every score is a
-    count, and a clique cover's class count does not depend on the
-    members (:func:`repro.kernel.compat._cover_count`).  A refinement
-    therefore only keeps its ``parent`` and its ``children`` — per
-    parent group, the child keys at ``v = 0`` and ``v = 1``, which the
-    split computed anyway — and :meth:`vertex_groups` derives the
-    members from them on first read, for the few candidates the engine
-    evaluates.  ``unique_vectors`` is built from the alphabets on each
-    read, since count-only scoring of a complete partition never reads
-    it.
+    ``alphabet`` lists the distinct ``(lo, hi)`` masks over ``free``
+    in first-occurrence order, ``col[v]`` is the alphabet index of
+    vertex ``v``, and ``map0``/``map1`` send each entry of the parent
+    state (over ``B_k[:-1]``) to the indices of its halves at
+    ``B_k[-1] = 0`` and ``1`` (``None`` on the root).
     """
 
-    __slots__ = ("bound", "free", "alphabets", "groups", "all_complete",
-                 "nbytes", "parent", "children", "_vertex_groups")
+    __slots__ = ("alphabet", "free", "col", "map0", "map1")
 
-    def __init__(self, bound: Tuple[int, ...], free: Domains,
-                 alphabets: List[Alphabet], groups: List[Tuple[int, ...]],
-                 all_complete: bool, parent: Optional["Partition"] = None,
-                 children: Optional[Tuple[list, list]] = None) -> None:
-        self.bound = bound
+    def __init__(self, alphabet: Alphabet, free: Tuple[int, ...],
+                 col: List[int], map0: Optional[List[int]] = None,
+                 map1: Optional[List[int]] = None) -> None:
+        self.alphabet = alphabet
         self.free = free
-        self.alphabets = alphabets
-        self.groups = groups
-        self.all_complete = all_complete
-        self.parent = parent
-        self.children = children
-        self._vertex_groups: Optional[List[int]] = None
-        #: Rough retained footprint (groups, the child keys and the
-        #: masks), for the cache byte budget.
-        self.nbytes = 3 * len(groups) * 8 * (len(free) + 2) + sum(
-            len(alphabet) * 2 * max(1, (1 << len(domain)) >> 3)
-            for alphabet, domain in zip(alphabets, free))
+        self.col = col
+        self.map0 = map0
+        self.map1 = map1
 
-    @property
-    def unique_vectors(self) -> List[MaskVector]:
-        alphabets = self.alphabets
-        return [list(map(getitem, alphabets, group))
-                for group in self.groups]
-
-    def vertex_groups(self) -> List[int]:
-        """The group index of every vertex (vertex order =
-        ``vertex_bits``): vertex ``2β + b`` lies in the group of its
-        parent group's child key at ``b``."""
-        of = self._vertex_groups
-        if of is None:
-            if self.parent is None:
-                of = [0]
-            else:
-                index = {key: i for i, key in enumerate(self.groups)}
-                keys0, keys1 = self.children
-                child0 = [index[key] for key in keys0]
-                child1 = [index[key] for key in keys1]
-                of = []
-                for g in self.parent.vertex_groups():
-                    of.append(child0[g])
-                    of.append(child1[g])
-            self._vertex_groups = of
-        return of
+    def nbytes(self, complete: bool) -> int:
+        """Rough retained footprint, for the store's byte budget."""
+        mask = 32 + ((1 << len(self.free)) >> 3)
+        entry = 88 + mask * (1 if complete else 2)
+        return 200 + 8 * len(self.col) + entry * len(self.alphabet)
 
 
 def _split_alphabet(alphabet: Alphabet, nbits: int, stride: int,
@@ -197,177 +161,235 @@ def _split_alphabet(alphabet: Alphabet, nbits: int, stride: int,
     return intern, map0, map1
 
 
-class PartitionCache:
-    """Refinement chains over one ``(outputs, domains)`` context.
+def _split_state(parent: State, var: int, complete: bool) -> State:
+    """The state of ``B_k + (var,)`` from the state of ``B_k``."""
+    start = perf_counter()
+    domain = parent.free
+    fidx = domain.index(var)
+    intern, map0, map1 = _split_alphabet(
+        parent.alphabet, 1 << len(domain), 1 << (len(domain) - 1 - fidx),
+        complete)
+    alphabet = [(lo, lo) for lo in intern] if complete else list(intern)
+    col = [0] * (2 * len(parent.col))
+    col[0::2] = map(map0.__getitem__, parent.col)
+    col[1::2] = map(map1.__getitem__, parent.col)
+    state = State(alphabet, domain[:fidx] + domain[fidx + 1:], col,
+                  map0, map1)
+    STATS.record_hit("kernel_refine", perf_counter() - start)
+    return state
 
-    Keys are bound *tuples* (order matters: it fixes the vertex
-    numbering and hence the greedy cover's processing order, which must
-    match what a from-scratch ``classes_for`` of the same tuple would
-    use).  ``partition_for`` extends the longest cached prefix of the
-    requested tuple, so sorted sliding-window candidates and greedy
-    growth rounds pay one refinement per new variable.
 
-    ``domains[k]`` is output ``k``'s live support — the free variables
-    of the root (empty-bound) partition.  Refining on a variable outside
-    it passes that output's masks through unsplit.
+def _projection(p: int, positions: Tuple[int, ...]) -> List[int]:
+    """For every vertex of a ``p``-variable bound, the vertex of the
+    sub-bound at ``positions`` it projects onto (``bound[0]`` the most
+    significant bit on both sides)."""
+    table = [0]
+    inside = set(positions)
+    for i in range(p):
+        doubled = [0] * (2 * len(table))
+        if i in inside:
+            table = [2 * u for u in table]
+            doubled[0::2] = table
+            doubled[1::2] = [u + 1 for u in table]
+        else:
+            doubled[0::2] = table
+            doubled[1::2] = table
+        table = doubled
+    return table
+
+
+class CofactorStore:
+    """The per-output cofactor states of one engine run.
+
+    States are keyed by the output's ``(lo, hi)`` node pair and its
+    part of the bound, so they are only meaningful within one BDD
+    manager's run; the engine makes a new store per run.  The
+    projection index tables are kept here too.
     """
 
-    def __init__(self, bdd, outputs: Sequence[ISF], domains: Domains
-                 ) -> None:
+    def __init__(self) -> None:
+        self._states: Dict[Tuple[int, int, Tuple[int, ...]], State] = {}
+        self._projections: Dict[Tuple[int, Tuple[int, ...]],
+                                List[int]] = {}
+        self._bytes = 0
+
+    def _charge(self, nbytes: int) -> None:
+        if self._bytes + nbytes > CACHE_BYTES_LIMIT:
+            self._states.clear()
+            self._projections.clear()
+            self._bytes = 0
+        self._bytes += nbytes
+
+    def state(self, bdd, isf: ISF, domain: Tuple[int, ...],
+              part: Tuple[int, ...]) -> State:
+        """The state of ``isf`` (live support ``domain``) over ``part``,
+        split from the longest stored prefix of ``part``."""
+        lo, hi = isf.lo, isf.hi
+        states = self._states
+        state = states.get((lo, hi, part))
+        if state is not None:
+            return state
+        for done in range(len(part) - 1, -1, -1):
+            state = states.get((lo, hi, part[:done]))
+            if state is not None:
+                break
+        else:
+            with profile_phase("cofactors"):
+                (vector,) = _vertex_masks(bdd, [isf], (), (domain,))
+            state = State(vector, domain, [0])
+            self._charge(state.nbytes(lo == hi))
+            states[(lo, hi, ())] = state
+            done = 0
+        for i in range(done, len(part)):
+            state = self.child(isf, state, part[:i], part[i])
+        return state
+
+    def child(self, isf: ISF, parent: State, part: Tuple[int, ...],
+              var: int) -> State:
+        """The state of ``isf`` over ``part + (var,)``, given its state
+        ``parent`` over ``part``."""
+        key = (isf.lo, isf.hi, part + (var,))
+        state = self._states.get(key)
+        if state is None:
+            complete = isf.lo == isf.hi
+            state = _split_state(parent, var, complete)
+            self._charge(state.nbytes(complete))
+            self._states[key] = state
+        return state
+
+    def projection(self, p: int, positions: Tuple[int, ...]) -> List[int]:
+        """:func:`_projection`, kept per ``(p, positions)``."""
+        key = (p, positions)
+        table = self._projections.get(key)
+        if table is None:
+            table = _projection(p, positions)
+            self._charge(64 + 8 * len(table))
+            self._projections[key] = table
+        return table
+
+
+class PartitionCache:
+    """Bound-set scores and classes of one ``(outputs, domains)``
+    context, assembled from the states of its outputs in ``store``.
+
+    Bounds are *tuples*: their order fixes the vertex numbering and
+    hence the greedy cover's processing order, which must match what a
+    from-scratch ``classes_for`` of the same tuple would use.
+    ``domains[k]`` is output ``k``'s live support, the free variables
+    of its root state.
+    """
+
+    def __init__(self, bdd, outputs: Sequence[ISF], domains: Domains,
+                 store: Optional[CofactorStore] = None) -> None:
         self.bdd = bdd
         self.outputs = list(outputs)
         self.domains = domains
-        #: Output ``k``'s support as a set, for the score's
-        #: ``|S_k ∩ B|`` term.
+        self.store = CofactorStore() if store is None else store
         self._supports = [frozenset(domain) for domain in domains]
-        self._chains: Dict[Tuple[int, ...], Partition] = {}
-        self._bytes = 0
+        self.all_complete = all(isf.lo == isf.hi for isf in self.outputs)
 
     @classmethod
-    def for_call(cls, bdd, outputs: Sequence[ISF], op: str
+    def for_call(cls, bdd, outputs: Sequence[ISF], op: str,
+                 store: Optional[CofactorStore] = None
                  ) -> Optional["PartitionCache"]:
-        """A cache for scoring bound sets of ``outputs``, or ``None``
-        (miss counted under ``op``) when the kernel cannot serve.
+        """A cache for scoring bound sets of ``outputs`` on ``store``
+        (a fresh one when left out), or ``None`` (miss counted under
+        ``op``) when the kernel cannot serve.
 
-        Only the outputs' own supports size the tables: refinement
-        narrows every domain, so the root partition holds the widest
-        table the cache ever builds, whichever variables it splits on.
+        Only the outputs' own supports size the tables: splitting
+        narrows every domain, so the root states hold the widest tables
+        the cache ever builds, whichever variables it splits on.
         """
         domains = _fit_variables(bdd, outputs, (), op)
         if domains is None:
             return None
-        return cls(bdd, outputs, domains)
+        return cls(bdd, outputs, domains, store)
 
-    # -- chain management -------------------------------------------------
+    # -- assembly ---------------------------------------------------------
 
-    def _remember(self, part: Partition) -> None:
-        if self._bytes + part.nbytes > CACHE_BYTES_LIMIT:
-            self._chains.clear()
-            self._bytes = 0
-        self._chains[part.bound] = part
-        self._bytes += part.nbytes
+    def _states(self, bound: Tuple[int, ...]
+                ) -> Tuple[List[State], List[Tuple[int, ...]]]:
+        """Each output's state over its part of ``bound``, and that
+        part."""
+        store, bdd = self.store, self.bdd
+        states: List[State] = []
+        parts: List[Tuple[int, ...]] = []
+        for isf, domain, support in zip(self.outputs, self.domains,
+                                        self._supports):
+            part = tuple(filter(support.__contains__, bound))
+            states.append(store.state(bdd, isf, domain, part))
+            parts.append(part)
+        return states, parts
 
-    def _root(self) -> Partition:
-        part = self._chains.get(())
-        if part is None:
-            with profile_phase("cofactors"):
-                (vector,) = _vertex_masks(self.bdd, self.outputs, (),
-                                          self.domains)
-            part = Partition((), self.domains,
-                             [[pair] for pair in vector],
-                             [(0,) * len(vector)],
-                             all(lo == hi for lo, hi in vector))
-            self._remember(part)
-        return part
+    def _columns(self, states: List[State], parts: List[Tuple[int, ...]],
+                 bound: Tuple[int, ...]
+                 ) -> Tuple[List[int], List[List[int]]]:
+        """The outputs with more than one class, and their ``col``
+        projected onto the vertices of ``bound``."""
+        p = len(bound)
+        multi: List[int] = []
+        cols: List[List[int]] = []
+        for k, (state, part) in enumerate(zip(states, parts)):
+            if len(state.alphabet) > 1:
+                multi.append(k)
+                if len(part) == p:
+                    cols.append(state.col)
+                    continue
+                support = self._supports[k]
+                positions = tuple(i for i, var in enumerate(bound)
+                                  if var in support)
+                cols.append(list(map(state.col.__getitem__,
+                                     self.store.projection(p, positions))))
+        return multi, cols
 
-    def partition_for(self, bound: Tuple[int, ...]) -> Partition:
-        """The partition of ``bound`` (tuple order = vertex numbering),
-        refined from the longest cached prefix."""
-        part = self._chains.get(bound)
-        if part is not None:
-            return part
-        for k in range(len(bound) - 1, 0, -1):
-            part = self._chains.get(bound[:k])
-            if part is not None:
-                break
-        else:
-            part = self._root()
-        for var in bound[len(part.bound):]:
-            part = self.refine(part, var)
-            self._remember(part)
-        return part
+    @staticmethod
+    def _unique_vectors(states: List[State], multi: List[int],
+                        keys) -> List[MaskVector]:
+        """The cofactor vector of every distinct joint key, in order."""
+        base = [state.alphabet[0] for state in states]
+        vectors = []
+        for key in dict.fromkeys(keys):
+            vec = base[:]
+            for k, index in zip(multi, key):
+                vec[k] = states[k].alphabet[index]
+            vectors.append(vec)
+        return vectors
 
-    # -- the refinement step ----------------------------------------------
+    def _vectors(self, states: List[State], parts: List[Tuple[int, ...]],
+                 bound: Tuple[int, ...]) -> List[MaskVector]:
+        """The cofactor vector of every joint group of ``bound``, in
+        group order: the distinct vectors of a from-scratch dedup."""
+        multi, cols = self._columns(states, parts, bound)
+        return self._unique_vectors(states, multi,
+                                    zip(*cols) if cols else [()])
 
-    def _split(self, part: Partition, var: int):
-        """Split ``part``'s alphabets at ``var``.  Returns the new free
-        tuples, the interned halves per output (``None`` where the
-        domain lacks ``var``) and the index columns of the ``0``- and
-        ``1``-children, one per output, in group order."""
-        columns = list(zip(*part.groups))
-        free: List[Tuple[int, ...]] = []
-        halves: List[Optional[dict]] = []
-        cols0: List[Sequence[int]] = []
-        cols1: List[Sequence[int]] = []
-        for alphabet, domain, column in zip(part.alphabets, part.free,
-                                            columns):
-            if var not in domain:
-                free.append(domain)
-                halves.append(None)
-                cols0.append(column)
-                cols1.append(column)
-                continue
-            fidx = domain.index(var)
-            free.append(domain[:fidx] + domain[fidx + 1:])
-            intern, map0, map1 = _split_alphabet(
-                alphabet, 1 << len(domain), 1 << (len(domain) - 1 - fidx),
-                part.all_complete)
-            halves.append(intern)
-            cols0.append(list(map(map0.__getitem__, column)))
-            cols1.append(list(map(map1.__getitem__, column)))
-        return free, halves, cols0, cols1
-
-    def refine(self, part: Partition, var: int) -> Partition:
-        """Partition of ``part.bound + (var,)`` by splitting each group
-        at ``var``'s cofactor axis (outputs whose domain lacks ``var``
-        keep their masks)."""
-        start = perf_counter()
-        free, halves, cols0, cols1 = self._split(part, var)
-        alphabets: List[Alphabet] = []
-        for alphabet, intern in zip(part.alphabets, halves):
-            if intern is None:
-                alphabets.append(alphabet)
-            elif part.all_complete:
-                alphabets.append([(lo, lo) for lo in intern])
-            else:
-                alphabets.append(list(intern))
-        keys0 = list(zip(*cols0))
-        keys1 = list(zip(*cols1))
-        # First occurrence over (group 0 at var=0, at var=1, group 1
-        # ...) is ascending minimum vertex: see the module docstring.
-        groups = list(dict.fromkeys(chain.from_iterable(zip(keys0,
-                                                            keys1))))
-        new = Partition(part.bound + (var,), tuple(free), alphabets,
-                        groups, part.all_complete, part, (keys0, keys1))
-        STATS.record_hit("kernel_refine", perf_counter() - start)
-        return new
-
-    def count_split(self, part: Partition, var: int) -> int:
-        """Joint ``ncc`` of ``part.bound + (var,)`` for a completely
-        specified ``part``: the number of distinct child keys, without
-        building the refined partition."""
-        start = perf_counter()
-        _, _, cols0, cols1 = self._split(part, var)
-        keys = set(zip(*cols0))
-        keys.update(zip(*cols1))
-        STATS.record_hit("kernel_refine", perf_counter() - start)
-        return len(keys)
+    def _joint_ncc(self, states: List[State], parts: List[Tuple[int, ...]],
+                   bound: Tuple[int, ...]) -> int:
+        """Joint compatible-class count of ``bound``."""
+        if not self.all_complete:
+            return _cover_count(self._vectors(states, parts, bound), False)
+        multi, cols = self._columns(states, parts, bound)
+        if len(cols) < 2:
+            return len(states[multi[0]].alphabet) if cols else 1
+        return len(set(zip(*cols)))
 
     # -- scoring ----------------------------------------------------------
-
-    def ncc_for(self, bound: Tuple[int, ...]) -> int:
-        """Joint compatible-class count of ``bound`` — the greedy growth
-        metric — via one refinement per new variable."""
-        part = self.partition_for(bound)
-        if part.all_complete:
-            return len(part.groups)
-        with profile_phase("clique_cover"):
-            return _cover_count(part.unique_vectors, False)
 
     def score_for(self, bound: Tuple[int, ...]) -> Tuple[int, int, int]:
         """The ranking score of
         :func:`repro.decomp.bound_set.reduction_score`, byte-identical,
-        from the refined partition: counts on a completely specified
-        one, else the joint cover and per-output projected covers."""
-        part = self.partition_for(bound)
+        from the outputs' states: counts on a completely specified
+        view, else the joint cover and per-output covers."""
+        bound = tuple(bound)
+        states, parts = self._states(bound)
         start = perf_counter()
-        if part.all_complete:
-            shrinking = self._shrinking(part, bound)
-            ncc = len(part.groups)
+        if self.all_complete:
+            shrinking = self._shrinking(states, parts)
+            ncc = self._joint_ncc(states, parts, bound)
         else:
             with profile_phase("clique_cover"):
-                shrinking = self._shrinking(part, bound)
-                ncc = _cover_count(part.unique_vectors, False)
+                shrinking = self._shrinking(states, parts)
+                ncc = self._joint_ncc(states, parts, bound)
         reduction = sum(inter - r for inter, r in shrinking)
         STATS.record_hit("reduction_score", perf_counter() - start)
         return (-reduction, _min_r(ncc), ncc)
@@ -385,80 +407,140 @@ class PartitionCache:
         alphas, the least ``min_r(ncc_k)`` among the outputs that could
         be included.  The bound is the reduction less ``m // 2``.
         """
-        shrinking = self._shrinking(self.partition_for(bound), bound)
+        shrinking = self._shrinking(*self._states(tuple(bound)))
         reduction = sum(inter - r for inter, r in shrinking)
         return reduction - min((r for _, r in shrinking), default=0) // 2
 
-    def _shrinking(self, part: Partition, bound: Tuple[int, ...]
+    def _shrinking(self, states: List[State],
+                   parts: List[Tuple[int, ...]]
                    ) -> List[Tuple[int, int]]:
         """``(|S_k ∩ B|, min_r(ncc_k))`` of every output ``k`` the bound
         shrinks, ``|S_k ∩ B| > min_r(ncc_k)``: ``ncc_k`` is the size of
-        the output's alphabet on a completely specified partition, else
-        its projected cover's class count."""
-        bound_set = set(bound)
+        the output's alphabet on a completely specified view, else its
+        cover's class count (see :func:`_ncc`)."""
         shrinking = []
-        for k, support in enumerate(self._supports):
-            inter = len(support & bound_set)
-            if inter:
-                r = _min_r(len(part.alphabets[k]) if part.all_complete
-                           else _projected_ncc(part, k))
-                if inter > r:
-                    shrinking.append((inter, r))
+        for state, part in zip(states, parts):
+            if part:
+                r = _min_r(len(state.alphabet) if self.all_complete
+                           else _ncc(state))
+                if len(part) > r:
+                    shrinking.append((len(part), r))
         return shrinking
+
+    def split_counts(self, bound: Tuple[int, ...],
+                     variables: Sequence[int]) -> List[int]:
+        """The joint ``ncc`` of ``bound + (v,)`` for every ``v`` of
+        ``variables`` (none of them in ``bound``).
+
+        On a completely specified view the groups of ``bound`` are
+        assembled once, and each ``v`` maps them through its child
+        states' index maps: the distinct child keys are the groups of
+        ``bound + (v,)``.  Outputs that do not depend on ``v`` pass
+        their column through, and an output with one class on both
+        sides is left out, since it tells no keys apart.  The clique
+        cover of an incompletely specified view needs the child vectors
+        in vertex order, so each child bound is assembled on its own.
+        """
+        bound = tuple(bound)
+        if not self.all_complete:
+            counts = []
+            for var in variables:
+                child = bound + (var,)
+                states, parts = self._states(child)
+                with profile_phase("clique_cover"):
+                    counts.append(_cover_count(
+                        self._vectors(states, parts, child), False))
+            return counts
+        states, parts = self._states(bound)
+        multi, cols = self._columns(states, parts, bound)
+        groups = list(dict.fromkeys(zip(*cols))) if cols else [()]
+        size = len(groups)
+        #: ``None`` for an output with one class at ``bound``.
+        columns: List[Optional[Sequence[int]]] = [None] * len(states)
+        for k, column in zip(multi, zip(*groups)):
+            columns[k] = column
+        store = self.store
+        counts = []
+        for var in variables:
+            cols0: List[Sequence[int]] = []
+            cols1: List[Sequence[int]] = []
+            for isf, state, part, column in zip(self.outputs, states,
+                                                parts, columns):
+                if var in state.free:
+                    state = store.child(isf, state, part, var)
+                    if column is None:
+                        cols0.append([state.map0[0]] * size)
+                        cols1.append([state.map1[0]] * size)
+                    else:
+                        cols0.append(list(map(state.map0.__getitem__,
+                                              column)))
+                        cols1.append(list(map(state.map1.__getitem__,
+                                              column)))
+                elif column is not None:
+                    cols0.append(column)
+                    cols1.append(column)
+            keys = set(zip(*cols0))
+            keys.update(zip(*cols1))
+            counts.append(len(keys) if cols0 else 1)
+        return counts
 
     # -- classes ----------------------------------------------------------
 
     def classes_for(self, bound: Tuple[int, ...]):
         """The joint and per-output compatible classes of ``bound`` on a
-        completely specified cache, read off its refined partition, or
+        completely specified view, read off the outputs' states, or
         ``None`` on an incompletely specified one.
 
         Returns ``(joint, per_output)`` in the form of
         :func:`repro.kernel.compat.kernel_classes_for`, byte-identical
-        to it: on a complete partition the groups are the joint classes
-        and output ``k``'s alphabet is its classes, both in ascending
-        minimum vertex (see :func:`_projected_ncc`), which is the class
-        numbering of the cover.  Each output's free variables are its
-        support minus the bound, as there.  Every class set read counts
-        as a ``classes_for`` hit.
+        to it: the joint groups are the joint classes and output
+        ``k``'s alphabet is its classes, both in ascending minimum
+        vertex, which is the class numbering of the cover.  Each
+        output's free variables are its support minus the bound, as
+        there.  Every class set read counts as a ``classes_for`` hit.
         """
-        with profile_phase("cofactors"):
-            part = self.partition_for(bound)
-        if not part.all_complete:
+        if not self.all_complete:
             return None
+        bound = tuple(bound)
+        with profile_phase("cofactors"):
+            states, parts = self._states(bound)
         with profile_phase("clique_cover"):
             start = perf_counter()
-            of = part.vertex_groups()
-            classes: List[List[int]] = [[] for _ in part.groups]
+            vertices = 1 << len(bound)
+            multi, cols = self._columns(states, parts, bound)
+            index: dict = {}
+            of = [index.setdefault(key, len(index))
+                  for key in (zip(*cols) if cols else [()] * vertices)]
+            classes: List[List[int]] = [[] for _ in index]
             for v, g in enumerate(of):
                 classes[g].append(v)
-            joint = (part.bound, classes, list(of), part.unique_vectors,
-                     list(part.free))
+            joint = (bound, classes, of,
+                     self._unique_vectors(states, multi, index),
+                     [state.free for state in states])
             STATS.record_hit("classes_for", perf_counter() - start)
+            col_of = dict(zip(multi, cols))
             per_output = []
-            for k, (alphabet, free) in enumerate(zip(part.alphabets,
-                                                     part.free)):
+            for k, state in enumerate(states):
                 start = perf_counter()
-                column = [group[k] for group in part.groups]
-                class_of = [column[g] for g in of]
-                members: List[List[int]] = [[] for _ in alphabet]
+                class_of = list(col_of[k]) if k in col_of \
+                    else [0] * vertices
+                members: List[List[int]] = [[] for _ in state.alphabet]
                 for v, c in enumerate(class_of):
                     members[c].append(v)
-                per_output.append((part.bound, members, class_of,
-                                   [[pair] for pair in alphabet], [free]))
+                per_output.append((bound, members, class_of,
+                                   [[pair] for pair in state.alphabet],
+                                   [state.free]))
                 STATS.record_hit("classes_for", perf_counter() - start)
         return joint, per_output
 
 
-def _projected_ncc(part: Partition, k: int) -> int:
-    """Compatible-class count of output ``k`` alone.  Its alphabet is
-    its projected partition, in order: every entry is some group's
-    cofactor, and a split interns the halves in the order the groups
-    first reach them (ascending minimum vertex), which is the group
-    order of a from-scratch single-output dedup."""
-    alphabet = part.alphabets[k]
+def _ncc(state: State) -> int:
+    """Compatible-class count of one output alone.  Its alphabet is its
+    dedup, in order (see the module docstring), so this is the class
+    count of a from-scratch single-output cover."""
+    alphabet = state.alphabet
     return _cover_count([[pair] for pair in alphabet],
                         all(hi is lo or hi == lo for lo, hi in alphabet))
 
 
-__all__ = ["Partition", "PartitionCache"]
+__all__ = ["CofactorStore", "PartitionCache", "State"]

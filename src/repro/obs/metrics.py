@@ -229,7 +229,7 @@ def profile_report(stats: Any,
         refines = kernel.get("kernel_refine", 0)
         scratch = kernel.get("classes_from_scratch", 0)
         if refines or scratch:
-            lines.append(f"  bound-set scoring   : {refines} partition "
+            lines.append(f"  bound-set scoring   : {refines} cofactor "
                          f"splits / {scratch} from-scratch")
         for op, entry in kernel.get("ops", {}).items():
             lines.append(f"  {op:<20s}: {entry['time_s']:9.4f} s "

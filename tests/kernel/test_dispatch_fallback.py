@@ -104,10 +104,11 @@ class TestPartitionCacheDegrades:
         ref_ranked, ref_greedy = self._reference(bdd, outputs,
                                                  variables, 3)
 
-        def boom(self, bound):
+        def boom(*args):
             raise TableMismatchError("stale ordering")
-        monkeypatch.setattr(krefine.PartitionCache, "partition_for",
-                            boom)
+        # The cofactor store extracts each output's root table when a
+        # call first needs it; every call without a store starts empty.
+        monkeypatch.setattr(krefine, "_vertex_masks", boom)
         reset_kernel_stats()
         ranked = rank_bound_sets(bdd, outputs, variables, 3)
         greedy = greedy_bound_set(bdd, outputs, variables, 3)

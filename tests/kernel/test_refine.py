@@ -1,17 +1,20 @@
-"""Property tests: incremental partition refinement == from-scratch.
+"""Property tests: bound-set scoring from cofactor states == from-scratch.
 
-The bound-set search derives ``B ∪ {v}`` partitions by splitting the
-cached partition of ``B`` (one ``kernel_refine`` op per new variable)
-instead of re-extracting the full table, and on completely specified
-outputs scores them by counts alone.  These tests pin the refined
-partition *equal* to a from-scratch dedup across DC densities, pin the
-count-only class counts equal to a from-scratch cover, pin the search
-results identical kernel on/off, and pin the profiler counters: a
-served greedy search performs O(1) refinements per candidate and zero
-``classes_from_scratch`` fallbacks.  The classes the engine evaluates
-on a completely specified view are read off the refined partitions;
-they are pinned equal to ``kernel_classes_for`` and to the BDD
-``compute_classes``.
+The bound-set search keeps each output's cofactors over its part of a
+bound as a state in a per-run store (one ``kernel_refine`` op per
+split) and assembles a candidate's joint groups from those states
+instead of re-extracting the full table; on completely specified
+outputs it scores them by counts alone.  These tests pin the states'
+alphabets and the assembled joint vectors *equal* to a from-scratch
+dedup across DC densities and bound orders, pin the greedy growth's
+split counts and the scores equal to a from-scratch cover, pin the
+search results identical kernel on/off, and pin the profiler counters:
+a served greedy search performs at most one split per output and
+candidate and zero ``classes_from_scratch`` fallbacks.  The classes
+the engine evaluates on a completely specified view are read off the
+states; they are pinned equal to ``kernel_classes_for`` and to the BDD
+``compute_classes``.  The engine's store lives for one run, and a
+tiny byte budget only clears it.
 """
 
 import random
@@ -20,6 +23,7 @@ from itertools import combinations
 import pytest
 
 from repro.bdd.manager import BDD
+from repro.bench.registry import benchmark
 from repro.boolfunc.spec import ISF
 from repro.decomp import compat as decomp_compat
 from repro.decomp.bound_set import (
@@ -35,6 +39,7 @@ from repro.decomp.compat import (
 )
 from repro.decomp.recursive import DecompositionEngine, DecompositionStats
 from repro.kernel import STATS, reset_kernel_stats
+from repro.kernel import refine as krefine
 from repro.kernel.compat import (
     _cover,
     _cover_count,
@@ -43,7 +48,7 @@ from repro.kernel.compat import (
     _vertex_masks,
     kernel_classes_for,
 )
-from repro.kernel.refine import PartitionCache
+from repro.kernel.refine import CofactorStore, PartitionCache
 
 
 def random_isf(bdd, rng, variables, dc_density):
@@ -70,10 +75,26 @@ def scratch_vectors(bdd, outputs, bound):
 
 
 #: Output supports of the refinement property: all outputs over every
-#: variable, then overlapping and disjoint subsets, so the cache also
-#: refines on variables outside some outputs' domains.
+#: variable, then overlapping and disjoint subsets, so a bound also
+#: holds variables outside some outputs' domains.
 SUPPORTS = ([range(7), range(7)],
             [range(0, 4), range(3, 7), (1, 5), (6,)])
+
+
+def assert_states_equal_scratch(cache, bdd, outputs, bound):
+    """The joint vectors assembled for ``bound`` and every output's
+    state equal a from-scratch dedup of ``bound``, in order."""
+    vectors = scratch_vectors(bdd, outputs, bound)
+    uniq, _, complete = _dedup(vectors)
+    states, parts = cache._states(bound)
+    assert cache._vectors(states, parts, bound) == uniq
+    assert cache.all_complete == complete
+    # Each alphabet is its output's own dedup, in order, over its
+    # support minus the bound.
+    for k, (state, domain) in enumerate(zip(states, cache.domains)):
+        column, _, _ = _dedup([[vec[k]] for vec in vectors])
+        assert [[pair] for pair in state.alphabet] == column
+        assert state.free == tuple(v for v in domain if v not in bound)
 
 
 @pytest.mark.parametrize("density", [0.0, 0.3, 0.7])
@@ -90,15 +111,7 @@ def test_refined_partition_equals_scratch(density, monkeypatch):
             assert cache is not None
             for p in (1, 2, 3, 4):
                 bound = tuple(rng.sample(variables, p))
-                part = cache.partition_for(bound)
-                vectors = scratch_vectors(bdd, outputs, bound)
-                uniq, _, complete = _dedup(vectors)
-                assert part.unique_vectors == uniq
-                assert part.all_complete == complete
-                # Each alphabet is its output's own dedup, in order.
-                for k, alphabet in enumerate(part.alphabets):
-                    column, _, _ = _dedup([[vec[k]] for vec in vectors])
-                    assert [[pair] for pair in alphabet] == column
+                assert_states_equal_scratch(cache, bdd, outputs, bound)
 
 
 @pytest.mark.parametrize("density", [0.0, 0.3, 0.7])
@@ -131,22 +144,23 @@ def test_count_split_equals_scratch_cover(monkeypatch):
             cache = PartitionCache.for_call(bdd, outputs, "test")
             for p in (0, 1, 2, 3):
                 bound = tuple(rng.sample(variables, p))
-                part = cache.partition_for(bound)
-                assert part.all_complete
-                for var in variables:
-                    if var in bound:
-                        continue
+                assert cache.all_complete
+                pool = [var for var in variables if var not in bound]
+                counts = cache.split_counts(bound, pool)
+                for var, count in zip(pool, counts):
                     classes, _, _ = _cover(
                         scratch_vectors(bdd, outputs, bound + (var,)))
-                    assert cache.count_split(part, var) == len(classes)
-                    assert cache.ncc_for(bound + (var,)) == len(classes)
+                    assert count == len(classes)
+                    assert cache.score_for(bound + (var,))[2] == \
+                        len(classes)
 
 
 @pytest.mark.parametrize("density", [0.3, 0.7])
 def test_cover_count_equals_scratch_cover(density, monkeypatch):
-    """Incompletely specified partitions are scored by the clique
-    cover's class count alone, without members; it equals the class
-    count of a from-scratch cover."""
+    """Incompletely specified bounds are scored by the clique cover's
+    class count alone, without members; it equals the class count of a
+    from-scratch cover, for an assembled bound and for a greedy
+    round's split of one."""
     monkeypatch.setenv("REPRO_KERNEL", "on")
     rng = random.Random(int(density * 100) + 97)
     bdd = BDD(7)
@@ -162,7 +176,9 @@ def test_cover_count_equals_scratch_cover(density, monkeypatch):
                 classes, _, _ = _cover(vectors)
                 uniq, _, complete = _dedup(vectors)
                 assert _cover_count(uniq, complete) == len(classes)
-                assert cache.ncc_for(bound) == len(classes)
+                assert cache.score_for(bound)[2] == len(classes)
+                assert cache.split_counts(bound[:-1], bound[-1:]) == \
+                    [len(classes)]
 
 
 @pytest.mark.parametrize("density", [0.0, 0.2, 0.6])
@@ -212,13 +228,14 @@ def test_served_search_counts_refines_not_scratch(monkeypatch):
     refines = STATS.op_hits.get("kernel_refine", 0)
     assert refines > 0
     assert STATS.scratch == 0
-    # O(1) refinements per candidate evaluation: the greedy search
-    # scores at most |pool| candidates per growth round, each candidate
-    # one refinement off its round's shared prefix, plus the prefix
-    # itself — never the O(p) rebuild a from-scratch call would do.
+    # At most one split per output and candidate: the greedy search
+    # scores at most |pool| candidates per growth round, each one the
+    # child state of its round's states per output, and the state the
+    # round grows is one of the last round's children — never the
+    # O(p) rebuild a from-scratch call would do.
     rounds = len(bound)
     candidates = rounds * len(variables)
-    assert refines <= candidates + rounds
+    assert refines <= len(outputs) * candidates
 
 
 def test_score_memo_short_circuits_ranking(monkeypatch):
@@ -352,7 +369,9 @@ def test_partition_classes_need_a_complete_view(monkeypatch):
 def test_memo_answered_ranking_evaluates_through_partitions(monkeypatch):
     """A bound-set search whose every score (and greedy pick) the memo
     answers still builds the ranking's cache, and its candidates read
-    their classes off its partitions instead of ``classes_for``."""
+    their classes off the run's states instead of ``classes_for``:
+    the states the first search split are still in the engine's
+    store, so the second splits nothing."""
     monkeypatch.setenv("REPRO_KERNEL", "on")
     bdd = BDD(8)
     support = list(range(8))
@@ -375,10 +394,107 @@ def test_memo_answered_ranking_evaluates_through_partitions(monkeypatch):
     assert engine.stats.score_memo_misses == misses
     assert engine.stats.greedy_memo_hits == 1
     assert STATS.op_hits.get("reduction_score", 0) == 0
-    assert STATS.op_hits["kernel_refine"] > 0
+    assert STATS.op_hits.get("kernel_refine", 0) == 0
     assert STATS.op_hits["classes_for"] > 0
     assert (second.bound, second.included, second.joint_min_r,
             second.gain) == (first.bound, first.included,
                              first.joint_min_r, first.gain)
     assert [enc.alpha_indices for enc in second.encodings] == \
         [enc.alpha_indices for enc in first.encodings]
+
+
+@pytest.mark.parametrize("density", [0.0, 0.3, 0.7])
+def test_unsorted_bounds_equal_scratch(density, monkeypatch):
+    """Bounds in growth order (not sorted), holding variables outside
+    some outputs' supports, all served by one store: the states'
+    alphabets, the joint vectors, the scores, the greedy counts and the
+    classes of the 0-completed view equal a from-scratch computation."""
+    monkeypatch.setenv("REPRO_KERNEL", "on")
+    rng = random.Random(int(density * 100) + 113)
+    bdd = BDD(9)
+    variables = list(range(8))
+    for _ in range(3):
+        outputs = [random_isf(bdd, rng, list(support), density)
+                   for support in (range(8), range(0, 5), range(3, 8),
+                                   (1, 4, 6))]
+        completed = [ISF.complete(o.lo) for o in outputs]
+        store = CofactorStore()
+        cache = PartitionCache.for_call(bdd, outputs, "test", store)
+        view = PartitionCache.for_call(bdd, completed, "test", store)
+        growth = rng.sample(variables, 6)
+        assert growth != sorted(growth)
+        # A bound outside every support: one class, nothing removed.
+        assert cache.score_for((8,)) == reduction_score(bdd, outputs, (8,))
+        assert cache.split_counts((), [8]) == [1]
+        joint, _ = partition_classes(bdd, view, (8,))
+        assert_classes_equal(joint, bdd, completed, (8,))
+        for p in range(7):
+            bound = tuple(growth[:p])
+            assert_states_equal_scratch(cache, bdd, outputs, bound)
+            pool = [var for var in variables if var not in bound]
+            counts = cache.split_counts(bound, pool)
+            for var, count in zip(pool, counts):
+                classes, _, _ = _cover(
+                    scratch_vectors(bdd, outputs, bound + (var,)))
+                assert count == len(classes)
+            if not p:
+                continue
+            assert cache.score_for(bound) == \
+                reduction_score(bdd, outputs, bound)
+            joint, per_output = partition_classes(bdd, view, bound)
+            assert_classes_equal(joint, bdd, completed, bound)
+            for isf, single in zip(completed, per_output):
+                assert_classes_equal(single, bdd, [isf], bound)
+
+
+def engine_record(engine, net):
+    stats = engine.stats
+    return (net.to_blif(), stats.decomposition_steps, stats.shannon_steps,
+            stats.alphas_created, stats.alphas_shared)
+
+
+def test_engine_store_lives_for_one_run(monkeypatch):
+    """Every run starts on an empty store, so a second run on the same
+    manager splits exactly as much as the first and gives an identical
+    record; direct calls without a store do not share one either."""
+    monkeypatch.setenv("REPRO_KERNEL", "on")
+    func = benchmark("f51m")
+    engine = DecompositionEngine()
+    first = engine_record(engine, engine.run(func))
+    store = engine._cofactors
+    splits = engine.stats.kernel_metrics["kernel_refine"]
+    assert store._states and splits > 0
+    second = engine_record(engine, engine.run(func))
+    assert engine._cofactors is not store
+    assert engine.stats.kernel_metrics["kernel_refine"] == splits
+    assert second == first
+
+    rng = random.Random(127)
+    bdd = BDD(7)
+    outputs = [random_isf(bdd, rng, list(range(7)), 0.0)
+               for _ in range(2)]
+    counts = []
+    for _ in range(2):
+        reset_kernel_stats()
+        rank_bound_sets(bdd, outputs, list(range(7)), 3)
+        counts.append(STATS.op_hits["kernel_refine"])
+    assert counts[0] == counts[1] > 0
+
+
+def test_tiny_byte_budget_only_clears_the_store(monkeypatch):
+    """Past its byte budget the store clears and the search splits
+    again from the roots: more splits, the same records."""
+    monkeypatch.setenv("REPRO_KERNEL", "on")
+    for dc in (False, True):
+        engine = DecompositionEngine(use_dontcares=dc)
+        reference = engine_record(engine, engine.run(benchmark("f51m")))
+        splits = engine.stats.kernel_metrics["kernel_refine"]
+        assert engine._cofactors._bytes > 4096
+        with monkeypatch.context() as patch:
+            patch.setattr(krefine, "CACHE_BYTES_LIMIT", 4096)
+            engine = DecompositionEngine(use_dontcares=dc)
+            tiny = engine_record(engine, engine.run(benchmark("f51m")))
+            assert engine._cofactors._bytes <= 4096
+        # States dropped on a clear are split again when read.
+        assert engine.stats.kernel_metrics["kernel_refine"] > splits
+        assert tiny == reference
