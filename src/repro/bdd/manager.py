@@ -7,8 +7,8 @@ through a hash table, so two equal functions always have the same node id.
 
 The manager keeps a *variable order*: each variable id has a level, and on
 every root-to-terminal path variables appear in increasing level.  All
-algorithms consult :meth:`BDD.level` rather than raw variable ids, so the
-order may be any permutation of the variables.
+algorithms compare levels (:meth:`BDD.level`) rather than raw variable
+ids, so the order may be any permutation of the variables.
 """
 
 from __future__ import annotations
@@ -202,41 +202,63 @@ class BDD:
     # ------------------------------------------------------------------
 
     def ite(self, f: int, g: int, h: int) -> int:
-        """``if f then g else h`` — the universal ternary operator."""
+        """``if f then g else h`` — the universal ternary operator.
+
+        The hot path of every BDD operation, so a miss reads levels and
+        children straight from the node lists instead of calling
+        :meth:`level`; it recurses low before high, which fixes the
+        order in which new nodes get their ids.
+        """
         self._ite_calls += 1
         if self._fault_ite is not None:
             self._fault_ite()  # chaos site: bdd.ite
-        if f == self.TRUE:
+        if f == 1:
             return g
-        if f == self.FALSE:
+        if f == 0:
             return h
         if g == h:
             return g
-        if g == self.TRUE and h == self.FALSE:
+        if g == 1 and h == 0:
             return f
         key = ("ite", f, g, h)
-        res = self._cache.get(key)
+        cache = self._cache
+        res = cache.get(key)
         if res is not None:
             self._cache_hits += 1
             return res
         self._cache_misses += 1
-        lvl = min(self.level(f), self.level(g), self.level(h))
-        top = self._var_at_level[lvl]
-        f0, f1 = self._branch(f, top, lvl)
-        g0, g1 = self._branch(g, top, lvl)
-        h0, h1 = self._branch(h, top, lvl)
+        var_of = self._var
+        level_of = self._level_of_var
+        lows = self._low
+        highs = self._high
+        # f is internal here; g and h may be terminals.
+        lvl = lf = level_of[var_of[f]]
+        lg = level_of[var_of[g]] if g > 1 else self._TERMINAL_LEVEL
+        if lg < lvl:
+            lvl = lg
+        lh = level_of[var_of[h]] if h > 1 else self._TERMINAL_LEVEL
+        if lh < lvl:
+            lvl = lh
+        if lf == lvl:
+            f0, f1 = lows[f], highs[f]
+        else:
+            f0 = f1 = f
+        if lg == lvl:
+            g0, g1 = lows[g], highs[g]
+        else:
+            g0 = g1 = g
+        if lh == lvl:
+            h0, h1 = lows[h], highs[h]
+        else:
+            h0 = h1 = h
         low = self.ite(f0, g0, h0)
         high = self.ite(f1, g1, h1)
-        res = self._make(top, low, high)
-        self._cache_put(key, res)
+        res = self._make(self._var_at_level[lvl], low, high)
+        if self._cache_limit is not None and len(cache) >= self._cache_limit:
+            cache.clear()
+            self._cache_evictions += 1
+        cache[key] = res
         return res
-
-    def _branch(self, node: int, var: int, lvl: int) -> Tuple[int, int]:
-        """Cofactors of ``node`` w.r.t. ``var`` when ``var`` is at or above
-        the node's top level."""
-        if self.level(node) == lvl and self._var[node] == var:
-            return self._low[node], self._high[node]
-        return node, node
 
     # ------------------------------------------------------------------
     # Derived Boolean operations
@@ -290,6 +312,8 @@ class BDD:
 
     def leq(self, f: int, g: int) -> bool:
         """Does ``f`` imply ``g`` (i.e. is the interval ``[f, g]`` ordered)?"""
+        if f == g:
+            return True
         return self.apply_diff(f, g) == self.FALSE
 
     # ------------------------------------------------------------------
@@ -310,7 +334,9 @@ class BDD:
         return res
 
     def _restrict_rec(self, f: int, var: int, vlvl: int, value: int) -> int:
-        lvl = self.level(f)
+        if f <= 1:
+            return f
+        lvl = self._level_of_var[self._var[f]]
         if lvl > vlvl:
             return f
         if lvl == vlvl:
@@ -533,14 +559,23 @@ class BDD:
 
     def to_truth_table(self, f: int,
                        variables: Sequence[int]) -> List[int]:
-        """Truth table of ``f`` over ``variables`` (MSB-first indexing)."""
+        """Truth table of ``f`` over ``variables`` (MSB-first indexing).
+
+        One descent per row; a variable outside ``variables`` reads 0.
+        """
         nvars = len(variables)
+        shift = {v: nvars - 1 - i for i, v in enumerate(variables)}
+        var_of = self._var
+        lows = self._low
+        highs = self._high
         table = []
         for k in range(1 << nvars):
-            assignment = {v: 0 for v in self.support(f)}
-            for i, v in enumerate(variables):
-                assignment[v] = (k >> (nvars - 1 - i)) & 1
-            table.append(1 if self.eval(f, assignment) else 0)
+            node = f
+            while node > 1:
+                s = shift.get(var_of[node])
+                node = (highs[node] if s is not None and (k >> s) & 1
+                        else lows[node])
+            table.append(node)
         return table
 
     def cube(self, literals: Dict[int, int]) -> int:

@@ -13,7 +13,7 @@ requiring the bound variables on top).
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Dict, Iterable, List, Sequence
 
 from repro.bdd.manager import BDD
 
@@ -36,6 +36,24 @@ def bound_cofactors(bdd: BDD, f: int, bound_vars: Sequence[int]) -> List[int]:
             nxt.append(bdd.restrict(node, var, 1))
         cofactors = nxt
     return cofactors
+
+
+def lut_function(bdd: BDD, fanins: Sequence[int],
+                 table: Iterable[int]) -> int:
+    """The function a LUT computes from its fanins' functions.
+
+    ``table`` holds the LUT's ``2**k`` output bits, indexed as in
+    :class:`~repro.mapping.lutnet.LutNetwork`: in row ``r`` fanin ``i``
+    reads bit ``k - 1 - i`` of ``r`` (``fanins[0]`` is the most
+    significant).  Shannon composition folds the table pairwise from the
+    last fanin up, ``ite(fanin, high row, low row)``, so a ``k``-input
+    LUT costs ``2**k - 1`` :meth:`BDD.ite` calls.
+    """
+    level = [BDD.TRUE if bit else BDD.FALSE for bit in table]
+    for fanin in reversed(fanins):
+        level = [bdd.ite(fanin, level[j + 1], level[j])
+                 for j in range(0, len(level), 2)]
+    return level[0]
 
 
 def vertex_bits(k: int, p: int) -> tuple:

@@ -47,6 +47,7 @@ from collections import OrderedDict
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.bdd.manager import BDD
+from repro.bdd.ops import lut_function
 
 #: ``off``/``0``/``false`` disables the sub-ISF memo everywhere.
 SUBMEMO_ENV = "REPRO_SUBMEMO"
@@ -215,7 +216,8 @@ def payload_output_bdds(bdd: BDD, payload: Dict[str, Any],
     ``input_funcs[rank]`` is the BDD of the ``rank``-th support input.
     Used by splice-time verification: each output function must lie in
     the live call's ISF interval *before* the tape touches the network.
-    Cost is bounded by ``2^k`` cube ops per LUT (``k <= n_lut``).
+    Each LUT costs ``2^k - 1`` ITE calls (``k <= n_lut``, see
+    :func:`repro.bdd.ops.lut_function`).
     """
     funcs: List[int] = []
 
@@ -229,21 +231,8 @@ def payload_output_bdds(bdd: BDD, payload: Dict[str, Any],
         return input_funcs[-ref - _REF_INPUT_BASE]
 
     for fanins, table, _hint in payload["tape"]:
-        fanin_funcs = [resolve(ref) for ref in fanins]
-        k = len(fanin_funcs)
-        g = BDD.FALSE
-        for row, bit in enumerate(table):
-            if bit != "1":
-                continue
-            cube = BDD.TRUE
-            for i, ff in enumerate(fanin_funcs):
-                lit = ff if (row >> (k - 1 - i)) & 1 \
-                    else bdd.apply_not(ff)
-                cube = bdd.apply_and(cube, lit)
-                if cube == BDD.FALSE:
-                    break
-            g = bdd.apply_or(g, cube)
-        funcs.append(g)
+        funcs.append(lut_function(bdd, [resolve(ref) for ref in fanins],
+                                  map(int, table)))
     return [resolve(ref) for ref in payload["out"]]
 
 

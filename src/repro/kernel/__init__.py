@@ -113,6 +113,11 @@ class KernelStats:
     miss_causes: Dict[str, int] = field(default_factory=dict)
 
     def record_hit(self, op: str, seconds: float) -> None:
+        """Count one kernel-served op and add its wall ``seconds``.
+
+        Unlike phase times, op times still include any cyclic garbage
+        collection that ran inside the op.
+        """
         self.hits += 1
         self.op_hits[op] = self.op_hits.get(op, 0) + 1
         self.op_time[op] = self.op_time.get(op, 0.0) + seconds

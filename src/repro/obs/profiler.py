@@ -11,11 +11,16 @@ Deep library code reports through the *current* profiler, installed per
 engine run with :func:`activate_profiler`; when none is active,
 :func:`profile_phase` is a cheap no-op, so the instrumentation costs
 almost nothing outside profiled runs.
+
+Cyclic garbage collections are a phase of their own: while a profiler
+is active, each collection's time and count go to its ``"gc"`` entry,
+and the phase it interrupted is not charged for it (see :func:`_on_gc`).
 """
 
 from __future__ import annotations
 
 import contextvars
+import gc
 from contextlib import contextmanager
 from time import perf_counter
 from typing import Dict, Iterator, List, Optional
@@ -145,6 +150,34 @@ def activate_profiler(profiler: PhaseProfiler) -> Iterator[PhaseProfiler]:
         yield profiler
     finally:
         _CURRENT.reset(token)
+
+
+#: perf_counter() when the collection in progress started.
+_GC_START = 0.0
+
+
+def _on_gc(phase: str, info: Dict[str, int]) -> None:
+    """``gc.callbacks`` hook: charge a collection to the ``"gc"`` phase.
+
+    Only while a profiler is active in the current context.  The
+    innermost open phase's charge point moves forward by the
+    collection's time, so that phase's exclusive time leaves it out.
+    """
+    global _GC_START
+    if phase == "start":
+        _GC_START = perf_counter()
+        return
+    profiler = _CURRENT.get()
+    if profiler is None:
+        return
+    elapsed = perf_counter() - _GC_START
+    profiler.times["gc"] = profiler.times.get("gc", 0.0) + elapsed
+    profiler.counts["gc"] = profiler.counts.get("gc", 0) + 1
+    if profiler._stack:
+        profiler._stack[-1][1] += elapsed
+
+
+gc.callbacks.append(_on_gc)
 
 
 @contextmanager

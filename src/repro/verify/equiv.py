@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from repro.bdd.manager import BDD
+from repro.bdd.ops import lut_function
 from repro.boolfunc.spec import MultiFunction
 from repro.mapping.gatelevel import GateNetwork
 from repro.mapping.lutnet import CONST0, CONST1, LutNetwork
@@ -50,21 +51,9 @@ def lut_signal_bdds(net: LutNetwork, bdd: BDD,
         values[name] = bdd.var(input_vars[name])
     for node in net.node_list():
         pulse()  # liveness: long simulations still beat per node
-        fanins = [values[s] for s in node.fanins]
-        # Build the node function by Shannon expansion over the table.
-        result = BDD.FALSE
-        k = node.fanin_count
-        for idx, bit in enumerate(node.table):
-            if not bit:
-                continue
-            term = BDD.TRUE
-            for i in range(k):
-                lit = fanins[i]
-                if not (idx >> (k - 1 - i)) & 1:
-                    lit = bdd.apply_not(lit)
-                term = bdd.apply_and(term, lit)
-            result = bdd.apply_or(result, term)
-        values[node.name] = result
+        # The node function, by Shannon expansion over the table.
+        values[node.name] = lut_function(
+            bdd, [values[s] for s in node.fanins], node.table)
     return values
 
 
@@ -132,14 +121,11 @@ def check_extension(func: MultiFunction, net) -> EquivResult:
     for name, isf in zip(func.output_names, func.outputs):
         g = impl[name]
         # Violations: onset not covered, or offset wrongly covered.
-        missed = bdd.apply_diff(isf.lo, g)
-        if missed != BDD.FALSE:
-            return EquivResult(False, name,
-                               _counterexample(bdd, missed, func))
-        extra = bdd.apply_diff(g, isf.hi)
-        if extra != BDD.FALSE:
-            return EquivResult(False, name,
-                               _counterexample(bdd, extra, func))
+        for below, above in ((isf.lo, g), (g, isf.hi)):
+            if not bdd.leq(below, above):
+                diff = bdd.apply_diff(below, above)
+                return EquivResult(False, name,
+                                   _counterexample(bdd, diff, func))
     return EquivResult(True)
 
 

@@ -1,6 +1,8 @@
 """The exclusive-time phase profiler and its context-variable hookup."""
 
+import gc
 import time
+from contextlib import nullcontext
 
 from repro.obs import (
     PhaseProfiler,
@@ -88,3 +90,65 @@ class TestActivation:
         engine = DecompositionEngine()
         engine.run(benchmark("rd53"))
         assert "phase " in engine.stats.report()
+
+
+class TestGarbageCollection:
+    @staticmethod
+    def _cyclic_garbage(n=100_000):
+        nodes = [[] for _ in range(n)]
+        for a, b in zip(nodes, nodes[1:]):
+            a.append(b)
+            b.append(a)
+
+    def _collect_in_phase(self, prof, activate):
+        """A phase whose only work is one full collection; returns the
+        collection's own wall time.  Automatic collections are off, so
+        the explicit one is the only one."""
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            self._cyclic_garbage()
+            with activate_profiler(prof) if activate else nullcontext():
+                with prof.phase("work"):
+                    t0 = time.perf_counter()
+                    gc.collect()
+                    took = time.perf_counter() - t0
+        finally:
+            if enabled:
+                gc.enable()
+        return took
+
+    def test_collection_is_charged_to_gc_not_the_phase(self):
+        prof = PhaseProfiler()
+        took = self._collect_in_phase(prof, activate=True)
+        assert prof.counts["gc"] == 1
+        assert prof.times["work"] < took
+        # gc gets the rest: the phase's wall time is split between the
+        # two, and gc's share is the collection itself.
+        assert prof.times["gc"] <= took
+        assert prof.times["work"] + prof.times["gc"] >= took
+
+    def test_inactive_profiler_gets_no_gc_entry(self):
+        prof = PhaseProfiler()
+        took = self._collect_in_phase(prof, activate=False)
+        assert "gc" not in prof.times
+        assert prof.times["work"] >= took
+
+    def test_engine_phase_times_carry_gc(self):
+        from repro.bench.registry import benchmark
+        from repro.decomp.recursive import DecompositionEngine
+        from repro.obs.metrics import profile_report
+        # A low generation-0 threshold makes the run certain to meet
+        # collections inside its phases.
+        old = gc.get_threshold()
+        gc.set_threshold(50, old[1], old[2])
+        try:
+            engine = DecompositionEngine()
+            engine.run(benchmark("rd53"))
+        finally:
+            gc.set_threshold(*old)
+        stats = engine.stats
+        assert stats.phase_times["gc"] > 0.0
+        assert stats.phase_counts["gc"] >= 1
+        assert "  gc " in profile_report(stats, stats.bdd_metrics)
+
