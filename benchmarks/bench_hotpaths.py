@@ -41,16 +41,13 @@ Usage:
     PYTHONPATH=src python benchmarks/bench_hotpaths.py
     PYTHONPATH=src python benchmarks/bench_hotpaths.py \
         --seeds 1 2 --check-speedup 1.0 --check-nvars 10 16 \
-        --check-dsd --check-submemo --check-dist
+        --check-dsd --check-dist
 
 ``--check-speedup X`` exits non-zero if any case at a width listed in
 ``--check-nvars`` ran slower than ``X`` times the BDD reference;
 ``--check-dsd`` exits non-zero if the DSD-on run was slower than the
 DSD-off run (1.25x grace) or emitted no split counters;
-``--check-submemo`` exits non-zero if a warm re-map against a
-populated sub-ISF store is less than 3x faster than its cold run,
-diverges from it, or the cross-output case records no per-run memo
-hits; ``--check-dist`` exits non-zero if the 2-node distributed run is
+``--check-dist`` exits non-zero if the 2-node distributed run is
 less than 1.8x faster than a ``--jobs``-matched single host or
 diverges from it — together the CI perf-smoke gate.
 
@@ -320,79 +317,6 @@ def run_dsd_section():
 
 
 # ---------------------------------------------------------------------
-# Sub-ISF computed table: warm splice vs cold search
-# ---------------------------------------------------------------------
-
-#: Multi-output Table 1 circuits re-mapped against one in-process
-#: store: run 2 must splice the whole top-level bundle from run 1.
-SUBMEMO_CASES = ("rd84", "alu2")
-
-
-def submemo_cross_output_func():
-    """Two outputs that are the same function of disjoint 7-variable
-    supports — the canonical key ignores variable numbering, so the
-    second output's bundle must hit the per-run table."""
-    from repro.boolfunc.spec import MultiFunction
-    bdd = BDD(14)
-    variables = list(range(14))
-
-    def block(group):
-        f = BDD.FALSE
-        for i in range(len(group) - 2):
-            t = bdd.apply_and(bdd.var(group[i]), bdd.var(group[i + 1]))
-            f = bdd.apply_xor(f, bdd.apply_xor(t, bdd.var(group[i + 2])))
-        return f
-
-    return MultiFunction(
-        bdd, variables,
-        [ISF.complete(block(variables[:7])),
-         ISF.complete(block(variables[7:]))])
-
-
-def run_submemo_section():
-    """Cold-then-warm mapping of each case against one store, plus a
-    cross-output case exercising the per-run table in a single run."""
-    from repro.bench.registry import benchmark as build_circuit
-    from repro.core.api import map_to_xc3000
-    from repro.decomp import submemo
-
-    rows = []
-    for name in SUBMEMO_CASES:
-        store = submemo.SubMemoStore(byte_limit=1 << 26)
-        func = build_circuit(name)
-        t0 = time.perf_counter()
-        cold = map_to_xc3000(func, submemo_store=store)
-        cold_s = time.perf_counter() - t0
-        func = build_circuit(name)
-        t0 = time.perf_counter()
-        warm = map_to_xc3000(func, submemo_store=store)
-        warm_s = time.perf_counter() - t0
-        row = {
-            "case": name,
-            "cold_s": cold_s,
-            "warm_s": warm_s,
-            "speedup": cold_s / warm_s if warm_s > 0 else math.inf,
-            "identical": warm.network.to_blif() == cold.network.to_blif(),
-            "cold": dict(cold.stats.submemo),
-            "warm": dict(warm.stats.submemo),
-        }
-        rows.append(row)
-        print(f"memo {name:<16s} cold {cold_s*1e3:8.2f} ms "
-              f"({row['cold'].get('stores', 0)} stores)   "
-              f"warm {warm_s*1e3:8.2f} ms "
-              f"({row['warm'].get('splices', 0)} splices)   "
-              f"speedup {row['speedup']:6.2f}x   "
-              f"identical={row['identical']}")
-
-    cross = map_to_xc3000(submemo_cross_output_func(),
-                          submemo_store=submemo.SubMemoStore())
-    run_hits = cross.stats.submemo.get("run_hits", 0)
-    print(f"memo cross-output  run_hits={run_hits} "
-          f"splices={cross.stats.submemo.get('splices', 0)}")
-    return {"cases": rows, "cross_output_run_hits": run_hits}
-
-
-# ---------------------------------------------------------------------
 # Distributed batch: 2 local nodes vs a --jobs-matched single host
 # ---------------------------------------------------------------------
 
@@ -547,13 +471,6 @@ def main(argv=None) -> int:
                         help="exit non-zero if the DSD-on engine run is "
                              "slower than DSD-off (1.25x grace) or "
                              "emitted no split counters")
-    parser.add_argument("--check-submemo", type=float, nargs="?",
-                        const=3.0, default=None, metavar="X",
-                        help="exit non-zero if a warm re-map is not at "
-                             "least X times faster than its cold run "
-                             "(default 3.0), its BLIF diverges, or the "
-                             "cross-output case records no per-run "
-                             "memo hits")
     parser.add_argument("--check-dist", type=float, nargs="?",
                         const=1.8, default=None, metavar="X",
                         help="exit non-zero if the 2-node distributed "
@@ -575,7 +492,6 @@ def main(argv=None) -> int:
                       f"kernel {row['kernel_s']*1e3:8.2f} ms   "
                       f"speedup {row['speedup']:6.2f}x")
     dsd_rows = run_dsd_section()
-    submemo_section = run_submemo_section()
     dist_section = run_dist_section()
     if prior_kernel is None:
         os.environ.pop("REPRO_KERNEL", None)
@@ -603,7 +519,6 @@ def main(argv=None) -> int:
         "complete_p": COMPLETE_P,
         "cases": cases,
         "dsd": dsd_rows,
-        "submemo": submemo_section,
         "dist": dist_section,
         "summary": {
             "geomean_speedup": geomean([r["speedup"] for r in cases]),
@@ -649,32 +564,6 @@ def main(argv=None) -> int:
             return 1
         print(f"dsd gate OK: {len(dsd_rows)} cases — heavy case on-path "
               f"no slower, counters emitted, LUTs never worse")
-    if args.check_submemo is not None:
-        failed = False
-        for row in submemo_section["cases"]:
-            if row["speedup"] < args.check_submemo:
-                print(f"GATE FAIL: submemo case {row['case']} warm "
-                      f"speedup {row['speedup']:.2f}x < "
-                      f"{args.check_submemo:.2f}x", file=sys.stderr)
-                failed = True
-            if not row["identical"]:
-                print(f"GATE FAIL: submemo case {row['case']} warm "
-                      f"BLIF diverges from cold", file=sys.stderr)
-                failed = True
-            if not row["warm"].get("splices"):
-                print(f"GATE FAIL: submemo case {row['case']} warm run "
-                      f"spliced nothing", file=sys.stderr)
-                failed = True
-        if submemo_section["cross_output_run_hits"] < 1:
-            print("GATE FAIL: cross-output case recorded no per-run "
-                  "memo hits", file=sys.stderr)
-            failed = True
-        if failed:
-            return 1
-        print(f"submemo gate OK: {len(submemo_section['cases'])} cases "
-              f"warm >= {args.check_submemo:.2f}x cold, BLIF identical, "
-              f"cross-output hits="
-              f"{submemo_section['cross_output_run_hits']}")
     if args.check_dist is not None:
         failed = False
         if dist_section["speedup"] < args.check_dist:

@@ -624,12 +624,8 @@ def _cmd_batch(args) -> int:
     rows = [done_rows.get(i, fresh_rows.get(i)) for i in range(len(jobs))]
     rows = [row for row in rows if row is not None]
     totals = summarize_rows(rows)
-    extra = None
-    if scheduler.submemo_totals:
-        extra = {"submemo": dict(scheduler.submemo_totals)}
     _write_batch_outputs(args, rows, totals, wall,
-                         cache.stats() if cache is not None else None,
-                         extra=extra)
+                         cache.stats() if cache is not None else None)
     chaos = ""
     if totals.get("hung"):
         chaos += f", {totals['hung']} hung"
@@ -670,7 +666,7 @@ def _cmd_serve(args) -> int:
         workers=workers, cache=cache, queue_depth=args.queue_depth,
         shed=args.shed, timeout=args.timeout, retries=args.retries,
         heartbeat_s=args.heartbeat, hang_grace_s=args.hang_grace,
-        weights=weights, warm_limit=args.warm_funcs)
+        weights=weights)
     daemon = ServeDaemon(
         service, socket_path=args.socket, host=args.host,
         port=args.port, allow_files=args.allow_files,
@@ -750,63 +746,41 @@ def _cmd_dist(args) -> int:
 
 
 def _cmd_cache(args) -> int:
-    from repro.runtime.cache import (DEFAULT_NAMESPACE, ResultCache,
-                                     list_namespaces)
+    from repro.runtime.cache import ResultCache
 
-    def open_ns(namespace: str) -> ResultCache:
-        return ResultCache(args.cache_dir or None, namespace=namespace)
-
+    cache = ResultCache(args.cache_dir or None)
     if args.cache_command == "clear":
-        # Clearing is destructive, so an unscoped clear stays scoped to
-        # the job cache — dropping the submemo namespace must be asked
-        # for by name.
-        namespace = args.namespace or DEFAULT_NAMESPACE
-        cache = open_ns(namespace)
         older = (args.older_than * 86400.0
                  if args.older_than is not None else None)
         removed = cache.clear(older_than_s=older)
-        scope = "" if namespace == DEFAULT_NAMESPACE \
-            else f" (namespace {namespace})"
         aged = "" if args.older_than is None \
             else f" older than {args.older_than:g} day(s)"
         print(f"removed {removed} cache entr"
-              f"{'y' if removed == 1 else 'ies'}{aged} from "
-              f"{cache.ns_root}{scope}")
+              f"{'y' if removed == 1 else 'ies'}{aged} from {cache.root}")
         return 0
     if args.older_than is not None:
         raise SystemExit("--older-than only applies to 'cache clear'")
-    if args.namespace:
-        namespaces = [args.namespace]
-    else:
-        cache = open_ns(DEFAULT_NAMESPACE)
-        namespaces = list_namespaces(cache.root)
-    for pos, namespace in enumerate(namespaces):
-        cache = open_ns(namespace)
-        # A fresh CLI process has no traffic, so probe a handful of
-        # real entries (disk hits) and some absent keys (misses) to
-        # populate the latency windows — enough to see what this store
-        # costs per lookup.
-        probed = 0
-        for path in cache.iter_files():
-            if probed >= 32:
-                break
-            cache.get(path.stem)
-            probed += 1
-        for bogus in range(8):
-            cache.get(hashlib.sha256(b"probe-%d" % bogus).hexdigest())
-        stats = cache.stats()
-        if pos:
-            print()
-        print(f"cache dir : {cache.ns_root}")
-        print(f"namespace : {namespace}")
-        print(f"entries   : {stats['entries']}")
-        print(f"size      : {stats['bytes']} bytes")
-        for side in ("hit", "miss"):
-            lat = stats[f"{side}_latency"]
-            if lat["samples"]:
-                print(f"{side} p50/p90/p99 : "
-                      f"{lat['p50_ms']:.3f}/{lat['p90_ms']:.3f}/"
-                      f"{lat['p99_ms']:.3f} ms ({lat['samples']} probes)")
+    # A fresh CLI process has no traffic, so probe a handful of real
+    # entries (disk hits) and some absent keys (misses) to populate the
+    # latency windows — enough to see what this store costs per lookup.
+    probed = 0
+    for path in cache.iter_files():
+        if probed >= 32:
+            break
+        cache.get(path.stem)
+        probed += 1
+    for bogus in range(8):
+        cache.get(hashlib.sha256(b"probe-%d" % bogus).hexdigest())
+    stats = cache.stats()
+    print(f"cache dir : {cache.root}")
+    print(f"entries   : {stats['entries']}")
+    print(f"size      : {stats['bytes']} bytes")
+    for side in ("hit", "miss"):
+        lat = stats[f"{side}_latency"]
+        if lat["samples"]:
+            print(f"{side} p50/p90/p99 : "
+                  f"{lat['p50_ms']:.3f}/{lat['p90_ms']:.3f}/"
+                  f"{lat['p99_ms']:.3f} ms ({lat['samples']} probes)")
     return 0
 
 
@@ -832,19 +806,6 @@ def main(argv: Optional[list] = None) -> int:
         p.add_argument("--blif", help="map a BLIF file instead")
         p.add_argument("--no-dc", action="store_true",
                        help="disable don't-care exploitation (mulopII)")
-        if cmd in ("map", "gates", "verify", "compare"):
-            p.add_argument("--no-submemo", action="store_true",
-                           help="disable the sub-ISF computed table "
-                                "(canonical subfunction memoization; "
-                                "same as REPRO_SUBMEMO=off)")
-            p.add_argument("--submemo-bytes", type=int, metavar="N",
-                           help="byte budget of the warm sub-ISF memo "
-                                "layers (default 64 MiB; same as "
-                                "REPRO_SUBMEMO_BYTES=N)")
-            p.add_argument("--submemo-dir", metavar="DIR",
-                           help="persist the sub-ISF memo under DIR "
-                                "(namespace 'submemo'; same as "
-                                "REPRO_SUBMEMO_DIR)")
         if cmd in ("map", "gates", "compare"):
             p.add_argument("--no-dsd", action="store_true",
                            help="disable the tier-0 structural pre-pass "
@@ -962,16 +923,6 @@ def main(argv: Optional[list] = None) -> int:
                        metavar="S",
                        help="with --nodes: base of the jittered retry "
                             "backoff in seconds (default: 0.2)")
-    batch.add_argument("--no-submemo", action="store_true",
-                       help="disable the sub-ISF computed table in "
-                            "workers (same as REPRO_SUBMEMO=off)")
-    batch.add_argument("--submemo-bytes", type=int, metavar="N",
-                       help="byte budget of the warm sub-ISF memo "
-                            "layers (same as REPRO_SUBMEMO_BYTES=N)")
-    batch.add_argument("--submemo-dir", metavar="DIR",
-                       help="persist the sub-ISF memo under DIR so "
-                            "batches share subfunctions (same as "
-                            "REPRO_SUBMEMO_DIR)")
     batch.add_argument("--stable-rows", action="store_true",
                        help="zero the volatile timing fields "
                             "(queue_wait_s, exec_s, beats) in output "
@@ -1067,11 +1018,6 @@ def main(argv: Optional[list] = None) -> int:
                        metavar="S",
                        help="kill a worker silent for S seconds and "
                             "degrade its request (default: off)")
-    serve.add_argument("--warm-funcs", type=int, default=None,
-                       metavar="N",
-                       help="per-worker warm built-function LRU depth "
-                            "(default: $REPRO_SERVE_WARM_FUNCS or 8; "
-                            "0 disables warm reuse)")
     serve.add_argument("--weight", action="append", metavar="TENANT=W",
                        help="fair-queue weight for a tenant "
                             "(repeatable; default weight 1.0)")
@@ -1094,15 +1040,6 @@ def main(argv: Optional[list] = None) -> int:
     serve.add_argument("--cache-dir", metavar="DIR",
                        help="result-cache location (default "
                             "~/.cache/repro or $REPRO_CACHE_DIR)")
-    serve.add_argument("--no-submemo", action="store_true",
-                       help="disable the sub-ISF computed table in "
-                            "pool workers (same as REPRO_SUBMEMO=off)")
-    serve.add_argument("--submemo-bytes", type=int, metavar="N",
-                       help="byte budget of the warm sub-ISF memo "
-                            "layers (same as REPRO_SUBMEMO_BYTES=N)")
-    serve.add_argument("--submemo-dir", metavar="DIR",
-                       help="persist the sub-ISF memo under DIR "
-                            "(same as REPRO_SUBMEMO_DIR)")
     serve.add_argument("--inject", action="append", metavar="SPEC",
                        help="arm a fault site: site:kind:prob[:nth] "
                             "(repeatable; inherited by workers; same "
@@ -1118,23 +1055,11 @@ def main(argv: Optional[list] = None) -> int:
     cache_p.add_argument("--cache-dir", metavar="DIR",
                          help="cache location (default ~/.cache/repro "
                               "or $REPRO_CACHE_DIR)")
-    cache_p.add_argument("--namespace", metavar="NS", default=None,
-                         help="restrict to one namespace (e.g. jobs, "
-                              "submemo; default: clear jobs / show all)")
     cache_p.add_argument("--older-than", type=float, default=None,
                          metavar="DAYS",
                          help="clear only entries older than DAYS days")
 
     args = parser.parse_args(argv)
-    if getattr(args, "no_submemo", False):
-        os.environ["REPRO_SUBMEMO"] = "off"
-    if getattr(args, "submemo_bytes", None) is not None:
-        if args.submemo_bytes < 0:
-            raise SystemExit("--submemo-bytes must be >= 0 "
-                             f"(got {args.submemo_bytes})")
-        os.environ["REPRO_SUBMEMO_BYTES"] = str(args.submemo_bytes)
-    if getattr(args, "submemo_dir", None):
-        os.environ["REPRO_SUBMEMO_DIR"] = args.submemo_dir
     if getattr(args, "no_dsd", False):
         os.environ["REPRO_DSD"] = "off"
     if getattr(args, "no_kernel", False):

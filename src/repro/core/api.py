@@ -84,9 +84,13 @@ def decompose_to_luts(func: MultiFunction, n_lut: int = 5,
 
 
 def map_to_xc3000(func: MultiFunction, use_dontcares: bool = True,
+                  submemo_store: object = None,
                   **engine_kwargs) -> FpgaMappingResult:
     """The paper's full XC3000 flow: decompose to 5-input LUTs, then
-    merge LUT pairs into CLBs by maximum-cardinality matching."""
+    merge LUT pairs into CLBs by maximum-cardinality matching.
+
+    ``submemo_store`` is accepted and ignored: perfbench is its only
+    reader (see :mod:`repro.decomp.submemo`)."""
     engine = DecompositionEngine(n_lut=5, use_dontcares=use_dontcares,
                                  **engine_kwargs)
     net = engine.run(func)

@@ -19,8 +19,6 @@ and lowered once (:func:`build_composition_for_output`).
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass
 from time import perf_counter
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -30,54 +28,6 @@ from repro.boolfunc.spec import ISF
 from repro.decomp.compat import Classes, LazyClasses
 from repro.kernel import STATS
 from repro.kernel.convert import mask_to_bdd
-
-
-def sub_isf_key(bdd: BDD, isfs: Sequence[ISF], support: Sequence[int],
-                config_tag: str) -> str:
-    """Canonical content key of a sub-ISF bundle (the submemo key).
-
-    Covers the shape of every interval's ``[lo, hi]`` BDDs with nodes
-    renumbered children-first and variables identified by their *rank*
-    in the sorted live support — never by id or name — so the same
-    subfunction reached through different outputs, recursion paths,
-    jobs or processes (where the surrounding manager allocated different
-    variable ids) hashes identically.  Output order matters (the memo
-    payload maps results back positionally); ``config_tag`` folds in
-    every engine knob that can change the decomposition of the bundle.
-
-    The labelled graph fully determines the bundle's semantics over the
-    ranked variables *and* its node counts (the only structural property
-    the engine's heuristics consult), which is why a key hit may splice
-    a memoised sub-network bit-identically (see
-    :mod:`repro.decomp.submemo`).
-    """
-    rank = {var: pos for pos, var in enumerate(support)}
-    index: Dict[int, int] = {BDD.FALSE: 0, BDD.TRUE: 1}
-    nodes: List[List[int]] = []
-    roots: List[int] = []
-    for isf in isfs:
-        for root in (isf.lo, isf.hi):
-            stack = [(root, False)]
-            expanded = set()
-            while stack:
-                node, ready = stack.pop()
-                if node in index:
-                    continue
-                if ready:
-                    index[node] = len(nodes) + 2
-                    nodes.append([rank[bdd.var_of(node)],
-                                  index[bdd.low(node)],
-                                  index[bdd.high(node)]])
-                elif node not in expanded:
-                    expanded.add(node)
-                    stack.append((node, True))
-                    stack.append((bdd.high(node), False))
-                    stack.append((bdd.low(node), False))
-            roots.append(index[root])
-    blob = json.dumps({"n": len(support), "nodes": nodes,
-                       "roots": roots, "cfg": config_tag},
-                      sort_keys=True, separators=(",", ":")).encode()
-    return hashlib.sha256(blob).hexdigest()
 
 
 @dataclass(frozen=True)

@@ -51,8 +51,7 @@ from repro.decomp.dsd import (
     dsd_enabled,
     shatter,
 )
-from repro.decomp import submemo
-from repro.decomp.encoding import build_composition_for_output, sub_isf_key
+from repro.decomp.encoding import build_composition_for_output
 from repro.decomp.multi import select_common_alphas
 from repro.kernel import STATS as KERNEL_STATS
 from repro.kernel import kernel_metrics, reset_kernel_stats
@@ -76,45 +75,12 @@ RECURSION_LIMIT_ENV = "REPRO_RECURSION_LIMIT"
 _RECURSION_BASE = 3000
 _RECURSION_PER_VAR = 200
 
-#: Fault sites that fire *inside* the engine's search: with one of
-#: these armed the sub-ISF memo must stand down, because splicing skips
-#: work and would shift the deterministic nth-fire schedules the chaos
-#: tests rely on.  Cache-layer sites are deliberately absent — corrupt
-#: submemo reads degrading to a cold search is itself a tested scenario.
-_SUBMEMO_FAULT_SITES = frozenset(
-    {"worker.mid_decomp", "bdd.ite", "kernel.dispatch"})
-
 #: Score-memo bounds, mirroring the kernel convert caches' policy
 #: (clear wholesale on entry-count or byte overflow, count the
 #: eviction): entries are ``((outputs, p), candidate) -> score`` tuples
 #: and one ``((outputs, p), "greedy", support) -> pick`` per ranking.
 _SCORE_MEMO_LIMIT = 50000
 _SCORE_MEMO_BYTES = 32 * 1024 * 1024
-
-
-class _RecFrame:
-    """One active sub-ISF recording: the ``add_lut`` tape of a bundle.
-
-    ``sig_ref`` maps every signal reachable from inside the bundle to
-    its position-relative reference (input rank, constant, or earlier
-    tape entry).  A fanin outside that map means the call depends on
-    context the memo cannot carry (a cross-subtree structural-hash hit)
-    — the frame dies and nothing is stored.
-    """
-
-    __slots__ = ("key", "support", "sig_ref", "tape", "dead", "depth0",
-                 "reach", "stats0")
-
-    def __init__(self, key: str, support, sig_ref, depth: int,
-                 stats0) -> None:
-        self.key = key
-        self.support = support
-        self.sig_ref = sig_ref
-        self.tape: List[Tuple[List[int], str, Optional[str]]] = []
-        self.dead = False
-        self.depth0 = depth
-        self.reach = depth
-        self.stats0 = stats0
 
 
 def _required_recursion_limit(num_vars: int) -> int:
@@ -183,11 +149,7 @@ class DecompositionStats:
     #: ``and_peels``/``or_peels``/``xor_peels``, ``mux_splits``,
     #: ``dead_vars``, ``const_leaves``, ``cores``, ``chain_luts``.
     dsd: Dict[str, int] = field(default_factory=dict)
-    #: Sub-ISF computed-table counters for this run (``run_hits``,
-    #: ``store_hits``, ``misses``, ``splices``, ``spliced_luts``,
-    #: ``stores``, ``store_bytes``, ``unportable``, ``verify_rejects``,
-    #: ``invalid_payloads``, ``run_evictions``) — empty when the memo
-    #: was inactive (see :mod:`repro.decomp.submemo`).
+    #: Always empty; perfbench's span wrapper is its only reader.
     submemo: Dict[str, int] = field(default_factory=dict)
     #: Times the bound-set score memo overflowed its entry/byte budget
     #: and was cleared wholesale (the convert-cache policy).
@@ -222,11 +184,6 @@ class DecompositionStats:
             parts = ", ".join(f"{key}={value}"
                               for key, value in sorted(self.dsd.items()))
             lines.append(f"dsd pre-pass        : {parts}")
-        if self.submemo:
-            parts = ", ".join(f"{key}={value}"
-                              for key, value in sorted(
-                                  self.submemo.items()))
-            lines.append(f"sub-ISF memo        : {parts}")
         if self.score_memo_hits or self.score_memo_misses:
             lines.append(f"score memo          : {self.score_memo_hits} "
                          f"hits / {self.score_memo_misses} misses; greedy "
@@ -318,16 +275,6 @@ class DecompositionEngine:
         Tier-0 structural pre-pass (see :mod:`repro.decomp.dsd`):
         ``None`` follows the ``REPRO_DSD`` environment switch (default
         on), ``True``/``False`` force it for this engine.
-    use_submemo:
-        Sub-ISF computed table (see :mod:`repro.decomp.submemo`):
-        ``None`` follows ``REPRO_SUBMEMO`` (default on), ``True``/
-        ``False`` force it.  Regardless of the flag the memo stands
-        down when a wall/node budget is set (budget crossings make the
-        search trajectory time-dependent) or when an engine-internal
-        fault site is armed.
-    submemo_store:
-        Override for the process-level store layers (tests); default is
-        :func:`repro.decomp.submemo.default_store`.
     """
 
     def __init__(self, n_lut: int = 5, use_dontcares: bool = True,
@@ -340,10 +287,7 @@ class DecompositionEngine:
                  balanced_max_p: int = 8,
                  time_budget: Optional[float] = None,
                  node_budget: Optional[int] = None,
-                 use_dsd: Optional[bool] = None,
-                 use_submemo: Optional[bool] = None,
-                 submemo_store: Optional[submemo.SubMemoStore] = None
-                 ) -> None:
+                 use_dsd: Optional[bool] = None) -> None:
         if n_lut < 2:
             raise ValueError("n_lut must be at least 2")
         self.n_lut = n_lut
@@ -359,8 +303,6 @@ class DecompositionEngine:
         self.node_budget = node_budget
         self.use_dsd = use_dsd
         self._dsd_active = False
-        self.use_submemo = use_submemo
-        self._submemo_store_override = submemo_store
         self.reset()
 
     def reset(self) -> None:
@@ -396,19 +338,6 @@ class DecompositionEngine:
         #: Estimated bytes held by ``_score_memo`` (entries are keyed
         #: by node-id tuples, so like every memo here it is per-run).
         self._score_memo_bytes = 0
-        # -- sub-ISF computed table (per-run layer; see submemo.py) ----
-        self._submemo_active = False
-        self._submemo_cfg = ""
-        self._submemo_store: Optional[submemo.SubMemoStore] = None
-        #: L1: canonical key -> payload, insertion order == LRU order.
-        self._submemo_run: "Dict[str, Dict]" = {}
-        self._submemo_run_bytes = 0
-        #: Per-run canonicalization cache: node-id/cooldown tuple ->
-        #: canonical key (bounds the key-walk overhead on repeats).
-        self._submemo_keys: Dict[Tuple, str] = {}
-        #: Stack of active recording frames (strictly nested).
-        self._rec_frames: List[_RecFrame] = []
-        self._submemo_counters: Dict[str, int] = {}
 
     # ------------------------------------------------------------------
 
@@ -428,7 +357,6 @@ class DecompositionEngine:
             else bool(self.use_dsd)
         reset_kernel_stats()
         self._fault_mid = faults.hook("worker.mid_decomp")
-        self._submemo_setup()
         fault_baseline = faults.counters()
         self._deadline = (time.monotonic() + self.time_budget
                           if self.time_budget is not None else None)
@@ -467,12 +395,6 @@ class DecompositionEngine:
                  for key, count in fired.items()
                  if count - fault_baseline.get(key, 0) > 0}
         self.stats.fault_metrics = delta or None
-        if self._submemo_active:
-            self.stats.submemo = dict(self._submemo_counters)
-            if self._submemo_store is not None:
-                # A worker may be stopped right after the payload
-                # ships; write-behind remote entries must land first.
-                self._submemo_store.flush()
         return net
 
     def _fresh_net(self, func: MultiFunction
@@ -502,7 +424,6 @@ class DecompositionEngine:
         bdd = func.bdd
         net, signal_of = self._fresh_net(func)
         self._mux_memo = {}
-        self._rec_frames = []  # unwound by the abort path; be safe
         signals: Dict[str, str] = {}
         for name, isf in named:
             try:
@@ -571,8 +492,7 @@ class DecompositionEngine:
         if not support:
             return CONST1 if f == BDD.TRUE else CONST0
         table = bdd.to_truth_table(f, support)
-        return self._add_lut(net, [signal_of[v] for v in support],
-                             table)
+        return net.add_lut([signal_of[v] for v in support], table)
 
     def _past_deadline(self) -> bool:
         return self._deadline is not None \
@@ -703,8 +623,7 @@ class DecompositionEngine:
             j = max(0, i - width)
             chunk = peels[j:i]
             fanins = [signal_of[var] for _, var, _ in chunk] + [sig]
-            sig = self._add_lut(net, fanins, chain_table(chunk),
-                                name_hint="dsd")
+            sig = net.add_lut(fanins, chain_table(chunk), name_hint="dsd")
             self._dsd_bump("chain_luts")
             i = j
         return sig
@@ -718,340 +637,16 @@ class DecompositionEngine:
         tier-0 pre-pass shattered instead of a signal; once all residual
         cores have signals, the plans are emitted bottom-up — chains as
         packed literal LUTs, MUX splits through the shared MUX emitter.
-
-        With the sub-ISF memo active every bundle entry first consults
-        the computed table (splicing a verified tape replay on a hit)
-        and otherwise records its own ``add_lut`` tape for storage —
-        see :mod:`repro.decomp.submemo`.
         """
-        frame = None
-        if self._submemo_active:
-            hit_or_frame = self._submemo_enter(bdd, named, net,
-                                               signal_of, depth,
-                                               search_cooldown)
-            if isinstance(hit_or_frame, dict):
-                return hit_or_frame
-            frame = hit_or_frame
-        try:
-            plans: Dict[str, object] = {}
-            signals = self._decompose_levels(bdd, named, net, signal_of,
-                                             depth, search_cooldown,
-                                             plans)
-            if plans:
-                with profile_phase("dsd"):
-                    for name in list(plans):
-                        self._resolve_plan(name, plans, signals, net,
-                                           signal_of)
-        except BaseException:
-            if frame is not None:
-                self._submemo_abort(frame)
-            raise
-        if frame is not None:
-            self._submemo_record(frame, named, signals)
+        plans: Dict[str, object] = {}
+        signals = self._decompose_levels(bdd, named, net, signal_of,
+                                         depth, search_cooldown, plans)
+        if plans:
+            with profile_phase("dsd"):
+                for name in list(plans):
+                    self._resolve_plan(name, plans, signals, net,
+                                       signal_of)
         return signals
-
-    # -- sub-ISF computed table ----------------------------------------
-
-    def _submemo_setup(self) -> None:
-        """Decide (per run) whether the memo is live, and under which
-        canonical config tag."""
-        if self.use_submemo is False:
-            return
-        if self.use_submemo is None and not submemo.submemo_enabled():
-            return
-        # Budgets make the search trajectory wall-clock/heap dependent:
-        # a memoised result would be neither reproducible nor safe to
-        # splice into a differently-budgeted run.
-        if self.time_budget is not None or self.node_budget is not None:
-            return
-        if faults.armed_sites() & _SUBMEMO_FAULT_SITES:
-            return
-        self._submemo_active = True
-        self._submemo_cfg = (
-            f"{submemo.code_tag()};n{self.n_lut}"
-            f";dc{int(self.use_dontcares)}"
-            f";s{int(self.use_symmetry_step)}"
-            f"{int(self.use_sharing_step)}{int(self.use_single_step)}"
-            f";mc{self.max_candidates};tc{self.try_candidates}"
-            f";b{int(self.balanced)}p{self.balanced_max_p}"
-            f";dsd{int(self._dsd_active)}")
-        self._submemo_store = self._submemo_store_override \
-            if self._submemo_store_override is not None \
-            else submemo.default_store()
-        self._submemo_counters = {
-            "run_hits": 0, "store_hits": 0, "misses": 0, "splices": 0,
-            "spliced_luts": 0, "stores": 0, "store_bytes": 0,
-            "unportable": 0, "verify_rejects": 0, "invalid_payloads": 0,
-            "run_evictions": 0,
-        }
-
-    def _bump_submemo(self, key: str, n: int = 1) -> None:
-        self._submemo_counters[key] = \
-            self._submemo_counters.get(key, 0) + n
-
-    def _submemo_enter(self, bdd: BDD, named: List[Tuple[str, ISF]],
-                       net: LutNetwork, signal_of: Dict[int, str],
-                       depth: int, search_cooldown: int):
-        """Consult the memo for one bundle.
-
-        Returns the spliced ``{name: signal}`` dict on a usable hit, a
-        new :class:`_RecFrame` (already pushed) on a miss, or ``None``
-        for bundles below the memo granularity (a LUT-sized bundle is
-        cheaper to leaf-emit than to hash).
-        """
-        support_set: Set[int] = set()
-        for _, isf in named:
-            support_set |= isf.support(bdd)
-        if len(support_set) <= self.n_lut:
-            return None
-        support = sorted(support_set)
-        id_key = (tuple((isf.lo, isf.hi) for _, isf in named),
-                  search_cooldown)
-        key = self._submemo_keys.get(id_key)
-        if key is None:
-            with profile_phase("submemo_key"):
-                key = sub_isf_key(
-                    bdd, [isf for _, isf in named], support,
-                    f"{self._submemo_cfg};cd{search_cooldown}")
-            self._submemo_keys[id_key] = key
-        payload = self._submemo_run.get(key)
-        from_run = payload is not None
-        if payload is None and self._submemo_store is not None:
-            payload = self._submemo_store.get(key)
-        if payload is not None:
-            spliced = self._submemo_splice(bdd, named, net, signal_of,
-                                           depth, support, key, payload)
-            if spliced is not None:
-                self._bump_submemo("run_hits" if from_run
-                                   else "store_hits")
-                return spliced
-        self._bump_submemo("misses")
-        sig_ref: Dict[str, int] = {CONST0: submemo.REF_CONST0,
-                                   CONST1: submemo.REF_CONST1}
-        for rank, var in enumerate(support):
-            sig_ref[signal_of[var]] = submemo.input_ref(rank)
-        stats0 = (self.stats.decomposition_steps,
-                  self.stats.shannon_steps,
-                  self.stats.alphas_created,
-                  self.stats.alphas_shared,
-                  len(self.stats.joint_lower_bounds),
-                  dict(self.stats.dsd),
-                  len(self.stats.steps))
-        frame = _RecFrame(key, support, sig_ref, depth, stats0)
-        self._rec_frames.append(frame)
-        return frame
-
-    def _submemo_splice(self, bdd: BDD, named: List[Tuple[str, ISF]],
-                        net: LutNetwork, signal_of: Dict[int, str],
-                        depth: int, support: List[int], key: str,
-                        payload: Dict) -> Optional[Dict[str, str]]:
-        """Validate, verify and replay one memo payload.
-
-        Nothing touches the network until the payload has passed the
-        structural checks and (when enabled) the pure-BDD semantic
-        verification against the *live* call's intervals — a corrupt or
-        colliding entry is invalidated and the caller falls back to the
-        cold search.  The replay feeds every call through
-        :meth:`_add_lut`, so enclosing recording frames observe the
-        spliced LUTs exactly as if the search had run.
-        """
-        if not submemo.validate_payload(payload, len(support),
-                                        len(named)):
-            self._bump_submemo("invalid_payloads")
-            self._submemo_invalidate(key)
-            return None
-        if submemo.verify_enabled():
-            with profile_phase("submemo_verify"):
-                input_funcs = [bdd.var(v) for v in support]
-                outs = submemo.payload_output_bdds(bdd, payload,
-                                                   input_funcs)
-                for (_, isf), g in zip(named, outs):
-                    if not (bdd.leq(isf.lo, g) and bdd.leq(g, isf.hi)):
-                        self._bump_submemo("verify_rejects")
-                        self._submemo_invalidate(key)
-                        return None
-        with profile_phase("submemo_splice"):
-            produced: List[str] = []
-
-            def resolve(ref: int) -> str:
-                if ref >= 0:
-                    return produced[ref]
-                if ref == submemo.REF_CONST0:
-                    return CONST0
-                if ref == submemo.REF_CONST1:
-                    return CONST1
-                return signal_of[support[submemo.input_rank(ref)]]
-
-            for fanins, table, hint in payload["tape"]:
-                sig = self._add_lut(
-                    net, [resolve(ref) for ref in fanins],
-                    [1 if ch == "1" else 0 for ch in table],
-                    name_hint=hint)
-                produced.append(sig)
-            signals = {name: resolve(ref)
-                       for (name, _), ref in zip(named, payload["out"])}
-        self._submemo_replay_stats(payload.get("stats") or {}, depth,
-                                   support)
-        self._bump_submemo("splices")
-        self._bump_submemo("spliced_luts", len(payload["tape"]))
-        # Promote to the run table: repeat hits skip the store layers
-        # (and their latency windows) entirely.
-        if key not in self._submemo_run:
-            self._submemo_run_put(key, payload,
-                                  submemo.payload_bytes(payload))
-        return signals
-
-    def _submemo_replay_stats(self, delta: Dict, depth: int,
-                              support: List[int]) -> None:
-        """Re-apply the recorded counter deltas of a spliced subtree so
-        warm runs report byte-identical engine counters to cold ones
-        (the counters ride in every job row and cached record)."""
-        self.stats.decomposition_steps += delta.get("ds", 0)
-        self.stats.shannon_steps += delta.get("sh", 0)
-        self.stats.alphas_created += delta.get("ac", 0)
-        self.stats.alphas_shared += delta.get("as", 0)
-        self.stats.joint_lower_bounds.extend(delta.get("jlb", []))
-        for name, count in (delta.get("dsd") or {}).items():
-            self._dsd_bump(name, count)
-        try:  # step trace: informational, skipped if malformed
-            for rel, bound, m, inc, au, sr, jmr in delta.get("st", []):
-                decoded = tuple(
-                    support[v] if 0 <= v < len(support) else -(v) - 1
-                    for v in bound)
-                self.stats.steps.append(StepRecord(
-                    depth=depth + rel, bound=decoded, num_outputs=m,
-                    included=inc, alphas_used=au, sum_r=sr,
-                    joint_min_r=jmr))
-        except (TypeError, ValueError, IndexError):
-            pass
-        reach = depth + delta.get("md", 0)
-        self.stats.max_recursion_depth = max(
-            self.stats.max_recursion_depth, reach)
-        for frame in self._rec_frames:
-            if reach > frame.reach:
-                frame.reach = reach
-
-    def _submemo_record(self, frame: _RecFrame,
-                        named: List[Tuple[str, ISF]],
-                        signals: Dict[str, str]) -> None:
-        """Close a recording frame and store its tape (when portable)."""
-        if self._rec_frames and self._rec_frames[-1] is frame:
-            self._rec_frames.pop()
-        else:  # never expected — frames are strictly nested
-            self._submemo_abort(frame)
-            return
-        out_refs: List[int] = []
-        for name, _ in named:
-            ref = frame.sig_ref.get(signals[name])
-            if ref is None:
-                frame.dead = True
-                break
-            out_refs.append(ref)
-        if frame.dead:
-            self._bump_submemo("unportable")
-            return
-        payload = submemo.make_payload(len(frame.support), frame.tape,
-                                       out_refs)
-        s = self.stats
-        ds0, sh0, ac0, as0, jlb0, dsd0, st0 = frame.stats0
-        stats_delta: Dict[str, object] = {}
-        if s.decomposition_steps > ds0:
-            stats_delta["ds"] = s.decomposition_steps - ds0
-        if s.shannon_steps > sh0:
-            stats_delta["sh"] = s.shannon_steps - sh0
-        if s.alphas_created > ac0:
-            stats_delta["ac"] = s.alphas_created - ac0
-        if s.alphas_shared > as0:
-            stats_delta["as"] = s.alphas_shared - as0
-        if len(s.joint_lower_bounds) > jlb0:
-            stats_delta["jlb"] = s.joint_lower_bounds[jlb0:]
-        if frame.reach > frame.depth0:
-            stats_delta["md"] = frame.reach - frame.depth0
-        dsd_delta = {name: count - dsd0.get(name, 0)
-                     for name, count in s.dsd.items()
-                     if count - dsd0.get(name, 0) > 0}
-        if dsd_delta:
-            stats_delta["dsd"] = dsd_delta
-        if len(s.steps) > st0:
-            # Bound variables are stored as support ranks so replay in
-            # another context prints the *right* variables; ids outside
-            # the frame support (alphas minted inside the bundle) are
-            # kept verbatim as -(id+1) — best effort, trace-only.
-            rank_of = {var: r for r, var in enumerate(frame.support)}
-            stats_delta["st"] = [
-                [st.depth - frame.depth0,
-                 [rank_of.get(v, -(v) - 1) for v in st.bound],
-                 st.num_outputs, st.included, st.alphas_used,
-                 st.sum_r, st.joint_min_r]
-                for st in s.steps[st0:]]
-        if stats_delta:
-            payload["stats"] = stats_delta
-        size = submemo.payload_bytes(payload)
-        self._bump_submemo("stores")
-        self._bump_submemo("store_bytes", size)
-        self._submemo_run_put(frame.key, payload, size)
-        if self._submemo_store is not None \
-                and size <= submemo.MAX_ENTRY_BYTES:
-            self._submemo_store.put(frame.key, payload, size)
-
-    def _submemo_run_put(self, key: str, payload: Dict,
-                         size: int) -> None:
-        """Byte-budgeted insert into the per-run table (L1)."""
-        budget = submemo.byte_budget()
-        if size > budget:
-            return
-        self._submemo_run[key] = payload
-        self._submemo_run_bytes += size
-        while self._submemo_run_bytes > budget and self._submemo_run:
-            first = next(iter(self._submemo_run))
-            dropped = self._submemo_run.pop(first)
-            self._submemo_run_bytes -= submemo.payload_bytes(dropped)
-            self._bump_submemo("run_evictions")
-
-    def _submemo_abort(self, frame: _RecFrame) -> None:
-        """Drop a frame on the exception path (nothing is stored)."""
-        if self._rec_frames and self._rec_frames[-1] is frame:
-            self._rec_frames.pop()
-        else:
-            try:
-                self._rec_frames.remove(frame)
-            except ValueError:
-                pass
-
-    def _submemo_invalidate(self, key: str) -> None:
-        self._submemo_run.pop(key, None)
-        if self._submemo_store is not None:
-            self._submemo_store.invalidate(key)
-
-    def _add_lut(self, net: LutNetwork, fanins: List[str],
-                 table: Sequence[int],
-                 name_hint: Optional[str] = None) -> str:
-        """All engine LUT creation funnels through here so active
-        recording frames capture the call as a tape entry.  A fanin
-        unknown to a frame (a structural-hash hit on logic created
-        outside the bundle) kills that frame — the tape would not be
-        portable to another context."""
-        if name_hint is None:
-            out = net.add_lut(fanins, table)
-        else:
-            out = net.add_lut(fanins, table, name_hint=name_hint)
-        for frame in self._rec_frames:
-            if frame.dead:
-                continue
-            refs: List[int] = []
-            for sig in fanins:
-                ref = frame.sig_ref.get(sig)
-                if ref is None:
-                    frame.dead = True
-                    break
-                refs.append(ref)
-            if frame.dead:
-                continue
-            frame.tape.append(
-                (refs, "".join("1" if b else "0" for b in table),
-                 name_hint))
-            frame.sig_ref.setdefault(out, len(frame.tape) - 1)
-        return out
 
     def _decompose_levels(self, bdd: BDD, named: List[Tuple[str, ISF]],
                           net: LutNetwork, signal_of: Dict[int, str],
@@ -1071,9 +666,6 @@ class DecompositionEngine:
                 self._fault_mid()  # chaos site: worker.mid_decomp
             self.stats.max_recursion_depth = max(
                 self.stats.max_recursion_depth, depth)
-            for frame in self._rec_frames:
-                if depth > frame.reach:
-                    frame.reach = depth
             # (The computed table bounds its own memory now — the manager
             # clears it at BDD.cache_limit and counts the eviction.)
             still: List[Tuple[str, ISF]] = []
@@ -1245,9 +837,8 @@ class DecompositionEngine:
         bound_signals = [signal_of[v] for v in step.bound]
         if len(step.bound) <= self.n_lut:
             alpha_signals = {
-                i: self._add_lut(net, bound_signals,
-                                 list(step.pool[i].values),
-                                 name_hint="a")
+                i: net.add_lut(bound_signals, list(step.pool[i].values),
+                               name_hint="a")
                 for i in used}
         else:
             alpha_named = []
@@ -1493,8 +1084,7 @@ class DecompositionEngine:
         support = sorted(bdd.support(f))
         if len(support) <= self.n_lut:
             table = bdd.to_truth_table(f, support)
-            signal = self._add_lut(net, [signal_of[v] for v in support],
-                                   table)
+            signal = net.add_lut([signal_of[v] for v in support], table)
         else:
             var = bdd.var_of(f)
             lo = self._mux_map(bdd, bdd.low(f), net, signal_of)
@@ -1508,12 +1098,10 @@ class DecompositionEngine:
         if self.n_lut >= 3:
             # Inputs (sel, hi, lo): sel ? hi : lo.
             table = [0, 1, 0, 1, 0, 0, 1, 1]
-            return self._add_lut(net, [sel, hi, lo], table,
-                                 name_hint="mux")
-        t1 = self._add_lut(net, [sel, hi], [0, 0, 0, 1], name_hint="and")
-        t2 = self._add_lut(net, [sel, lo], [0, 1, 0, 0],
-                           name_hint="andn")
-        return self._add_lut(net, [t1, t2], [0, 1, 1, 1], name_hint="or")
+            return net.add_lut([sel, hi, lo], table, name_hint="mux")
+        t1 = net.add_lut([sel, hi], [0, 0, 0, 1], name_hint="and")
+        t2 = net.add_lut([sel, lo], [0, 1, 0, 0], name_hint="andn")
+        return net.add_lut([t1, t2], [0, 1, 1, 1], name_hint="or")
 
     def _shannon_step(self, bdd: BDD, pending: List[Tuple[str, ISF]],
                       outputs: List[ISF], net: LutNetwork,

@@ -15,11 +15,9 @@ Keys are exactly the local cache keys (:func:`repro.runtime.cache
 bidirectionally.  One lock serializes cache access — correctness over
 concurrency; the store is an accelerator, not a hot path.
 
-``get``/``put`` frames may carry an ``"ns"`` field naming a cache
-*namespace* (e.g. ``"submemo"`` for the sub-ISF computed table); the
-server lazily fronts one :class:`ResultCache` per namespace, all
-sharing the primary cache's root directory.  Frames without ``ns``
-address the primary (job) cache, so old clients keep working.
+A ``get``/``put`` frame that carries an ``"ns"`` field (an older
+client naming a cache namespace) is refused with ``bad namespace``;
+there is one store.
 
 :class:`RemoteCache` is the node-side client: a
 :class:`~repro.runtime.cache.ResultCache` subclass whose lookup ladder
@@ -40,15 +38,9 @@ import time
 from collections import deque
 from typing import Any, Dict, Optional
 
-import re
-
 from repro.dist.wire import WireError, connect, recv_frame, send_frame
 from repro.faults import FaultInjected
-from repro.runtime.cache import DEFAULT_NAMESPACE, ResultCache
-
-#: Namespace names accepted over the wire — a closed alphabet so a
-#: malicious or corrupt frame can never name a path outside the root.
-_NS_RE = re.compile(r"^[A-Za-z0-9_-]{1,32}$")
+from repro.runtime.cache import ResultCache
 
 #: Default socket timeout for cache client I/O (seconds) — a stuck
 #: store must read as a miss quickly, not stall the whole node.
@@ -74,9 +66,6 @@ class CacheServer:
         self._conns: set = set()
         self._closing = False
         self.counters = {"gets": 0, "hits": 0, "puts": 0, "errors": 0}
-        #: Extra namespaces fronted on demand, all under the primary
-        #: cache's root (``{"submemo": ResultCache, ...}``).
-        self._extra: Dict[str, ResultCache] = {}
 
     def start(self) -> "CacheServer":
         sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
@@ -127,35 +116,15 @@ class CacheServer:
                 self._conns.discard(conn)
             conn.close()
 
-    def _cache_for(self, request: Dict[str, Any]) \
-            -> Optional[ResultCache]:
-        """The addressed namespace's cache; ``None`` for a bad name."""
-        ns = request.get("ns")
-        if ns is None or ns == self.cache.namespace:
-            return self.cache
-        if not isinstance(ns, str) or not _NS_RE.match(ns):
-            return None
-        store = self._extra.get(ns)
-        if store is None:
-            try:
-                store = ResultCache(self.cache.root, memory_limit=0,
-                                    namespace=ns)
-            except (ValueError, OSError):
-                return None
-            self._extra[ns] = store
-        return store
-
     def _reply(self, request: Dict[str, Any]) -> Dict[str, Any]:
         op = request.get("op")
         with self._lock:
-            if op in ("get", "put"):
-                cache = self._cache_for(request)
-                if cache is None:
-                    self.counters["errors"] += 1
-                    return {"ok": False, "error": "bad namespace"}
+            if op in ("get", "put") and request.get("ns") is not None:
+                self.counters["errors"] += 1
+                return {"ok": False, "error": "bad namespace"}
             if op == "get":
                 self.counters["gets"] += 1
-                payload = cache.get(str(request.get("key")))
+                payload = self.cache.get(str(request.get("key")))
                 if payload is not None:
                     self.counters["hits"] += 1
                 return {"ok": True, "payload": payload}
@@ -163,18 +132,13 @@ class CacheServer:
                 payload = request.get("payload")
                 if isinstance(payload, dict):
                     self.counters["puts"] += 1
-                    cache.put(str(request.get("key")), payload)
+                    self.cache.put(str(request.get("key")), payload)
                     return {"ok": True}
                 self.counters["errors"] += 1
                 return {"ok": False, "error": "put without payload"}
             if op == "stats":
-                reply = {"ok": True, "stats": self.cache.counter_stats(),
-                         "served": dict(self.counters)}
-                if self._extra:
-                    reply["namespaces"] = {
-                        ns: store.counter_stats()
-                        for ns, store in sorted(self._extra.items())}
-                return reply
+                return {"ok": True, "stats": self.cache.counter_stats(),
+                        "served": dict(self.counters)}
             if op == "ping":
                 return {"ok": True}
             self.counters["errors"] += 1
@@ -226,13 +190,12 @@ class RemoteCache(ResultCache):
 
     def __init__(self, host: str, port: int,
                  memory_limit: int = 256,
-                 timeout: float = CLIENT_TIMEOUT_S,
-                 namespace: str = DEFAULT_NAMESPACE) -> None:
+                 timeout: float = CLIENT_TIMEOUT_S) -> None:
         # root points at a path never created: the disk-tier methods
         # (iter_files/disk_stats) see an empty store, and _lookup below
         # never touches it.
         super().__init__(root="/nonexistent/repro-remote-cache",
-                         memory_limit=memory_limit, namespace=namespace)
+                         memory_limit=memory_limit)
         self.host = host
         self.port = port
         self.timeout = timeout
@@ -275,17 +238,11 @@ class RemoteCache(ResultCache):
         self.hits += 1
         return payload
 
-    def _frame(self, op: str, key: str) -> Dict[str, Any]:
-        frame: Dict[str, Any] = {"op": op, "key": key}
-        if self.namespace != DEFAULT_NAMESPACE:
-            frame["ns"] = self.namespace
-        return frame
-
     def _fetch(self, key: str) -> Optional[Dict[str, Any]]:
         with self._get_lock:
             try:
                 sock = self._connected_get_sock()
-                send_frame(sock, self._frame("get", key),
+                send_frame(sock, {"op": "get", "key": key},
                            site="cache.fetch")
                 reply = recv_frame(sock)
             except (OSError, WireError, FaultInjected, MemoryError):
@@ -341,9 +298,8 @@ class RemoteCache(ResultCache):
                 if sock is None:
                     sock = connect(self.host, self.port,
                                    timeout=self.timeout)
-                frame = self._frame("put", key)
-                frame["payload"] = payload
-                send_frame(sock, frame)
+                send_frame(sock, {"op": "put", "key": key,
+                                  "payload": payload})
                 if recv_frame(sock) is None:
                     raise WireError("cache server closed on put")
             except (OSError, WireError, MemoryError):

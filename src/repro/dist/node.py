@@ -42,9 +42,7 @@ With a ``cache`` advertised, the node attaches a
 :class:`~repro.dist.cachenet.RemoteCache` to the session's scheduler:
 hits skip execution exactly as locally, and results write behind to the
 shared store (flushed before the result frame ships, so a stolen
-duplicate landing on another node dedupes on its cache key).  The same
-address becomes the session pool's ``REPRO_SUBMEMO_REMOTE`` — the
-remote layer of the workers' sub-ISF memo — for the session only.
+duplicate landing on another node dedupes on its cache key).
 
 Chaos sites: ``node.loss`` fires on every job receipt — its ``crash``
 kind is ``os._exit``, a *real* node death the coordinator must survive;
@@ -58,16 +56,14 @@ coordinator.  Either way the distributed run completes.
 
 from __future__ import annotations
 
-import contextlib
 import os
 import socket
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Dict, Iterator, Optional
+from typing import Any, Dict, Optional
 
 from repro import faults
-from repro.decomp.submemo import SUBMEMO_REMOTE_ENV
 from repro.dist.cachenet import RemoteCache
 from repro.dist.wire import (
     WireError,
@@ -126,9 +122,6 @@ class NodeServer:
         self.join_tries = max(1, join_tries)
         self.join_backoff_s = join_backoff_s
         self.backoff_seed = backoff_seed
-        #: A sub-ISF memo remote the operator chose; it beats the
-        #: coordinator's cache server.
-        self._operator_remote = os.environ.get(SUBMEMO_REMOTE_ENV)
         self._sock: Optional[socket.socket] = None
         self._closing = False
 
@@ -309,63 +302,37 @@ class NodeServer:
         if greet:
             send({"op": "hello", "ok": True, "workers": self.workers})
         saw_bye = False
-        with self._submemo_remote(spec):
-            pool = scheduler.open_pool()
-            jobs = ThreadPoolExecutor(max_workers=self.workers,
-                                      thread_name_prefix="repro-dist-job")
-            try:
-                while alive.is_set():
-                    try:
-                        frame = recv_frame(conn)
-                    except (WireError, OSError):
-                        break
-                    if frame is None:
-                        break
-                    if frame.get("op") == "bye":
-                        saw_bye = True
-                        break
-                    if frame.get("op") != "job":
-                        continue
-                    # The whole-node death site: a crash kind here is
-                    # os._exit — the process vanishes mid-shard, which
-                    # is exactly the loss the coordinator must tolerate.
-                    faults.fault_point("node.loss")
-                    jobs.submit(self._run_job, scheduler, pool,
-                                int(frame["index"]), dict(frame["job"]),
-                                send, hang_up)
-            finally:
-                # Jobs in flight finish (their results still reach the
-                # shared cache) before the pool stops.
-                jobs.shutdown(wait=True)
-                pool.shutdown()
-                if cache is not None:
-                    cache.close()
-        return saw_bye
-
-    @contextlib.contextmanager
-    def _submemo_remote(self, spec: Optional[Dict[str, Any]]
-                        ) -> Iterator[None]:
-        """Point the session's job workers at its cache server as their
-        sub-ISF memo's remote layer (:mod:`repro.decomp.submemo`): one
-        node's decomposition of a subfunction becomes every node's
-        splice, and rows stay identical either way.
-
-        Pool workers copy the environment when they fork, and the
-        session pool forks inside this block; the value is removed when
-        the session ends, so no later pool attaches to a closed port.
-        A value the operator set before the node started wins.
-        """
-        if not spec or self._operator_remote is not None:
-            yield
-            return
-        address = f"{spec['host']}:{spec['port']}"
-        os.environ[SUBMEMO_REMOTE_ENV] = address
+        pool = scheduler.open_pool()
+        jobs = ThreadPoolExecutor(max_workers=self.workers,
+                                  thread_name_prefix="repro-dist-job")
         try:
-            yield
+            while alive.is_set():
+                try:
+                    frame = recv_frame(conn)
+                except (WireError, OSError):
+                    break
+                if frame is None:
+                    break
+                if frame.get("op") == "bye":
+                    saw_bye = True
+                    break
+                if frame.get("op") != "job":
+                    continue
+                # The whole-node death site: a crash kind here is
+                # os._exit — the process vanishes mid-shard, which
+                # is exactly the loss the coordinator must tolerate.
+                faults.fault_point("node.loss")
+                jobs.submit(self._run_job, scheduler, pool,
+                            int(frame["index"]), dict(frame["job"]),
+                            send, hang_up)
         finally:
-            # A concurrent in-process session may have re-pointed it.
-            if os.environ.get(SUBMEMO_REMOTE_ENV) == address:
-                del os.environ[SUBMEMO_REMOTE_ENV]
+            # Jobs in flight finish (their results still reach the
+            # shared cache) before the pool stops.
+            jobs.shutdown(wait=True)
+            pool.shutdown()
+            if cache is not None:
+                cache.close()
+        return saw_bye
 
     @staticmethod
     def _run_job(scheduler: BatchScheduler, pool, index: int,

@@ -27,7 +27,6 @@ from repro.faults.injector import (
     FaultSpecError,
     arm,
     armed,
-    armed_sites,
     counters,
     disarm,
     fault_point,
@@ -52,7 +51,6 @@ __all__ = [
     "FaultSpecError",
     "arm",
     "armed",
-    "armed_sites",
     "counters",
     "disarm",
     "fault_point",

@@ -301,19 +301,6 @@ def armed() -> bool:
     return plan is not None and bool(plan.by_site)
 
 
-def armed_sites() -> frozenset:
-    """The set of sites with at least one armed spec (empty when
-    unarmed).  Lets subsystems make *site-granular* policy decisions —
-    e.g. the sub-ISF memo stays on under cache-layer chaos (that is the
-    scenario being tested) but disables itself when engine-internal
-    sites are armed, where skipping work would shift deterministic
-    nth-fire schedules."""
-    plan = _current_plan()
-    if plan is None:
-        return frozenset()
-    return frozenset(plan.by_site)
-
-
 def fault_point(site: str, payload: Any = None) -> Any:
     """Pass ``payload`` through the fault site ``site``.
 

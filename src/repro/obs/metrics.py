@@ -92,9 +92,6 @@ def run_metrics(*, command: str, source: str, stats: Any,
     dsd = getattr(stats, "dsd", None)
     if dsd:
         doc["engine"]["dsd"] = dict(dsd)
-    submemo = getattr(stats, "submemo", None)
-    if submemo:
-        doc["engine"]["submemo"] = dict(submemo)
     score_evictions = getattr(stats, "score_memo_evictions", 0)
     if score_evictions:
         doc["engine"]["score_memo_evictions"] = score_evictions
@@ -240,11 +237,6 @@ def profile_report(stats: Any,
     if dsd:
         pairs = ", ".join(f"{key}={dsd[key]}" for key in sorted(dsd))
         lines.append(f"dsd pre-pass (tier 0) : {pairs}")
-    submemo = getattr(stats, "submemo", None)
-    if submemo:
-        pairs = ", ".join(f"{key}={submemo[key]}"
-                          for key in sorted(submemo))
-        lines.append(f"sub-ISF memo          : {pairs}")
     memo = _score_memo_counts(stats)
     if any(memo.values()):
         lines.append(f"score memo            : "

@@ -50,34 +50,13 @@ CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 #: miss percentiles — recent behaviour, bounded memory.
 LATENCY_WINDOW = 512
 
-#: The default namespace: whole-job results, stored in the original
-#: (pre-namespace) directory layout so existing caches keep hitting.
-DEFAULT_NAMESPACE = "jobs"
-
 _HEX = set("0123456789abcdef")
 
 
 def _is_shard_dir(name: str) -> bool:
-    """A two-hex-character shard directory (vs a namespace directory)."""
+    """A two-hex-character shard directory (anything else under the
+    root, such as an older version's ``submemo/`` store, is not one)."""
     return len(name) == 2 and set(name) <= _HEX
-
-
-def list_namespaces(root: "Path | str | None" = None) -> list:
-    """Namespaces present on disk under ``root`` (always includes
-    ``jobs``): the legacy layout keeps job shards directly under the
-    root, every other namespace nests its shards one directory down, so
-    the two are distinguishable by name shape alone."""
-    base = Path(root) if root is not None else default_cache_dir()
-    names = [DEFAULT_NAMESPACE]
-    try:
-        children = sorted(base.iterdir())
-    except (FileNotFoundError, NotADirectoryError, OSError):
-        return names
-    for child in children:
-        if child.is_dir() and not _is_shard_dir(child.name) \
-                and child.name not in names:
-            names.append(child.name)
-    return names
 
 
 def _latency_percentiles(samples) -> Dict[str, Any]:
@@ -132,22 +111,16 @@ class ResultCache:
     writes go through a same-directory temp file + ``os.replace`` so a
     concurrent reader never sees a half-written entry.
 
-    ``namespace`` partitions the store: ``jobs`` (the default) keeps the
-    original layout (``root/<2-hex shard>/<key>.json``) so pre-existing
-    caches keep hitting, every other namespace (e.g. ``submemo``) nests
-    its shards under ``root/<namespace>/``.  Namespace directories can
-    never collide with job shards because shard names are exactly two
-    hex characters.
+    Entries live at ``root/<2-hex shard>/<key>.json``.
     """
 
+    #: Always ``"jobs"``: perfbench's traced cache wrappers are its only
+    #: reader.
+    namespace = "jobs"
+
     def __init__(self, root: "Path | str | None" = None,
-                 memory_limit: int = 256,
-                 namespace: str = DEFAULT_NAMESPACE) -> None:
+                 memory_limit: int = 256) -> None:
         self.root = Path(root) if root is not None else default_cache_dir()
-        self.namespace = namespace
-        if namespace != DEFAULT_NAMESPACE and _is_shard_dir(namespace):
-            raise ValueError(
-                f"namespace {namespace!r} would collide with a shard dir")
         self.memory_limit = memory_limit
         self._lru: "OrderedDict[str, Dict[str, Any]]" = OrderedDict()
         self.hits = 0
@@ -165,15 +138,8 @@ class ResultCache:
 
     # -- paths ---------------------------------------------------------
 
-    @property
-    def ns_root(self) -> Path:
-        """Directory this namespace's shards live under."""
-        if self.namespace == DEFAULT_NAMESPACE:
-            return self.root
-        return self.root / self.namespace
-
     def _path(self, key: str) -> Path:
-        return self.ns_root / key[:2] / f"{key}.json"
+        return self.root / key[:2] / f"{key}.json"
 
     # -- lookup/store ---------------------------------------------------
 
@@ -268,16 +234,6 @@ class ResultCache:
         while len(self._lru) > self.memory_limit:
             self._lru.popitem(last=False)
 
-    def invalidate(self, key: str) -> None:
-        """Remove one entry from the LRU front and from disk (a caller
-        that proved the payload poisoned — e.g. a failed submemo splice
-        validation — must be able to force the next read cold)."""
-        self._lru.pop(key, None)
-        try:
-            self._path(key).unlink()
-        except OSError:
-            pass
-
     def _drop_corrupt(self, path: Path) -> None:
         self.corrupt += 1
         try:
@@ -288,17 +244,16 @@ class ResultCache:
     # -- maintenance ----------------------------------------------------
 
     def iter_files(self):
-        """All entry files of this namespace currently on disk.
+        """All entry files currently on disk.
 
         Robust against concurrent maintenance: a ``repro cache clear``
         (or an external cleanup) racing this iteration may remove the
         root, a shard or an entry mid-walk — every such disappearance
-        is treated as "no entries there", never an exception.  The jobs
-        walk only descends into two-hex shard directories, so namespace
-        subtrees sharing the root are never double-counted.
+        is treated as "no entries there", never an exception.  The walk
+        only descends into two-hex shard directories.
         """
         try:
-            shards = sorted(self.ns_root.iterdir())
+            shards = sorted(self.root.iterdir())
         except (FileNotFoundError, NotADirectoryError):
             return
         for shard in shards:
@@ -324,7 +279,7 @@ class ResultCache:
         return {"entries": entries, "bytes": size}
 
     def clear(self, older_than_s: Optional[float] = None) -> int:
-        """Delete this namespace's entries on disk; returns the count.
+        """Delete the entries on disk; returns the count.
 
         ``older_than_s`` keeps entries touched within the last that-many
         seconds (mtime-based, so a fresh write or ``os.replace`` refresh
@@ -357,7 +312,6 @@ class ResultCache:
         """Session counters and latency percentiles — no disk walk, so
         safe on every ``/metrics`` poll."""
         return {
-            "namespace": self.namespace,
             "hits": self.hits, "misses": self.misses,
             "corrupt": self.corrupt, "write_errors": self.write_errors,
             "memory_entries": len(self._lru),

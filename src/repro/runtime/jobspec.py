@@ -40,7 +40,7 @@ from __future__ import annotations
 import hashlib
 import threading
 import time
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Dict, List, Optional
 
 from repro import faults
 from repro.boolfunc.spec import MultiFunction
@@ -253,28 +253,18 @@ def _verify_record(func: MultiFunction, result) -> bool:
     return sample_check(func, result.network, patterns=256)
 
 
-def execute_job(job: Dict[str, Any], attempt: int = 1,
-                build: Optional[Callable[[Dict[str, Any]],
-                                         MultiFunction]] = None
-                ) -> Dict[str, Any]:
+def execute_job(job: Dict[str, Any], attempt: int = 1) -> Dict[str, Any]:
     """Run one job to completion in the current process.
 
     Returns ``{"status": "ok", "result": <record>}``; any exception is
     the caller's to handle (the pool worker converts it into a
     ``failed`` payload, the failure ladder into a degrade decision).
-
-    ``build`` overrides how the :class:`MultiFunction` is obtained —
-    pool workers pass a builder that can memoise, so repeat sources
-    reuse an already-built function (and its warm BDD manager) instead
-    of rebuilding from the wire dump.  It runs *after* the
-    ``worker.start`` fault site and test hooks, so every attempt meets
-    its chaos in the same order.
+    The function is built *after* the ``worker.start`` fault site and
+    test hooks, so every attempt meets its chaos in the same order.
     """
     faults.fault_point("worker.start")
     _apply_test_hook(job.get("test_hook"), attempt)
-    if build is not None:
-        func = build(job)
-    elif job.get("wire"):
+    if job.get("wire"):
         func = MultiFunction.from_wire(job["wire"])
     else:
         func = build_function(job["source"])
@@ -285,17 +275,9 @@ def execute_job(job: Dict[str, Any], attempt: int = 1,
                   ("time_budget", "node_budget") if config.get(k)}
     engine_cfg["use_dsd"] = job.get("dsd", True)
     from repro.core.api import map_to_xc3000
-    submemo_counts: Dict[str, int] = {}
-
-    def _tally_submemo(mapped) -> None:
-        for name, count in (mapped.stats.submemo or {}).items():
-            submemo_counts[name] = submemo_counts.get(name, 0) + count
-
     if job.get("flow") == "compare":
         baseline = map_to_xc3000(func, use_dontcares=False, **engine_cfg)
         with_dc = map_to_xc3000(func, use_dontcares=True, **engine_cfg)
-        _tally_submemo(baseline)
-        _tally_submemo(with_dc)
         record = {
             "mulopII": baseline.to_record(),
             "mulop_dc": with_dc.to_record(),
@@ -308,7 +290,6 @@ def execute_job(job: Dict[str, Any], attempt: int = 1,
         result = map_to_xc3000(
             func, use_dontcares=config.get("use_dontcares", True),
             **engine_cfg)
-        _tally_submemo(result)
         record = result.to_record()
         if verify:
             record["verified"] = _verify_record(func, result)
@@ -318,12 +299,7 @@ def execute_job(job: Dict[str, Any], attempt: int = 1,
         # the (independently verified) trivial mapping instead.
         return {"status": "failed", "result": record,
                 "error": "verification mismatch"}
-    payload = {"status": "ok", "result": record}
-    if submemo_counts:
-        # Ride next to the record, never inside it: rows and cache
-        # entries stay byte-identical whether the memo hit or missed.
-        payload["submemo"] = submemo_counts
-    return payload
+    return {"status": "ok", "result": record}
 
 
 def start_beat_thread(conn, send_lock: threading.Lock,

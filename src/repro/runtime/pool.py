@@ -13,13 +13,9 @@ retry, degrade, fail — is :func:`repro.runtime.scheduler.run_ladder`.
 
 Persistent workers stay **bit-identical** to a fresh process per job
 because the unit of determinism is the job, not the process: every job
-rebuilds (or reuses a memoised copy of) its :class:`MultiFunction` and
-runs a fresh engine whose per-run memos are cleared on reset.  What
-persists across jobs is the *warm* state that is semantically inert
-but expensive to recreate: the imported modules, and — in the serve
-pool only — a small per-worker LRU of built functions whose BDD
-managers (unique/computed tables) stay hot for repeat sources.
-Fault-arrival counters are re-armed per job
+builds its :class:`MultiFunction` afresh and runs a fresh engine whose
+per-run memos are cleared on reset.  What persists across jobs is only
+the imported modules.  Fault-arrival counters are re-armed per job
 (:func:`repro.faults.reset_in_worker`) so ``nth`` chaos schedules stay
 deterministic per attempt.
 
@@ -34,16 +30,14 @@ a worker whose parent was killed outright exits on its own.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import multiprocessing
 import os
 import socket
 import threading
 import time
-from collections import OrderedDict, deque
+from collections import deque
 from concurrent.futures import Future
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from multiprocessing.connection import wait as connection_wait
 from typing import Any, Callable, Dict, List, Optional
 
@@ -54,9 +48,6 @@ POLL_S = 0.05
 
 #: Default cap applied to auto-detected worker counts.
 AUTO_WORKER_CAP = 8
-
-#: Default per-worker warm-function LRU depth (env-overridable).
-WARM_LIMIT_ENV = "REPRO_SERVE_WARM_FUNCS"
 
 #: How often a worker checks that its parent is still alive (seconds).
 _ORPHAN_CHECK_S = 0.5
@@ -251,35 +242,6 @@ class PoolClosed(PoolError):
 # Persistent worker side
 # ---------------------------------------------------------------------
 
-def default_warm_limit() -> int:
-    """``$REPRO_SERVE_WARM_FUNCS`` (clamped to >= 0), default 8."""
-    raw = os.environ.get(WARM_LIMIT_ENV, "")
-    try:
-        return max(0, int(raw)) if raw else 8
-    except ValueError:
-        return 8
-
-
-def warm_key(job: Dict[str, Any]) -> Optional[str]:
-    """Memo key for a job's built function, or None when reuse is
-    unsafe.
-
-    Wire dumps *are* content, so they key directly; descriptor-backed
-    sources key on the descriptor except file paths (``pla``/``blif``),
-    whose bytes may change on disk between requests.
-    """
-    wire = job.get("wire")
-    if wire:
-        blob = json.dumps(wire, sort_keys=True, separators=(",", ":"))
-    else:
-        source = job.get("source") or {}
-        if source.get("kind") in ("pla", "blif"):
-            return None
-        blob = json.dumps(source, sort_keys=True, separators=(",", ":"),
-                          default=str)
-    return hashlib.sha256(blob.encode()).hexdigest()
-
-
 def _exit_with_parent() -> None:
     """End this worker process once its parent is gone.
 
@@ -299,44 +261,21 @@ def _exit_with_parent() -> None:
                      daemon=True).start()
 
 
-def pool_worker_entry(conn: Any, heartbeat_s: Optional[float] = 1.0,
-                      warm_limit: Optional[int] = None) -> None:
+def pool_worker_entry(conn: Any,
+                      heartbeat_s: Optional[float] = 1.0) -> None:
     """Long-lived worker loop: receive a job, run it, ship the payload.
 
     Each job re-arms fault counters (``nth`` determinism per attempt)
     and runs through :func:`repro.runtime.jobspec.execute_job`, with
     liveness beats on the same pipe while it runs; what persists is the
-    process (imports) and, with ``warm_limit`` > 0, a bounded LRU of
-    built functions whose BDD managers stay warm for repeat sources.  A
-    ``{"stop": True}`` message (or a closed pipe) ends the loop.
+    process (imports).  A ``{"stop": True}`` message (or a closed pipe)
+    ends the loop.
     """
     from repro.runtime import jobspec
 
     _exit_with_parent()
     faults.reset_in_worker()
-    if warm_limit is None:
-        warm_limit = default_warm_limit()
-    warm: "OrderedDict[str, Any]" = OrderedDict()
     send_lock = threading.Lock()
-
-    def build(job: Dict[str, Any]) -> Any:
-        key = warm_key(job) if warm_limit > 0 else None
-        if key is not None:
-            func = warm.get(key)
-            if func is not None:
-                warm.move_to_end(key)
-                build.warm_hit = True  # type: ignore[attr-defined]
-                return func
-        if job.get("wire"):
-            from repro.boolfunc.spec import MultiFunction
-            func = MultiFunction.from_wire(job["wire"])
-        else:
-            func = jobspec.build_function(job["source"])
-        if key is not None:
-            warm[key] = func
-            while len(warm) > warm_limit:
-                warm.popitem(last=False)
-        return func
 
     while True:
         try:
@@ -349,19 +288,17 @@ def pool_worker_entry(conn: Any, heartbeat_s: Optional[float] = 1.0,
         attempt = int(message.get("attempt", 1))
         seq = message.get("seq")
         faults.reset_in_worker()
-        build.warm_hit = False  # type: ignore[attr-defined]
         stop = None
         if heartbeat_s is not None and heartbeat_s > 0:
             stop = jobspec.start_beat_thread(conn, send_lock, heartbeat_s)
         try:
-            payload = jobspec.execute_job(job, attempt, build=build)
+            payload = jobspec.execute_job(job, attempt)
         except BaseException as exc:  # noqa: BLE001 — report, don't die
             payload = {"status": "failed",
                        "error": f"{type(exc).__name__}: {exc}"}
         if stop is not None:
             stop.set()
-        envelope = {"seq": seq, "payload": payload,
-                    "warm": bool(getattr(build, "warm_hit", False))}
+        envelope = {"seq": seq, "payload": payload}
         try:
             with send_lock:
                 conn.send(envelope)
@@ -423,22 +360,17 @@ class WorkerPool:
 
     ``heartbeat_s`` / ``hang_grace_s`` drive hang detection,
     ``default_timeout`` bounds jobs that do not carry their own.
-    ``warm_limit`` is the per-worker built-function LRU depth (0
-    disables warm reuse; None reads ``$REPRO_SERVE_WARM_FUNCS``).
     Workers fork where the platform can, else spawn.
     """
 
     def __init__(self, workers: Optional[int] = None, *,
                  heartbeat_s: Optional[float] = 1.0,
                  hang_grace_s: Optional[float] = None,
-                 default_timeout: Optional[float] = None,
-                 warm_limit: Optional[int] = None) -> None:
+                 default_timeout: Optional[float] = None) -> None:
         self.workers, _ = resolve_workers(workers)
         self.heartbeat_s = heartbeat_s
         self.hang_grace_s = hang_grace_s
         self.default_timeout = default_timeout
-        self.warm_limit = (default_warm_limit() if warm_limit is None
-                           else max(0, warm_limit))
         methods = multiprocessing.get_all_start_methods()
         self._ctx = multiprocessing.get_context(
             "fork" if "fork" in methods else "spawn")
@@ -454,10 +386,6 @@ class WorkerPool:
         self.timeouts = 0
         self.hangs = 0
         self.respawns = 0
-        self.warm_hits = 0
-        #: Sub-ISF memo counters summed over worker payloads (feeds the
-        #: service tier's ``GET /metrics``).
-        self.submemo_totals: Dict[str, int] = {}
         self._wake_r, self._wake_w = socket.socketpair()
         self._wake_r.setblocking(False)
         self._thread = threading.Thread(target=self._loop,
@@ -527,9 +455,6 @@ class WorkerPool:
             "timeouts": self.timeouts,
             "hangs": self.hangs,
             "respawns": self.respawns,
-            "warm_hits": self.warm_hits,
-            "warm_limit": self.warm_limit,
-            "submemo": dict(self.submemo_totals),
             "pids": pids,
         }
 
@@ -545,7 +470,7 @@ class WorkerPool:
         parent_conn, child_conn = self._ctx.Pipe(duplex=True)
         process = self._ctx.Process(
             target=pool_worker_entry,
-            args=(child_conn, self.heartbeat_s, self.warm_limit),
+            args=(child_conn, self.heartbeat_s),
             daemon=True)
         try:
             with FORK_LOCK:
@@ -648,15 +573,8 @@ class WorkerPool:
             worker.payload = None
             worker.ticket = None
             self.completed += 1
-            if isinstance(envelope, dict) and envelope.get("warm"):
-                self.warm_hits += 1
             payload = (envelope.get("payload")
                        if isinstance(envelope, dict) else envelope)
-            if isinstance(payload, dict):
-                for name, count in (payload.get("submemo")
-                                    or {}).items():
-                    self.submemo_totals[name] = \
-                        self.submemo_totals.get(name, 0) + int(count)
             if not ticket.future.cancelled():
                 ticket.future.set_result(payload)
             return

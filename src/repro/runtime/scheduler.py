@@ -438,17 +438,12 @@ class BatchScheduler:
         self.heartbeat_s = heartbeat_s
         self.hang_grace_s = hang_grace_s
         self._rng = random.Random(backoff_seed)
-        #: Sub-ISF memo counters summed over workers' payloads for the
-        #: most recent :meth:`run` (rows never carry them — see
-        #: :mod:`repro.decomp.submemo`).
-        self.submemo_totals: Dict[str, int] = {}
 
     def open_pool(self) -> WorkerPool:
         """A pool for this scheduler's jobs.  Its ``workers`` processes
-        fork on first use and keep no warm function LRU: a batch's jobs
-        rarely share a source, and the LRU would only cost memory."""
+        fork on first use."""
         return WorkerPool(self.workers, heartbeat_s=self.heartbeat_s,
-                          hang_grace_s=self.hang_grace_s, warm_limit=0)
+                          hang_grace_s=self.hang_grace_s)
 
     # -- public entry ---------------------------------------------------
 
@@ -470,7 +465,6 @@ class BatchScheduler:
         """
         started = time.monotonic()
         results: List[Optional[JobResult]] = [None] * len(jobs)
-        self.submemo_totals = {}
 
         def finish(res: JobResult, key: Optional[str]) -> None:
             results[res.index] = self._settle(res, key, on_event)
@@ -503,7 +497,6 @@ class BatchScheduler:
                 # else (a callback raised, ^C): kill them.  Either way
                 # no worker outlives run().
                 pool.shutdown(drain=settled)
-                self.submemo_totals = dict(pool.submemo_totals)
         return [r for r in results if r is not None]
 
     def run_job(self, pool: WorkerPool, job: Dict[str, Any],

@@ -1,12 +1,11 @@
 """``repro serve`` — the async decomposition service.
 
 A daemon that turns the batch runtime into a long-running service: a
-persistent worker pool with warm BDD managers, a read-through result
-cache with single-flight request coalescing, weighted-fair queueing
-with per-tenant admission control, NDJSON progress streaming and a
-``/metrics`` endpoint — over a unix socket and/or a small HTTP/1.1
-front-end.  See ``docs/SERVICE.md`` for the protocol and the failure
-matrix.
+persistent worker pool, a read-through result cache with single-flight
+request coalescing, weighted-fair queueing with per-tenant admission
+control, NDJSON progress streaming and a ``/metrics`` endpoint — over
+a unix socket and/or a small HTTP/1.1 front-end.  See
+``docs/SERVICE.md`` for the protocol and the failure matrix.
 
 Layering::
 

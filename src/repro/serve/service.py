@@ -1,8 +1,8 @@
 """The decomposition service core: requests -> flights -> pool.
 
 This module is the heart of ``repro serve``.  It owns a persistent
-:class:`~repro.runtime.pool.WorkerPool` (warm BDD managers reused
-across requests), a read-through :class:`~repro.runtime.cache
+:class:`~repro.runtime.pool.WorkerPool` (its workers build every
+request's function afresh, as batch workers do), a read-through :class:`~repro.runtime.cache
 .ResultCache`, a weighted-fair :class:`~repro.serve.queueing.FairQueue`
 and the single-flight table that collapses identical concurrent
 requests onto one computation.
@@ -113,14 +113,12 @@ class DecompositionService:
                  retry_backoff_s: float = 0.25,
                  heartbeat_s: float = 1.0,
                  hang_grace_s: Optional[float] = None,
-                 weights: Optional[Dict[str, float]] = None,
-                 warm_limit: Optional[int] = None) -> None:
+                 weights: Optional[Dict[str, float]] = None) -> None:
         if shed not in ("degrade", "reject"):
             raise ValueError("shed must be 'degrade' or 'reject'")
         self.pool = WorkerPool(workers, heartbeat_s=heartbeat_s,
                                hang_grace_s=hang_grace_s,
-                               default_timeout=timeout,
-                               warm_limit=warm_limit)
+                               default_timeout=timeout)
         self.cache = cache
         self.queue = FairQueue(depth=queue_depth)
         for tenant, weight in (weights or {}).items():
@@ -275,8 +273,8 @@ class DecompositionService:
                                job["job_id"].encode("utf-8"))
 
         try:
-            # Warm-memo key: ship the wire dump so repeat sources reuse
-            # an already-built function (and its hot BDD manager).
+            # Ship the function the parent built, as the batch pre-pass
+            # does, so the worker never re-reads the source.
             job.setdefault("wire", flight.func.to_wire())
             res = await asyncio.wrap_future(run_ladder(
                 self.pool, job, func=flight.func,
@@ -375,7 +373,6 @@ class DecompositionService:
         }
         if self.cache is not None:
             # counter_stats (not stats): /metrics is polled, so no disk
-            # walk; includes hit/miss latency percentiles and warm_hits
-            # already rides in pool.stats() above.
+            # walk; includes hit/miss latency percentiles.
             data["cache"] = self.cache.counter_stats()
         return data

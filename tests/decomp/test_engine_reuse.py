@@ -81,17 +81,16 @@ class TestCrossRunIsolation:
 
 
 class TestWarmManager:
-    """A serve worker keeps built functions warm, so a request for the
-    other driver maps on a BDD manager that has already run one map.
-    Its record must equal that of a map of a fresh build."""
+    """A ``compare`` job maps one built function as mulopII and as
+    mulop-dc, so its second map runs on a BDD manager that has already
+    run one.  Whichever runs first, the second record must equal that of
+    a map of a fresh build."""
 
     @pytest.mark.parametrize("first", [False, True],
                              ids=["mulopII-first", "mulop-dc-first"])
     @pytest.mark.parametrize("entry", WARM_SOURCES)
-    def test_other_driver_on_warm_manager_matches_fresh(self, entry, first,
-                                                        monkeypatch):
-        # No sub-ISF memo: a splice would skip the search under test.
-        monkeypatch.setenv("REPRO_SUBMEMO", "off")
+    def test_other_driver_on_warm_manager_matches_fresh(self, entry,
+                                                        first):
         source = parse_manifest_entry(entry)["source"]
         warm = build_function(source)
         map_to_xc3000(warm, use_dontcares=first)

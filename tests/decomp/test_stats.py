@@ -3,7 +3,10 @@
 import random
 
 from repro.bdd.manager import BDD
+from repro.bench.registry import benchmark
 from repro.boolfunc.spec import MultiFunction
+from repro.core.api import map_to_xc3000
+from repro.decomp import recursive
 from repro.decomp.recursive import DecompositionEngine
 
 
@@ -45,3 +48,12 @@ def test_report_flags_budget():
     engine = DecompositionEngine(n_lut=3, time_budget=0.0)
     engine.run(func)
     assert "budget exhausted" in engine.stats.report()
+
+
+def test_score_memo_eviction_counter(monkeypatch):
+    """The bound-set score memo clears wholesale at its budget and
+    counts the eviction, like the kernel convert caches."""
+    monkeypatch.setattr(recursive, "_SCORE_MEMO_LIMIT", 0)
+    result = map_to_xc3000(benchmark("rd73"))
+    assert result.stats.score_memo_evictions > 0
+    assert "score memo evictions" in result.stats.report()

@@ -188,6 +188,28 @@ class TestFailureIsMiss:
         finally:
             raw.close()
 
+    @pytest.mark.parametrize("ns", ["submemo", "jobs"])
+    def test_frame_naming_a_namespace_is_refused(self, server, ns):
+        # There is one store: an older client's namespaced frame is
+        # answered with an error, and its put stores nothing.
+        server.cache.put(KEY, PAYLOAD)
+        raw = socket.create_connection((server.host, server.port),
+                                       timeout=5.0)
+        try:
+            send_frame(raw, {"op": "put", "key": OTHER, "ns": ns,
+                             "payload": PAYLOAD})
+            assert recv_frame(raw) == {"ok": False,
+                                       "error": "bad namespace"}
+            send_frame(raw, {"op": "get", "key": KEY, "ns": ns})
+            assert recv_frame(raw) == {"ok": False,
+                                       "error": "bad namespace"}
+            send_frame(raw, {"op": "get", "key": KEY})
+            assert recv_frame(raw)["payload"] == PAYLOAD
+        finally:
+            raw.close()
+        assert server.cache.get(OTHER) is None
+        assert server.counters["errors"] == 2
+
 
 class TestObservability:
     def test_counter_stats_shape(self, server):

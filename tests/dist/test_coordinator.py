@@ -7,15 +7,12 @@ matter which nodes executed what or died when.
 """
 
 import json
-import os
 import socket
 import subprocess
 import threading
-import time
 
 import pytest
 
-from repro.decomp.submemo import SUBMEMO_REMOTE_ENV
 from repro.dist.coordinator import DistCoordinator, parse_nodes
 from repro.dist.node import NodeServer
 from repro.dist.wire import recv_frame, send_frame
@@ -265,48 +262,6 @@ class TestDsdSwitch:
             func = jobspec.build_function(source_from_name(name))
             key = cache_key(func.canonical_key(), "map", {}, dsd=False)
             assert cache.get(key) is not None
-
-
-class TestSessionSubmemoRemote:
-    def test_each_session_points_its_workers_at_its_own_cache(
-            self, tmp_path, monkeypatch):
-        # Workers log the sub-ISF memo remote they were forked with.
-        log = tmp_path / "remote.log"
-        execute = jobspec.execute_job
-
-        def logged(job, *args, **kwargs):
-            with open(log, "a") as handle:
-                handle.write(f"{os.environ.get(SUBMEMO_REMOTE_ENV)}\n")
-            return execute(job, *args, **kwargs)
-
-        monkeypatch.setattr(jobspec, "execute_job", logged)
-        monkeypatch.delenv(SUBMEMO_REMOTE_ENV, raising=False)
-        srv = NodeServer(port=0, workers=1, heartbeat_s=0.5).start()
-        thread = threading.Thread(target=srv.serve_forever, daemon=True)
-        thread.start()
-        addresses = []
-        try:
-            for run in range(2):
-                coordinator = DistCoordinator(
-                    [(srv.host, srv.port)],
-                    cache=ResultCache(tmp_path / f"cache-{run}"))
-                [row] = coordinator.run(make_jobs(("xor5",)))
-                assert row["status"] == "ok" and not row["cache_hit"]
-                address = (f"{coordinator.cache_host}:"
-                           f"{coordinator._cache_server.port}")
-                assert log.read_text().split() == [address]
-                log.unlink()
-                # The session ends just after the coordinator's bye.
-                deadline = time.monotonic() + 10.0
-                while (SUBMEMO_REMOTE_ENV in os.environ
-                       and time.monotonic() < deadline):
-                    time.sleep(0.05)
-                assert SUBMEMO_REMOTE_ENV not in os.environ
-                addresses.append(address)
-        finally:
-            srv.close()
-            thread.join(timeout=5.0)
-        assert addresses[0] != addresses[1]
 
 
 class TestClaims:

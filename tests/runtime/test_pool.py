@@ -15,7 +15,6 @@ from repro.runtime.pool import (
     WorkerCrash,
     WorkerPool,
     resolve_workers,
-    warm_key,
 )
 
 pytestmark = pytest.mark.filterwarnings(
@@ -48,21 +47,6 @@ class TestResolveWorkers:
         assert workers == 64 and note is None
 
 
-class TestWarmKey:
-    def test_wire_and_source_key_differently(self):
-        a = warm_key({"source": {"kind": "benchmark", "name": "rd53"}})
-        b = warm_key({"source": {"kind": "benchmark", "name": "rd73"}})
-        assert a and b and a != b
-        assert warm_key({"wire": {"n": 1}}) != a
-
-    def test_file_sources_never_memoise(self):
-        # File bytes can change between requests; reuse would be stale.
-        assert warm_key({"source": {"kind": "pla", "path": "/x.pla"}}) \
-            is None
-        assert warm_key({"source": {"kind": "blif", "path": "/x.blif"}}) \
-            is None
-
-
 class TestProgressEventShape:
     def test_as_dict_drops_unset_fields(self):
         event = ProgressEvent(kind="dispatch", job_id="j", attempt=2)
@@ -88,11 +72,10 @@ class TestWorkerPool:
             second = pool.submit(_job("rd53")).result(timeout=120)
             assert second["status"] == "ok"
             stats = pool.stats()
-            # Same process served both jobs, and the second reused the
-            # warm built function (the whole point of the pool).
+            # Same process served both jobs (the whole point of the
+            # pool).
             assert stats["pids"] == pid_after_first
             assert stats["respawns"] == 0
-            assert stats["warm_hits"] == 1
             assert stats["dispatched"] == 2
             assert stats["completed"] == 2
         finally:

@@ -83,7 +83,7 @@ def start_daemon(tmp_path, **overrides):
     for key in list(overrides):
         if key in ("queue_depth", "shed", "workers", "timeout",
                    "retries", "hang_grace_s", "heartbeat_s", "cache",
-                   "warm_limit", "weights"):
+                   "weights"):
             service_kwargs[key] = overrides.pop(key)
     daemon_kwargs.update(overrides)
     socket_path = str(tmp_path / "repro.sock")

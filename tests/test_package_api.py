@@ -162,3 +162,16 @@ def test_every_module_is_reached_from_an_entry_point():
     unreached = set(mods) - reached - packages
     assert unreached == {"repro.bdd.reorder", "repro.boolfunc.truthtable",
                          "repro.decomp.cut_count"}
+
+
+def test_only_perfbench_imports_the_submemo_residue():
+    # ``repro.decomp.submemo`` is an inert stub kept for the frozen
+    # harness under ``perfbench/``; the program and its benchmarks must
+    # not come to depend on it again.
+    paths = list(_modules().values())
+    paths += sorted((ROOT / "benchmarks").glob("*.py"))
+    for path in paths:
+        for module, name in _repro_imports(ast.parse(path.read_text()),
+                                           False):
+            assert "repro.decomp.submemo" not in (module,
+                                                  f"{module}.{name}"), path

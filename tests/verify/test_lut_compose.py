@@ -2,9 +2,8 @@
 
 ``repro.bdd.ops.lut_function`` builds a LUT's function by folding its
 table with ``ite``; the reference here is the sum-of-minterms loop the
-verifier and the sub-ISF memo's splice check used before it.  Seeded
-random LUT networks cover 0-5 fanins, constant tables, duplicated
-fanins and fanins that are other LUTs.
+verifier used before it.  Seeded random LUT networks cover 0-5 fanins,
+constant tables, duplicated fanins and fanins that are other LUTs.
 """
 
 import random
@@ -14,7 +13,6 @@ import pytest
 from repro.bdd.manager import BDD
 from repro.bdd.ops import lut_function
 from repro.boolfunc.spec import ISF, MultiFunction
-from repro.decomp import submemo
 from repro.mapping.lutnet import CONST0, CONST1, LutNetwork, LutNode
 from repro.verify.equiv import check_extension, lut_signal_bdds
 
@@ -34,25 +32,6 @@ def minterm_sum(bdd, fanins, table):
             term = bdd.apply_and(term, lit)
         result = bdd.apply_or(result, term)
     return result
-
-
-def reference_payload_bdds(bdd, payload, input_funcs):
-    """Reference: the sub-ISF memo's splice check as sum-of-minterms."""
-    funcs = []
-
-    def resolve(ref):
-        if ref >= 0:
-            return funcs[ref]
-        if ref == submemo.REF_CONST0:
-            return BDD.FALSE
-        if ref == submemo.REF_CONST1:
-            return BDD.TRUE
-        return input_funcs[submemo.input_rank(ref)]
-
-    for fanins, table, _hint in payload["tape"]:
-        funcs.append(minterm_sum(bdd, [resolve(ref) for ref in fanins],
-                                 [bit == "1" for bit in table]))
-    return [resolve(ref) for ref in payload["out"]]
 
 
 def random_table(rng, k):
@@ -134,37 +113,6 @@ class TestLutFunction:
         # counter reads the helper's own calls and no recursion.
         lut_function(bdd, fanins, [0, 1] * 16)
         assert bdd.metrics().ite_calls == (1 << 5) - 1
-
-
-class TestPayloadOutputBdds:
-    @staticmethod
-    def random_payload(rng, n_inputs, n_luts=10):
-        tape = []
-        for pos in range(n_luts):
-            refs = [submemo.REF_CONST0, submemo.REF_CONST1]
-            refs += [submemo.input_ref(rank) for rank in range(n_inputs)]
-            refs += list(range(pos))
-            k = rng.randint(1, 5)
-            fanins = random_fanins(rng, refs, k)
-            table = "".join(map(str, random_table(rng, k)))
-            tape.append([fanins, table, None])
-        out = [n_luts - 1, rng.randrange(n_luts), -3]
-        return {"v": submemo.PAYLOAD_VERSION, "n": n_inputs,
-                "m": len(out), "tape": tape, "out": out}
-
-    @pytest.mark.parametrize("seed", range(10))
-    def test_returns_the_reference_nodes(self, seed):
-        rng = random.Random(seed)
-        bdd = BDD(7)
-        payload = self.random_payload(rng, 5)
-        assert submemo.validate_payload(payload, 5, 3)
-        # Input functions other than plain variables, as a splice sees
-        # when the live call's support maps onto composed signals.
-        input_funcs = [bdd.var(0), bdd.apply_or(bdd.var(1), bdd.var(6)),
-                       bdd.var(3), bdd.apply_xor(bdd.var(2), bdd.var(4)),
-                       bdd.var(5)]
-        got = submemo.payload_output_bdds(bdd, payload, input_funcs)
-        assert got == reference_payload_bdds(bdd, payload, input_funcs)
 
 
 class TestCheckExtensionCounterexample:
